@@ -17,7 +17,7 @@ import json
 import time
 from pathlib import Path
 
-from repro.analysis.analyzer import SuggestionAnalyzer
+from repro.analysis.analyzer import SuggestionAnalyzer, clear_verdict_memo
 from repro.corpus.templates import get_template
 from repro.sandbox import evaluate_python_suggestion, evaluate_python_suggestions
 from repro.sandbox.cuda_c import CudaModule, execution_mode, lockstep_stats, static_elision
@@ -390,7 +390,7 @@ def test_static_analysis_cpp_cg(benchmark):
     code = get_template("cpp", "cuda", "cg")
 
     def run():
-        analyzer._cache.clear()
+        clear_verdict_memo()  # both memos, so each round analyzes from scratch
         return analyzer.analyze(code, language="cpp", kernel="cg", requested_model="cpp.cuda")
 
     verdict = benchmark(run)

@@ -4,13 +4,20 @@ Combines model detection, structural checks, kernel-semantics checks and
 (for Python) sandboxed execution into a single :class:`SuggestionVerdict`,
 which is what the proficiency metric in :mod:`repro.core` consumes.
 
-Analysis is pure in ``(code, language, kernel, requested_model)``, so
-verdicts are memoized **process-wide**: identical suggestions (the sampler
-emits near-duplicate completions by design) are analyzed — and, for Python,
-sandbox-executed — exactly once per process, no matter how many runners,
-ablations or threads ask.  Analyzers configured with a custom execution
-backend or with execution disabled get a private memo instead, so their
-verdicts never leak into the shared store.
+Analysis is pure in ``(code, language, kernel, requested_model)``, and
+only two of its fields — ``uses_requested_model`` and ``uses_other_model`` —
+depend on the requested model; both follow from ``detected_models``.  So
+verdicts are memoized **process-wide** on two levels: a verdict memo keyed on
+the full 4-tuple, and below it a code memo keyed on ``(code, language,
+kernel)`` holding the model-independent verdict.  Identical suggestions (the
+sampler emits near-duplicate completions by design, and the same template
+shows up as an "other model" answer to different prompts) are analyzed —
+and, for Python, sandbox-executed — once per process, whichever model they
+were requested for and however many runners or ablations ask (two threads
+meeting the same new suggestion at once may both compute the same verdict).
+Analyzers configured with a custom execution backend or with
+execution disabled get private memos instead, so their verdicts never leak
+into the shared store.
 
 Two further layers sit at this seam:
 
@@ -46,13 +53,21 @@ __all__ = ["SuggestionAnalyzer", "analyze_suggestion", "clear_verdict_memo"]
 #: Memo key: (code, language, kernel, requested model uid).
 VerdictKey = tuple[str, str, str, str]
 
+#: Code memo key: (code, language, kernel).
+CodeKey = tuple[str, str, str]
+
 #: Process-wide verdict memo shared by every default-mode analyzer.
 _SHARED_VERDICT_MEMO: dict[VerdictKey, SuggestionVerdict] = {}
 
+#: Process-wide model-independent verdicts (requested-model flags unset),
+#: shared by every default-mode analyzer.
+_SHARED_CODE_MEMO: dict[CodeKey, SuggestionVerdict] = {}
+
 
 def clear_verdict_memo() -> None:
-    """Empty the shared verdict memo (test isolation helper)."""
+    """Empty the shared verdict and code memos (test isolation helper)."""
     _SHARED_VERDICT_MEMO.clear()
+    _SHARED_CODE_MEMO.clear()
 
 
 def _copy_verdict(verdict: SuggestionVerdict) -> SuggestionVerdict:
@@ -64,6 +79,16 @@ def _copy_verdict(verdict: SuggestionVerdict) -> SuggestionVerdict:
         issues=list(verdict.issues),
         static_findings=[dict(f) for f in verdict.static_findings],
     )
+
+
+def _project(verdict: SuggestionVerdict, requested_uid: str) -> SuggestionVerdict:
+    """A copy of a model-independent verdict with the two requested-model
+    flags derived from its ``detected_models``."""
+    projected = _copy_verdict(verdict)
+    projected.uses_requested_model = requested_uid in verdict.detected_models
+    projected.uses_other_model = any(uid != requested_uid for uid in verdict.detected_models)
+    return projected
+
 
 #: Signature of the pluggable Python execution backend:
 #: ``(code, kernel) -> (math_correct, issues)``.
@@ -111,10 +136,13 @@ class SuggestionAnalyzer:
         Pluggable execution backend; defaults to the sandbox in
         :mod:`repro.sandbox`.
     shared_memo:
-        Whether verdicts go into the process-wide memo.  ``None`` (default)
-        shares the memo exactly when the analyzer is in the default analysis
+        Whether verdicts go into the process-wide memos.  ``None`` (default)
+        shares them exactly when the analyzer is in the default analysis
         mode (executing, with the default sandbox backend); pass ``False``
-        to force a private cache, ``True`` to share regardless.
+        to force private memos, ``True`` to share the verdict memo
+        regardless.  The code memo stays private outside the default mode
+        even then: its verdicts are written to stores, which hold only
+        default-mode verdicts.
     store:
         Optional persistent :class:`~repro.analysis.store.VerdictStore` (or
         its directory path) layered below the in-memory memo.  Memo hits
@@ -129,6 +157,9 @@ class SuggestionAnalyzer:
     _cache: dict[VerdictKey, SuggestionVerdict] = field(
         default=None, repr=False  # type: ignore[assignment]
     )
+    _code_memo: dict[CodeKey, SuggestionVerdict] = field(
+        default=None, init=False, repr=False  # type: ignore[assignment]
+    )
 
     def __post_init__(self) -> None:
         self.store = VerdictStore.coerce(self.store)
@@ -141,11 +172,11 @@ class SuggestionAnalyzer:
                 "a persistent verdict store only holds default-mode verdicts; it cannot "
                 "be combined with execute_python=False or a custom python_executor"
             )
+        default_mode = self.execute_python and self.python_executor is None
+        share = default_mode if self.shared_memo is None else self.shared_memo
         if self._cache is None:
-            share = self.shared_memo
-            if share is None:
-                share = self.execute_python and self.python_executor is None
             self._cache = _SHARED_VERDICT_MEMO if share else {}
+        self._code_memo = _SHARED_CODE_MEMO if share and default_mode else {}
 
     def analyze(
         self,
@@ -186,8 +217,9 @@ class SuggestionAnalyzer:
         one, but resolves the caches first and then executes every pending
         Python suggestion as a single sandbox batch (one fake-runtime
         context, one oracle setup per kernel) — the cache-miss seam is where
-        batches form.  Duplicate suggestions inside the batch are analyzed
-        once.
+        batches form.  Duplicate suggestions inside the batch, and any
+        suggestion already analyzed for another requested model, are
+        analyzed once.
         """
         lang = get_language(language)
         requested_uid = get_model(requested_model).uid
@@ -202,16 +234,23 @@ class SuggestionAnalyzer:
                 pending.setdefault(key, []).append(position)
 
         if pending:
-            finished: dict[VerdictKey, SuggestionVerdict] = {}
-            to_execute: list[tuple[VerdictKey, SuggestionVerdict]] = []
+            # One batch shares language, kernel and requested model, so its
+            # pending keys map one-to-one onto code keys.
+            resolved: dict[CodeKey, SuggestionVerdict] = {}
+            to_execute: list[tuple[CodeKey, SuggestionVerdict]] = []
             for key in pending:
-                verdict, needs_execution = self._static_verdict(key, lang, requested_uid)
+                code_key = key[:3]
+                known = self._code_memo.get(code_key)
+                if known is not None:
+                    resolved[code_key] = known
+                    continue
+                verdict, needs_execution = self._static_verdict(code_key, lang)
                 if needs_execution:
-                    to_execute.append((key, verdict))
+                    to_execute.append((code_key, verdict))
                 else:
-                    finished[key] = verdict
+                    resolved[code_key] = self._code_memo[code_key] = verdict
             if to_execute:
-                for (key, verdict), (passed, exec_issues) in zip(
+                for (code_key, verdict), (passed, exec_issues) in zip(
                     to_execute, self._execute_pending(to_execute), strict=True
                 ):
                     issues = list(exec_issues)
@@ -219,10 +258,11 @@ class SuggestionAnalyzer:
                         issues.append("execution did not reproduce the oracle result")
                     verdict.issues.extend(issues)
                     verdict.math_correct = not issues
-                    finished[key] = verdict
-            for key, verdict in finished.items():
+                    resolved[code_key] = self._code_memo[code_key] = verdict
+            for key, positions in pending.items():
+                verdict = _project(resolved[key[:3]], requested_uid)
                 self._remember(key, verdict)
-                for position in pending[key]:
+                for position in positions:
                     out[position] = _copy_verdict(verdict)
         return out  # type: ignore[return-value]
 
@@ -233,9 +273,10 @@ class SuggestionAnalyzer:
         Memo hits are deliberately *not* written through to the store: a
         memo entry carries no provenance, and a ``shared_memo=True``
         analyzer in a non-default mode may have put a mode-dependent verdict
-        there.  Only verdicts this analyzer computed itself (or loaded from
-        the store) are ever persisted, so the store can never serve a
-        verdict a cold default-mode run would not reproduce.
+        there.  Only verdicts this analyzer computed itself — directly or by
+        projecting a code-memo entry, which only default-mode analyzers
+        share — or loaded from the store are ever persisted, so the store can
+        never serve a verdict a cold default-mode run would not reproduce.
         """
         cached = self._cache.get(key)
         if cached is not None:
@@ -253,25 +294,21 @@ class SuggestionAnalyzer:
             self.store.put(key, verdict)
 
     # -- analysis -------------------------------------------------------------
-    def _static_verdict(
-        self, key: VerdictKey, lang: Language, requested_uid: str
-    ) -> tuple[SuggestionVerdict, bool]:
-        """The static part of the analysis.
+    def _static_verdict(self, key: CodeKey, lang: Language) -> tuple[SuggestionVerdict, bool]:
+        """The static part of the model-independent analysis.
 
         Returns ``(verdict, needs_execution)``: when ``needs_execution`` is
         False the verdict is complete; otherwise only the sandbox execution
-        outcome (issues + ``math_correct``) is still missing.
+        outcome (issues + ``math_correct``) is still missing.  The
+        requested-model flags stay unset (see :func:`_project`).
         """
-        code, _, kernel, _ = key
+        code, _, kernel = key
         verdict = SuggestionVerdict(is_code=_looks_like_code(code, lang.comment_prefix))
         if not verdict.is_code:
             verdict.add_issue("suggestion contains no code")
             return verdict, False
 
-        detected = detect_models(code, lang.name)
-        verdict.detected_models = detected
-        verdict.uses_requested_model = requested_uid in detected
-        verdict.uses_other_model = any(uid != requested_uid for uid in detected)
+        verdict.detected_models = detect_models(code, lang.name)
 
         issues: list[str] = []
         if lang.name == "cpp":
@@ -309,7 +346,7 @@ class SuggestionAnalyzer:
         return verdict, False
 
     def _execute_pending(
-        self, items: list[tuple[VerdictKey, SuggestionVerdict]]
+        self, items: list[tuple[CodeKey, SuggestionVerdict]]
     ) -> list[tuple[bool, list[str]]]:
         """Run the execution backend over every pending Python suggestion.
 

@@ -90,11 +90,12 @@ class SimulatedCodex:
     def complete(self, prompt: Prompt) -> CompletionResult:
         """Return up to ten suggestions for ``prompt`` (deterministic per seed)."""
         rng = self._rng_for(prompt)
-        snippets = self._sampler.sample(prompt, rng)
+        competence = self.config.competence(prompt)
+        snippets = self._sampler.sample(prompt, rng, competence=competence)
         return CompletionResult(
             prompt=prompt,
             suggestions=tuple(snippet.code for snippet in snippets),
-            competence=self.config.competence(prompt),
+            competence=competence,
         )
 
     def complete_snippets(self, prompt: Prompt) -> list[CodeSnippet]:

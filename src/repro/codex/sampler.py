@@ -63,9 +63,16 @@ class SuggestionSampler:
             self.corpus = default_corpus()
 
     # -- public API ------------------------------------------------------------
-    def sample(self, prompt: Prompt, rng: np.random.Generator) -> list[CodeSnippet]:
-        """Draw the suggestion list for ``prompt``."""
-        competence = self.config.competence(prompt)
+    def sample(
+        self, prompt: Prompt, rng: np.random.Generator, *, competence: float | None = None
+    ) -> list[CodeSnippet]:
+        """Draw the suggestion list for ``prompt``.
+
+        ``competence`` is ``config.competence(prompt)``; callers that already
+        computed it pass it in.
+        """
+        if competence is None:
+            competence = self.config.competence(prompt)
         state = self._draw_state(competence, rng)
         return self.sample_for_state(prompt, state, rng)
 
@@ -97,6 +104,15 @@ class SuggestionSampler:
     def _correct_suggestion(self, prompt: Prompt) -> CodeSnippet | None:
         return self._template(prompt)
 
+    def _mutant(self, template: CodeSnippet, name: str) -> CodeSnippet | None:
+        """Operator ``name`` applied to ``template``, through the corpus's
+        mutant table (filled here for templates the corpus did not mutate)."""
+        mutants = self.corpus.mutants
+        key = (template, name)
+        if key not in mutants:
+            mutants[key] = apply_mutation(template, name)
+        return mutants[key]
+
     def _broken_same_model(self, prompt: Prompt, rng: np.random.Generator) -> CodeSnippet | None:
         """An incorrect suggestion that still targets the requested model
         (or its serial skeleton)."""
@@ -116,7 +132,7 @@ class SuggestionSampler:
         # Try operators in a weighted random order until one applies.
         ranked = sorted(order, key=lambda idx: -weights[idx] * rng.random())
         for idx in ranked:
-            mutated = apply_mutation(template, names[idx])
+            mutated = self._mutant(template, names[idx])
             if mutated is not None:
                 return mutated
         return None
@@ -142,7 +158,7 @@ class SuggestionSampler:
         chosen = templates[int(rng.choice(len(templates), p=weights))]
         if rng.random() < corrupt_probability:
             for name in ("wrong_operator", "off_by_one", "truncate"):
-                mutated = apply_mutation(chosen, name)
+                mutated = self._mutant(chosen, name)
                 if mutated is not None:
                     return mutated
         return chosen
@@ -150,7 +166,7 @@ class SuggestionSampler:
     def _non_code(self, prompt: Prompt) -> CodeSnippet:
         template = self._template(prompt)
         if template is not None:
-            non_code = apply_mutation(template, "comment_only")
+            non_code = self._mutant(template, "comment_only")
             if non_code is not None:
                 return non_code
         prefix = prompt.language.comment_prefix

@@ -10,6 +10,11 @@ so that the store's population mirrors what a code model trained on public
 repositories would have absorbed: a kernel of correct idiomatic solutions
 surrounded by a halo of near-misses, serial fallbacks and unfinished
 completions.
+
+The store indexes its snippets by ``(language, kernel)`` on first lookup,
+and keeps a mutant table ``(template, operator) -> mutant or None``, which
+``build_default_corpus`` fills from the operator applications it performs
+anyway, so samplers never re-apply an operator to a template.
 """
 
 from __future__ import annotations
@@ -38,18 +43,32 @@ def _model_uid(language: str, model_short: str) -> str:
     return uid
 
 
+#: Lookup index: ``(language, kernel) -> snippets`` in insertion order, and
+#: ``(language, model uid, kernel) -> template``.
+_Index = tuple[dict[tuple[str, str], list[CodeSnippet]], dict[tuple[str, str, str], CodeSnippet]]
+
+
 @dataclass
 class CorpusStore:
     """In-memory snippet corpus with per-cell lookup."""
 
     snippets: list[CodeSnippet] = field(default_factory=list)
+    #: ``(template, operator name) -> mutant`` (``None`` when the operator
+    #: does not apply).  Filled by :func:`build_default_corpus`; samplers
+    #: fill the entries it lacks on first use.
+    mutants: dict[tuple[CodeSnippet, str], CodeSnippet | None] = field(
+        default_factory=dict, repr=False
+    )
+    _index: _Index | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- population ---------------------------------------------------------
     def add(self, snippet: CodeSnippet) -> None:
         self.snippets.append(snippet)
+        self._index = None
 
     def extend(self, snippets: Iterable[CodeSnippet]) -> None:
         self.snippets.extend(snippets)
+        self._index = None
 
     def __len__(self) -> int:
         return len(self.snippets)
@@ -58,11 +77,21 @@ class CorpusStore:
         return iter(self.snippets)
 
     # -- lookup ---------------------------------------------------------------
+    def _lookup_index(self) -> _Index:
+        index = self._index
+        if index is None:
+            by_kernel: dict[tuple[str, str], list[CodeSnippet]] = {}
+            templates: dict[tuple[str, str, str], CodeSnippet] = {}
+            for s in self.snippets:
+                by_kernel.setdefault((s.language, s.kernel), []).append(s)
+                if s.origin is SnippetOrigin.TEMPLATE and s.label_correct:
+                    templates.setdefault((s.language, s.label_model, s.kernel), s)
+            index = self._index = (by_kernel, templates)
+        return index
+
     def candidates(self, language: str, kernel: str) -> list[CodeSnippet]:
         """All snippets implementing ``kernel`` in ``language`` (any model)."""
-        language = language.lower()
-        kernel = kernel.lower()
-        return [s for s in self.snippets if s.language == language and s.kernel == kernel]
+        return list(self._lookup_index()[0].get((language.lower(), kernel.lower()), ()))
 
     def candidates_for_model(
         self,
@@ -82,10 +111,7 @@ class CorpusStore:
 
     def template(self, language: str, model_uid: str, kernel: str) -> CodeSnippet | None:
         """The curated correct template for a cell, if present."""
-        for snippet in self.candidates_for_model(language, model_uid, kernel, correct_only=True):
-            if snippet.origin is SnippetOrigin.TEMPLATE:
-                return snippet
-        return None
+        return self._lookup_index()[1].get((language.lower(), model_uid, kernel.lower()))
 
     def other_model_snippets(
         self, language: str, model_uid: str, kernel: str, *, correct_only: bool = True
@@ -136,8 +162,8 @@ def build_default_corpus(*, include_mutations: bool = True) -> CorpusStore:
         store.add(template)
         if not include_mutations:
             continue
-        for operator in MUTATION_OPERATORS.values():
-            mutated = operator.apply(template)
+        for name, operator in MUTATION_OPERATORS.items():
+            mutated = store.mutants[template, name] = operator.apply(template)
             if mutated is not None:
                 store.add(mutated)
     return store

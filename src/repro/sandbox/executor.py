@@ -115,22 +115,30 @@ def _fake_module_map() -> dict[str, types.ModuleType]:
     return modules
 
 
+#: Held while the fake runtime is installed.  ``sys.modules`` and the fake
+#: cupy/pycuda modules are process-wide, so two threads executing at once
+#: would uninstall each other's runtime and interleave device state.
+_RUNTIME_LOCK = threading.RLock()
+
+
 @contextlib.contextmanager
 def fake_runtime() -> Iterator[None]:
-    """Temporarily install the fake numba/cupy/pycuda modules."""
-    fakes = _fake_module_map()
-    saved: dict[str, types.ModuleType | None] = {}
-    for name, module in fakes.items():
-        saved[name] = sys.modules.get(name)
-        sys.modules[name] = module
-    try:
-        yield
-    finally:
-        for name, original in saved.items():
-            if original is None:
-                sys.modules.pop(name, None)
-            else:
-                sys.modules[name] = original
+    """Temporarily install the fake numba/cupy/pycuda modules (one thread at
+    a time)."""
+    with _RUNTIME_LOCK:
+        fakes = _fake_module_map()
+        saved: dict[str, types.ModuleType | None] = {}
+        for name, module in fakes.items():
+            saved[name] = sys.modules.get(name)
+            sys.modules[name] = module
+        try:
+            yield
+        finally:
+            for name, original in saved.items():
+                if original is None:
+                    sys.modules.pop(name, None)
+                else:
+                    sys.modules[name] = original
 
 
 def _run_in_runtime(code: str, kernel: str, task: SandboxTask) -> ExecutionResult:

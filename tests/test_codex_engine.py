@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.detection import detect_models
-from repro.codex.config import CodexConfig, KnowledgeState
+from repro.codex.config import DEFAULT_SEED, CodexConfig, KnowledgeState
 from repro.codex.engine import SimulatedCodex
 from repro.codex.prompt import Prompt
 from repro.codex.sampler import SuggestionSampler
+from repro.corpus.store import CorpusStore, build_default_corpus
 from repro.models.grid import ExperimentCell, experiment_grid
 from repro.models.programming_models import PROGRAMMING_MODELS
 from repro.kernels.registry import KERNEL_NAMES
@@ -208,6 +209,35 @@ class TestEngine:
         texts = engine.complete(prompt).suggestions
         snippets = engine.complete_snippets(prompt)
         assert tuple(s.code for s in snippets) == texts
+
+    def test_default_corpus_sampling_never_reapplies_mutations(self, monkeypatch):
+        import repro.codex.sampler as sampler_module
+
+        def forbidden(snippet, name):
+            raise AssertionError(f"{name} re-applied to {snippet.describe()}")
+
+        monkeypatch.setattr(sampler_module, "apply_mutation", forbidden)
+        corpus = build_default_corpus()
+        for seed in (1, DEFAULT_SEED):
+            engine = SimulatedCodex(seed=seed, corpus=corpus)
+            for cell in experiment_grid():
+                engine.complete(Prompt.from_cell(cell))
+
+    def test_hand_built_corpus_samples_like_the_default(self, corpus):
+        # A corpus without a mutant table fills it through apply_mutation
+        # on first use and must draw exactly the default corpus' snippets.
+        hand_built = CorpusStore(snippets=list(corpus))
+        prompts = [Prompt.from_cell(cell) for cell in experiment_grid()]
+        for seed in (1, DEFAULT_SEED):
+            default = SimulatedCodex(seed=seed, corpus=corpus)
+            manual = SimulatedCodex(seed=seed, corpus=hand_built)
+            for prompt in prompts:
+                expected = default.complete_snippets(prompt)
+                assert manual.complete_snippets(prompt) == expected, prompt
+                assert manual.complete(prompt) == default.complete(prompt)
+        assert hand_built.mutants
+        for key, mutant in hand_built.mutants.items():
+            assert mutant == corpus.mutants[key]
 
     def test_every_grid_cell_yields_a_completion(self, engine):
         for cell in experiment_grid():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.corpus.mutations import MUTATION_OPERATORS, apply_mutation, available_mutations
@@ -226,6 +228,45 @@ class TestCorpusStore:
     def test_store_without_mutations(self):
         store = build_default_corpus(include_mutations=False)
         assert store.stats()["total"] == len(TEMPLATE_INDEX)
+
+    def test_mutant_table_matches_apply_mutation(self):
+        store = build_default_corpus()
+        templates = [s for s in store if s.origin is SnippetOrigin.TEMPLATE]
+        assert len(store.mutants) == len(templates) * len(MUTATION_OPERATORS)
+        snippet_ids = {id(s) for s in store}
+        applies = skips = 0
+        for template in templates:
+            for name in MUTATION_OPERATORS:
+                entry = store.mutants[template, name]
+                expected = apply_mutation(template, name)
+                assert entry == expected, (template.describe(), name)
+                if entry is None:
+                    skips += 1
+                else:
+                    applies += 1
+                    assert id(entry) in snippet_ids  # the stored object, not a copy
+        assert applies and skips
+
+    def test_lookup_index_follows_add(self, corpus):
+        store = CorpusStore(snippets=list(corpus))
+        assert store.template("python", "python.handwritten", "axpy") is None
+        before = store.candidates("python", "axpy")
+        before.clear()  # callers get a fresh list, not the index itself
+        assert store.candidates("python", "axpy")
+        added = CodeSnippet(
+            code="def axpy(a, x, y):\n    return a * x + y\n", language="python",
+            kernel="axpy", label_model="python.handwritten", label_correct=True,
+        )
+        store.add(added)
+        assert store.template("python", "python.handwritten", "axpy") is added
+        assert store.candidates("python", "axpy")[-1] is added
+        extra = dataclasses.replace(added, label_model="python.numpy", label_correct=False)
+        store.extend([extra])
+        assert store.candidates_for_model("python", "python.numpy", "axpy")[-1] is extra
+        # The first correct template of a cell wins, as before the index.
+        assert store.template("python", "python.numpy", "axpy") is corpus.template(
+            "python", "python.numpy", "axpy"
+        )
 
     def test_manual_store_operations(self):
         store = CorpusStore()

@@ -281,6 +281,132 @@ class TestVerdictMemo:
         assert stubbed._cache is not default._cache
         assert static._cache is not default._cache
 
+    @pytest.mark.parametrize(
+        "language, model, other_model, kernel",
+        [
+            ("python", "python.numba", "python.numpy", "gemv"),
+            ("cpp", "cpp.openacc", "cpp.openmp", "gemm"),
+        ],
+    )
+    def test_code_is_analyzed_once_across_requested_models(
+        self, corpus, monkeypatch, language, model, other_model, kernel
+    ):
+        # The same template is an answer to its own prompt and an "other
+        # model" answer to another prompt; only the requested-model flags
+        # differ, so checks and execution run once.
+        import repro.sandbox as sandbox
+        from repro.analysis import clike, hazards, pythonlang
+
+        calls: list[str] = []
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for owner, name in (
+            (clike, "check_structure"),
+            (clike, "check_kernel_semantics"),
+            (pythonlang, "check_structure"),
+            (pythonlang, "undefined_call_names"),
+            (hazards, "static_findings_for"),
+            (sandbox, "evaluate_python_suggestions"),
+        ):
+            counted(owner, name)
+        code = corpus.template(language, model, kernel).code
+        clear_verdict_memo()
+        try:
+            verdicts = [
+                SuggestionAnalyzer().analyze(
+                    code, language=language, kernel=kernel, requested_model=requested
+                )
+                for requested in (model, other_model)
+            ]
+            once = sorted(set(calls))
+            assert sorted(calls) == once and once
+            if language == "python":
+                assert "evaluate_python_suggestions" in once
+            fresh = [
+                SuggestionAnalyzer(shared_memo=False).analyze(
+                    code, language=language, kernel=kernel, requested_model=requested
+                )
+                for requested in (model, other_model)
+            ]
+        finally:
+            clear_verdict_memo()
+        assert verdicts == fresh
+        assert verdicts[0].is_correct and not verdicts[1].is_correct
+        assert verdicts[1].uses_other_model
+
+    def test_cold_run_executes_each_distinct_suggestion_once(self, monkeypatch):
+        import repro.sandbox as sandbox
+        from repro.analysis.pythonlang import find_entry_function
+
+        submitted: list[tuple[str, str]] = []
+        original = sandbox.evaluate_python_suggestions
+
+        def recording(items, **kwargs):
+            submitted.extend(items)
+            return original(items, **kwargs)
+
+        monkeypatch.setattr(sandbox, "evaluate_python_suggestions", recording)
+        clear_verdict_memo()
+        try:
+            runner = EvaluationRunner(config=CodexConfig(), seed=DEFAULT_SEED)
+            results = runner.run_full_grid()
+        finally:
+            clear_verdict_memo()
+        executed = {
+            (code, result.cell.kernel)
+            for result in results
+            for code, verdict in zip(result.suggestions, result.verdicts, strict=True)
+            if verdict.method == "executed"
+        }
+        assert len(submitted) == len(set(submitted))
+        assert set(submitted) == executed
+        runnable = [pair for pair in executed if find_entry_function(*pair) is not None]
+        assert runner.sandbox_executions == len(runnable) > 0
+
+    def test_clear_verdict_memo_empties_the_code_memo(self, corpus):
+        code = corpus.template("fortran", "fortran.openmp", "gemv").code
+        kwargs = dict(language="fortran", kernel="gemv", requested_model="fortran.openmp")
+        SuggestionAnalyzer().analyze(code, **kwargs)
+        assert analyzer_module._SHARED_CODE_MEMO
+        clear_verdict_memo()
+        assert not analyzer_module._SHARED_CODE_MEMO
+        assert not analyzer_module._SHARED_VERDICT_MEMO
+
+    def test_private_memo_analyzers_never_touch_the_shared_code_memo(self, corpus):
+        from repro.analysis.verdict import SuggestionVerdict
+
+        code = corpus.template("python", "python.numpy", "axpy").code
+        kwargs = dict(language="python", kernel="axpy", requested_model="python.numpy")
+        poisoned = SuggestionVerdict(
+            is_code=True, detected_models=("python.numpy",), issues=["poisoned"]
+        )
+        clear_verdict_memo()
+        analyzer_module._SHARED_CODE_MEMO[code, "python", "axpy"] = poisoned
+        try:
+            for private in (
+                SuggestionAnalyzer(shared_memo=False),
+                SuggestionAnalyzer(execute_python=False),
+                SuggestionAnalyzer(python_executor=lambda code, kernel: (True, [])),
+                # Forced-shared non-default analyzers share the verdict memo
+                # only: the code memo feeds stores.
+                SuggestionAnalyzer(execute_python=False, shared_memo=True),
+            ):
+                assert "poisoned" not in private.analyze(code, **kwargs).issues
+                analyzer_module._SHARED_VERDICT_MEMO.clear()
+            assert analyzer_module._SHARED_CODE_MEMO == {(code, "python", "axpy"): poisoned}
+            # Non-vacuity: a default analyzer does read the shared entry.
+            assert "poisoned" in SuggestionAnalyzer().analyze(code, **kwargs).issues
+        finally:
+            clear_verdict_memo()
+
 
 # ---------------------------------------------------------------------------
 # Corpus memo and fingerprint-keyed result cache

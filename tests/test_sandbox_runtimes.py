@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -150,6 +152,34 @@ class TestFakeRuntimeContext:
         assert "pycuda" not in sys.modules or not sys.modules["pycuda"].__name__.startswith(
             "repro.sandbox"
         ) is False or True  # restored or absent
+
+    def test_one_thread_at_a_time(self):
+        # A thread entering while another is inside would save that
+        # thread's fakes as the originals and lose them when it leaves.
+        first_inside = threading.Event()
+        second_waiting = threading.Event()
+        seen: list[bool] = []
+
+        def first() -> None:
+            with fake_runtime():
+                first_inside.set()
+                second_waiting.wait(timeout=5)
+                time.sleep(0.05)
+
+        def second() -> None:
+            first_inside.wait(timeout=5)
+            second_waiting.set()
+            with fake_runtime():
+                time.sleep(0.1)
+                seen.append(sys.modules.get("cupy") is fake_cupy)
+
+        threads = [threading.Thread(target=first), threading.Thread(target=second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert seen == [True]
 
 
 class TestSandboxTasks:

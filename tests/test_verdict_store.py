@@ -437,6 +437,34 @@ class TestWarmStoreRuns:
         finally:
             clear_verdict_memo()
 
+    def test_store_filled_one_key_at_a_time_warms_with_zero_executions(self, tmp_path):
+        # Without the code memo every (code, language, kernel, model) key was
+        # analyzed on its own.  Keys and payloads are unchanged, so a store
+        # written that way must still serve a whole warm run.
+        from repro.codex.engine import SimulatedCodex
+        from repro.codex.prompt import Prompt
+        from repro.models.grid import experiment_grid
+
+        store_dir = tmp_path / "store"
+        store = VerdictStore(store_dir)
+        engine = SimulatedCodex(seed=DEFAULT_SEED)
+        for cell in experiment_grid(languages=("python",)):
+            for code in dict.fromkeys(engine.complete(Prompt.from_cell(cell)).suggestions):
+                SuggestionAnalyzer(store=store, shared_memo=False).analyze(
+                    code, language="python", kernel=cell.kernel, requested_model=cell.model
+                )
+        clear_verdict_memo()
+        try:
+            with Session(seed=DEFAULT_SEED) as cold:
+                cold_records = cold.language_results("python").to_records()
+            clear_verdict_memo()
+            with Session(seed=DEFAULT_SEED, verdict_store=store_dir) as warm:
+                assert warm.language_results("python").to_records() == cold_records
+                assert warm.sandbox_executions == 0
+                assert warm.store_hits > 0
+        finally:
+            clear_verdict_memo()
+
     def test_runner_rejects_store_with_custom_evaluator(self, evaluator, tmp_path):
         from repro.core.runner import EvaluationRunner
 
