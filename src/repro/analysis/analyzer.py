@@ -31,7 +31,10 @@ Two further layers sit at this seam:
   as one batch through
   :func:`repro.sandbox.executor.evaluate_python_suggestions`, which installs
   the fake GPU runtime once and sets up each kernel's numerical oracle once
-  per group instead of once per suggestion.
+  per group instead of once per suggestion.  The static checks and the
+  sandbox batch share one
+  :func:`~repro.sandbox.cuda_c.interpreter.shared_parse_scope`, so each
+  distinct code and embedded CUDA source is parsed once per batch.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from repro.analysis.store import VerdictStore
 from repro.analysis.verdict import SuggestionVerdict
 from repro.models.languages import Language, get_language
 from repro.models.programming_models import get_model
+from repro.sandbox.cuda_c.interpreter import shared_parse_scope
 
 __all__ = ["SuggestionAnalyzer", "analyze_suggestion", "clear_verdict_memo"]
 
@@ -238,27 +242,31 @@ class SuggestionAnalyzer:
             # pending keys map one-to-one onto code keys.
             resolved: dict[CodeKey, SuggestionVerdict] = {}
             to_execute: list[tuple[CodeKey, SuggestionVerdict]] = []
-            for key in pending:
-                code_key = key[:3]
-                known = self._code_memo.get(code_key)
-                if known is not None:
-                    resolved[code_key] = known
-                    continue
-                verdict, needs_execution = self._static_verdict(code_key, lang)
-                if needs_execution:
-                    to_execute.append((code_key, verdict))
-                else:
-                    resolved[code_key] = self._code_memo[code_key] = verdict
-            if to_execute:
-                for (code_key, verdict), (passed, exec_issues) in zip(
-                    to_execute, self._execute_pending(to_execute), strict=True
-                ):
-                    issues = list(exec_issues)
-                    if not passed and not issues:
-                        issues.append("execution did not reproduce the oracle result")
-                    verdict.issues.extend(issues)
-                    verdict.math_correct = not issues
-                    resolved[code_key] = self._code_memo[code_key] = verdict
+            # One parse scope for the whole batch: the Python checks, the
+            # hazard analyzer and the sandbox share each code's and each
+            # embedded CUDA source's parse; it is dropped on exit.
+            with shared_parse_scope():
+                for key in pending:
+                    code_key = key[:3]
+                    known = self._code_memo.get(code_key)
+                    if known is not None:
+                        resolved[code_key] = known
+                        continue
+                    verdict, needs_execution = self._static_verdict(code_key, lang)
+                    if needs_execution:
+                        to_execute.append((code_key, verdict))
+                    else:
+                        resolved[code_key] = self._code_memo[code_key] = verdict
+                if to_execute:
+                    for (code_key, verdict), (passed, exec_issues) in zip(
+                        to_execute, self._execute_pending(to_execute), strict=True
+                    ):
+                        issues = list(exec_issues)
+                        if not passed and not issues:
+                            issues.append("execution did not reproduce the oracle result")
+                        verdict.issues.extend(issues)
+                        verdict.math_correct = not issues
+                        resolved[code_key] = self._code_memo[code_key] = verdict
             for key, positions in pending.items():
                 verdict = _project(resolved[key[:3]], requested_uid)
                 self._remember(key, verdict)

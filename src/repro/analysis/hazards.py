@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 
+from repro.sandbox.cuda_c.interpreter import cuda_parse
 from repro.sandbox.cuda_c.parser import CudaSyntaxError, parse_cuda_source
 from repro.sandbox.cuda_c.static import analyze_kernel
 
@@ -180,7 +181,9 @@ def static_findings_for(code: str, language: str, kernel: str) -> list[dict]:
     the CUDA-C parser rejects yield no findings; an unexpected analysis
     error skips that kernel rather than failing the suggestion's verdict.
     A kernel family with no registered geometry profile raises ``KeyError``
-    (see :func:`register_profile`).
+    (see :func:`register_profile`).  Within a
+    :func:`~repro.sandbox.cuda_c.interpreter.shared_parse_scope` each source
+    is parsed once, shared with the sandbox's ``CudaModule``.
     """
     if language != "python":
         return []
@@ -190,7 +193,7 @@ def static_findings_for(code: str, language: str, kernel: str) -> list[dict]:
     profile = _profile_for(kernel, code)
     for source in extract_cuda_sources(code):
         try:
-            definitions = parse_cuda_source(source)
+            definitions = cuda_parse(source, parse_cuda_source).definitions()
         except CudaSyntaxError:
             continue
         for name, definition in definitions.items():

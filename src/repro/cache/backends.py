@@ -33,8 +33,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 
 from repro.atomicio import write_atomic_bytes
@@ -175,6 +173,10 @@ class RemoteBackend(_BackendBase):
     seconds: while it is open every operation short-circuits locally, so a
     server killed mid-run costs one timeout and the evaluation degrades to
     recompute instead of stalling per entry.
+
+    ``urllib.request`` (and with it ``http.client``, ``ssl`` and ``email``)
+    is imported by the methods that talk to the server, so processes that
+    never use a remote cache do not load it.
     """
 
     kind = "remote"
@@ -209,6 +211,9 @@ class RemoteBackend(_BackendBase):
             self._down_until = time.monotonic() + self.cooldown
 
     def get(self, digest: str) -> bytes | None:
+        import urllib.error
+        import urllib.request
+
         if not self.available():
             return None
         started = time.perf_counter()
@@ -232,6 +237,9 @@ class RemoteBackend(_BackendBase):
         return data
 
     def put(self, digest: str, data: bytes) -> bool:
+        import urllib.error
+        import urllib.request
+
         if not self.available():
             return False
         started = time.perf_counter()
@@ -258,6 +266,9 @@ class RemoteBackend(_BackendBase):
         return True
 
     def exists(self, digest: str) -> bool:
+        import urllib.error
+        import urllib.request
+
         if not self.available():
             return False
         request = urllib.request.Request(self.entry_url(digest), method="HEAD")
@@ -272,6 +283,9 @@ class RemoteBackend(_BackendBase):
             return False
 
     def discard(self, digest: str) -> None:
+        import urllib.error
+        import urllib.request
+
         if not self.available():
             return
         request = urllib.request.Request(self.entry_url(digest), method="DELETE")

@@ -33,67 +33,147 @@ import contextvars
 import math
 import os
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, TypeVar
 
 import numpy as np
 
 from repro.sandbox.cuda_c import ast_nodes as ast
 from repro.sandbox.cuda_c import lockstep as _lockstep
 from repro.sandbox.cuda_c import static as _static
-from repro.sandbox.cuda_c.parser import parse_cuda_source
+from repro.sandbox.cuda_c.parser import CudaSyntaxError, parse_cuda_source
 
 __all__ = [
     "Dim3",
     "CudaKernel",
     "CudaModule",
+    "CudaParse",
     "CudaRuntimeError",
+    "ParseScope",
+    "cuda_parse",
+    "parse_once",
     "shared_parse_scope",
     "execution_mode",
 ]
 
-#: Active source -> parsed-kernels map of a :func:`shared_parse_scope`, or
-#: ``None`` outside any scope (every CudaModule then parses its own source).
-#: Context-local, so concurrent sandbox contexts under the thread backend
-#: each see their own scope and cannot corrupt each other's restore.
-_PARSE_SCOPE: contextvars.ContextVar[dict[str, dict[str, "CudaKernel"]] | None] = (
-    contextvars.ContextVar("cuda_parse_scope", default=None)
-)
+_T = TypeVar("_T")
 
-#: Active launch memo of the scope: (kernel, grid, block, argument
-#: fingerprint) -> post-launch buffer states.  ``None`` outside any scope.
-_LAUNCH_SCOPE: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "cuda_launch_scope", default=None
+
+class ParseScope:
+    """Parse and launch work shared within one analysis batch.
+
+    The parse maps are keyed by exact source text; every map lives only as
+    long as the scope.
+    """
+
+    def __init__(self) -> None:
+        #: Python suggestion code -> its
+        #: :class:`~repro.analysis.pythonlang.ParsedSuggestion`.
+        self.python: dict[str, Any] = {}
+        #: Embedded CUDA-C source -> its :class:`CudaParse`.
+        self.cuda: dict[str, CudaParse] = {}
+        #: Launch fingerprint (see :meth:`CudaKernel._launch_key`) ->
+        #: post-launch buffer states.
+        self.launches: dict[tuple, list] = {}
+
+
+#: The active :class:`ParseScope`, or ``None`` outside any scope (every
+#: consumer then parses on its own).  Context-local, so concurrent batches
+#: under the thread backend each see their own scope.
+_PARSE_SCOPE: contextvars.ContextVar[ParseScope | None] = contextvars.ContextVar(
+    "parse_scope", default=None
 )
 
 
 @contextlib.contextmanager
-def shared_parse_scope() -> Iterator[None]:
-    """Reuse parse and launch work for identical CUDA kernels within the scope.
+def shared_parse_scope() -> Iterator[ParseScope]:
+    """Parse each distinct suggestion and CUDA source once within the scope.
 
-    The batched executor opens one scope per suggestion batch (the
-    single-suggestion path runs without a scope and pays no fingerprinting
-    overhead).  Near-duplicate suggestions in a batch frequently embed
-    byte-identical ``RawKernel`` / ``SourceModule`` sources, so within one
-    scope:
+    :meth:`~repro.analysis.analyzer.SuggestionAnalyzer.analyze_batch` opens
+    one scope around its static checks and its sandbox batch, and
+    :func:`~repro.sandbox.executor.evaluate_python_suggestions` opens one
+    when called on its own.  Within a scope:
 
-    * identical sources are parsed once (sharing is safe because parsing is
-      pure and :class:`CudaKernel` keeps no launch state), and
+    * each Python suggestion is parsed once
+      (:func:`repro.analysis.pythonlang.parse_suggestion`); the static checks
+      read the parse and the executor compiles its AST;
+    * each CUDA-C source is parsed once (:func:`cuda_parse`), by whichever
+      of the hazard analyzer and :class:`CudaModule` meets it first
+      (sharing is safe because parsing is pure and :class:`CudaKernel` keeps
+      no launch state); and
     * identical *launches* — same kernel, same grid/block, byte-identical
       arguments — are interpreted once and replayed from the recorded
       post-launch buffer states (the interpreter is deterministic and a
       launch's only effect is mutating its array arguments).
 
-    Scopes nest (the inner scope wins) and always restore the previous
-    scope on exit; the state is context-local, so concurrent scopes on
-    different threads are independent.
+    Entering while a scope is active joins it, so a batch has exactly one.
+    The outermost exit drops the scope and everything it holds; the state is
+    context-local, so concurrent scopes on different threads are
+    independent.
     """
-    parse_token = _PARSE_SCOPE.set({})
-    launch_token = _LAUNCH_SCOPE.set({})
+    scope = _PARSE_SCOPE.get()
+    if scope is not None:
+        yield scope
+        return
+    scope = ParseScope()
+    token = _PARSE_SCOPE.set(scope)
     try:
-        yield
+        yield scope
     finally:
-        _PARSE_SCOPE.reset(parse_token)
-        _LAUNCH_SCOPE.reset(launch_token)
+        _PARSE_SCOPE.reset(token)
+
+
+def parse_once(table: str, text: str, parse: Callable[[str], _T]) -> _T:
+    """``parse(text)``, made once per active scope and kept in its ``table``
+    map (``"python"`` or ``"cuda"``); outside a scope every call parses."""
+    scope = _PARSE_SCOPE.get()
+    if scope is None:
+        return parse(text)
+    parsed = getattr(scope, table)
+    entry = parsed.get(text)
+    if entry is None:
+        entry = parsed[text] = parse(text)
+    return entry
+
+
+class CudaParse:
+    """One CUDA-C source parsed: its kernel definitions or the message of the
+    :class:`CudaSyntaxError` it raised.  The :class:`CudaKernel` objects are
+    built from the definitions on first use."""
+
+    __slots__ = ("_definitions", "_error", "_kernels")
+
+    def __init__(self, source: str, parse: Callable[[str], dict[str, ast.KernelDef]]):
+        self._definitions: dict[str, ast.KernelDef] = {}
+        self._error: str | None = None
+        self._kernels: dict[str, CudaKernel] | None = None
+        try:
+            self._definitions = parse(source)
+        except CudaSyntaxError as exc:
+            self._error = str(exc)
+
+    def definitions(self) -> dict[str, ast.KernelDef]:
+        """Kernel definitions by name; raises the source's syntax error."""
+        if self._error is not None:
+            raise CudaSyntaxError(self._error)
+        return self._definitions
+
+    def kernels(self) -> dict[str, CudaKernel]:
+        """Launchable kernels by name; raises the source's syntax error."""
+        if self._kernels is None:
+            self._kernels = {
+                name: CudaKernel(definition) for name, definition in self.definitions().items()
+            }
+        return self._kernels
+
+
+def cuda_parse(source: str, parse: Callable[[str], dict[str, ast.KernelDef]]) -> CudaParse:
+    """``source`` parsed with ``parse``, once per active scope.
+
+    Callers pass their own module-level ``parse_cuda_source``, looked up at
+    call time, so a wrapper installed on either module's name still sees
+    every parse that actually happens.
+    """
+    return parse_once("cuda", source, lambda text: CudaParse(text, parse))
 
 
 #: Active execution mode: "auto" (lockstep where compiled, scalar otherwise)
@@ -239,7 +319,8 @@ class CudaKernel:
         for param, arg in zip(params, args):
             bound[param.name] = self._coerce_argument(param, arg)
 
-        memo = _LAUNCH_SCOPE.get()
+        scope = _PARSE_SCOPE.get()
+        memo = scope.launches if scope is not None else None
         memo_key = self._launch_key(grid3, block3, bound) if memo is not None else None
         if memo_key is not None:
             cached = memo.get(memo_key)
@@ -614,13 +695,7 @@ class CudaModule:
 
     def __init__(self, source: str):
         self.source = source
-        scope = _PARSE_SCOPE.get()
-        if scope is not None and source in scope:
-            self.kernels = scope[source]
-            return
-        self.kernels = {name: CudaKernel(defn) for name, defn in parse_cuda_source(source).items()}
-        if scope is not None:
-            scope[source] = self.kernels
+        self.kernels = cuda_parse(source, parse_cuda_source).kernels()
 
     def get_kernel(self, name: str) -> CudaKernel:
         if name not in self.kernels:

@@ -9,8 +9,9 @@ against the oracle.
 ``evaluate_python_suggestions`` (plural) is the batched entry point used by
 the analyzer's cache-miss seam: each kernel's numerical oracle is set up
 once per batch and the whole batch executes — in input order — inside a
-single :func:`fake_runtime` context with CUDA parse/launch reuse, instead of
-installing and removing the fake module stack once per suggestion.
+single :func:`fake_runtime` context and parse scope (the analyzer's, when it
+calls), instead of installing and removing the fake module stack once per
+suggestion.
 
 Every module actually executed bumps a process-wide counter
 (:func:`sandbox_execution_count`), which is how runners and tests assert
@@ -28,7 +29,7 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from repro.analysis.pythonlang import find_entry_function
+from repro.analysis.pythonlang import parse_suggestion
 from repro.kernels.validation import compare_outputs
 from repro.sandbox.tasks import SandboxTask, get_task
 
@@ -142,14 +143,19 @@ def fake_runtime() -> Iterator[None]:
 
 
 def _run_in_runtime(code: str, kernel: str, task: SandboxTask) -> ExecutionResult:
-    """Execute one suggestion; the fake runtime must already be installed."""
-    entry = find_entry_function(code, kernel)
+    """Execute one suggestion; the fake runtime must already be installed.
+
+    The code is parsed once (shared with the static checks inside a parse
+    scope) and compiled from that AST.
+    """
+    parsed = parse_suggestion(code)
+    entry = parsed.entry_function(kernel)
     if entry is None:
         return ExecutionResult(passed=False, issues=["no callable entry point for the kernel"])
     _count_execution()
     namespace: dict[str, Any] = {"__name__": "__suggestion__"}
     try:
-        exec(compile(code, "<suggestion>", "exec"), namespace)  # noqa: S102 - sandboxed corpus code
+        exec(parsed.compile(code, "<suggestion>"), namespace)  # noqa: S102 - sandboxed corpus code
     except Exception as exc:  # pragma: no cover - exercised via evaluate
         return ExecutionResult(passed=False, issues=[f"module execution failed: {exc!r}"])
     func = namespace.get(entry)
@@ -207,9 +213,12 @@ def evaluate_python_suggestions(
     """Batched :func:`evaluate_python_suggestion` over ``(code, kernel)`` pairs.
 
     The whole batch executes inside a single :func:`fake_runtime` context
-    with one CUDA parse/launch reuse scope — amortizing the per-suggestion
-    runtime install/teardown and the re-parsing of identical embedded kernel
-    sources — and each kernel's oracle task is resolved once per batch.
+    and one :func:`~repro.sandbox.cuda_c.interpreter.shared_parse_scope` —
+    joining the caller's scope when one is open, so code the static checks
+    parsed is compiled from their AST — amortizing the per-suggestion
+    runtime install/teardown and the re-parsing of identical code and
+    embedded kernel sources; each kernel's oracle task is resolved once per
+    batch.
     Suggestions still execute in **input order** (the order a serial loop
     would use, which matters because the fake cupy/pycuda modules are shared
     objects) and the per-suggestion wrapper modules are rebuilt between

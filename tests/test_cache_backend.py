@@ -23,12 +23,17 @@ Covers the tentpole guarantees of the backend seam:
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis import store as store_module
 from repro.analysis.analyzer import clear_verdict_memo
 from repro.analysis.store import VerdictStore, default_store_path
@@ -450,3 +455,23 @@ class TestCliCacheExtended:
             main(["--verdict-store", store_arg, "cache", "clear"])
         monkeypatch.delenv("REPRO_CACHE_READONLY")
         assert len(VerdictStore(store_arg)) == 1
+
+
+class TestLazyRemoteImport:
+    def test_cli_import_loads_no_http_stack(self):
+        """Only a remote cache needs urllib.request; importing the CLI must
+        not pay for it (nor for http.client, ssl and email behind it)."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+        probe = (
+            "import sys, repro.harness.cli; "
+            "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl', 'email') "
+            "if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        ).stdout
+        assert out.strip() == "[]"

@@ -136,14 +136,12 @@ class TestCorpusDifferential:
             rng = np.random.default_rng(3)
             a = rng.standard_normal(12 * 9)
             x = rng.standard_normal(9)
-            with interp.shared_parse_scope(), execution_mode(mode):
+            with interp.shared_parse_scope() as scope, execution_mode(mode):
                 kern = CudaModule(src).get_kernel("gemv")
                 kern.launch((1,), (32,), (12, 9, a, x, np.zeros(12)))
                 kern.launch((1,), (32,), (12, 9, a, x, np.zeros(12)))  # replays
-                memo = interp._LAUNCH_SCOPE.get()
-                assert memo is not None
                 normalized = []
-                for key, buffers in memo.items():
+                for key, buffers in scope.launches.items():
                     kernel_obj = key[0]
                     normalized.append((
                         (kernel_obj.name,) + tuple(key[1:]),

@@ -371,6 +371,99 @@ class TestVerdictMemo:
         runnable = [pair for pair in executed if find_entry_function(*pair) is not None]
         assert runner.sandbox_executions == len(runnable) > 0
 
+    def test_cold_run_parses_each_distinct_suggestion_once(self, monkeypatch):
+        import ast
+        import itertools
+        import weakref
+
+        from repro.analysis import pythonlang
+        from repro.sandbox.cuda_c import interpreter, parser
+
+        batch_ids = itertools.count()
+        batch: list[int | None] = [None]
+        python_parses: list[str] = []
+        trees: list[tuple[int | None, weakref.ref]] = []
+        compiled: list[type] = []
+        cuda_parses: list[tuple[int | None, str]] = []
+        parse_module_calls = [0]
+
+        original_parse = ast.parse
+
+        def parse(source, *args, **kwargs):
+            python_parses.append(source)
+            tree = original_parse(source, *args, **kwargs)
+            trees.append((batch[0], weakref.ref(tree)))
+            return tree
+
+        def compile_(source, *args, **kwargs):
+            compiled.append(type(source))
+            return compile(source, *args, **kwargs)
+
+        original_tokenize = parser.tokenize
+
+        def tokenize(source):
+            cuda_parses.append((batch[0], source))
+            return original_tokenize(source)
+
+        original_parse_module = parser._Parser.parse_module
+
+        def parse_module(self):
+            parse_module_calls[0] += 1
+            return original_parse_module(self)
+
+        original_batch = SuggestionAnalyzer.analyze_batch
+
+        def analyze_batch(self, *args, **kwargs):
+            batch[0] = next(batch_ids)
+            try:
+                return original_batch(self, *args, **kwargs)
+            finally:
+                opened, batch[0] = batch[0], None
+                # Nothing of the batch's parse scope survives it.
+                assert interpreter._PARSE_SCOPE.get() is None
+                assert all(ref() is None for owner, ref in trees if owner == opened)
+
+        monkeypatch.setattr(ast, "parse", parse)
+        monkeypatch.setattr(pythonlang, "compile", compile_, raising=False)
+        monkeypatch.setattr(parser, "tokenize", tokenize)
+        monkeypatch.setattr(parser._Parser, "parse_module", parse_module)
+        monkeypatch.setattr(SuggestionAnalyzer, "analyze_batch", analyze_batch)
+        clear_verdict_memo()
+        try:
+            results = EvaluationRunner(config=CodexConfig(), seed=DEFAULT_SEED).run_full_grid()
+        finally:
+            clear_verdict_memo()
+        analyzed = {
+            code
+            for result in results
+            if result.cell.language == "python"
+            for code, verdict in zip(result.suggestions, result.verdicts, strict=True)
+            if verdict.is_code
+        }
+        # One ast.parse per distinct analyzed Python code, all inside a batch.
+        assert sorted(python_parses) == sorted(analyzed)
+        assert all(owner is not None for owner, _ in trees)
+        # The executor compiles the batch's AST instead of the source text.
+        assert compiled and set(compiled) == {ast.Module}
+        # Each distinct CUDA source is parsed once per batch (the hazard
+        # analyzer and the sandbox share it), inside the batch.
+        assert len(cuda_parses) == len(set(cuda_parses)) == parse_module_calls[0] > 0
+        assert all(owner is not None for owner, _ in cuda_parses)
+        assert interpreter._PARSE_SCOPE.get() is None
+
+    def test_thread_backend_matches_serial_with_concurrent_parse_scopes(self):
+        records = {}
+        for backend in ("serial", "thread"):
+            clear_verdict_memo()
+            try:
+                with EvaluationRunner(
+                    config=CodexConfig(), seed=DEFAULT_SEED, backend=backend, max_workers=4
+                ) as runner:
+                    records[backend] = runner.run_full_grid().to_records()
+            finally:
+                clear_verdict_memo()
+        assert records["thread"] == records["serial"]
+
     def test_clear_verdict_memo_empties_the_code_memo(self, corpus):
         code = corpus.template("fortran", "fortran.openmp", "gemv").code
         kwargs = dict(language="fortran", kernel="gemv", requested_model="fortran.openmp")

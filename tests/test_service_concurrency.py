@@ -16,6 +16,7 @@ import pytest
 
 from repro.api import ExperimentSpec, Session
 from repro.codex.config import DEFAULT_SEED
+from repro.dispatch import faults
 from repro.service import protocol
 from repro.service.client import ServiceClient, connect
 from repro.service.protocol import ServiceError
@@ -125,6 +126,17 @@ class TestConcurrentClients:
                 other.close()
 
 
+@pytest.fixture()
+def slow_shards(monkeypatch):
+    """Hold every shard for 50 ms, so an experiment is still running when
+    the next request lands even when warm memos make evaluation instant."""
+    monkeypatch.delenv(faults.FAULTS_ENV, raising=False)
+    faults.install([{"point": "worker.evaluate", "action": "hang", "arg": 0.05}])
+    yield
+    faults.reset()
+
+
+@pytest.mark.usefixtures("slow_shards")
 class TestBoundedQueue:
     def test_queue_full_is_explicit_and_cancel_releases_the_slot(self):
         """With one slot and one worker: the second submit is refused with
