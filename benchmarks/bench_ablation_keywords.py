@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from repro.harness.experiments import run_keyword_ablation
+from repro.api import Session
 
 
 def test_ablation_keywords(benchmark):
-    report = benchmark(run_keyword_ablation)
+    with Session() as session:
+        report = benchmark(session.keyword_ablation)
     effects = report.data["effects"]
     # The paper's qualitative findings: the keyword is decisive for Fortran
     # and Python, mild for C++, and Julia has no keyword variant at all.

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from repro.harness.experiments import run_maturity_ablation
+from repro.api import Session
 
 
 def test_ablation_maturity(benchmark):
-    report = benchmark(lambda: run_maturity_ablation(scales=(0.5, 1.0, 1.25)))
+    with Session() as session:
+        report = benchmark(lambda: session.maturity_ablation(scales=(0.5, 1.0, 1.25)))
     # The qualitative C++ ranking (OpenMP among the top models) must be
     # stable across a wide range of prior weights — i.e. the reproduction's
     # conclusions do not hinge on one hand-picked constant.

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from repro.harness.experiments import run_suggestion_count_ablation
+from repro.api import Session
 
 
 def test_ablation_suggestion_budget(benchmark):
-    report = benchmark(lambda: run_suggestion_count_ablation(counts=(1, 3, 10)))
+    with Session() as session:
+        report = benchmark(lambda: session.suggestion_count_ablation(counts=(1, 3, 10)))
     means = report.data["means"]
     # With a single suggestion the rubric collapses to expert-or-nothing, so
     # scores can only move, never exceed the ten-suggestion protocol by more

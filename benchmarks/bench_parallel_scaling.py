@@ -1,4 +1,4 @@
-"""E-PERF: wall-clock scaling of full-grid evaluation across executor backends.
+"""E-PERF: wall-clock scaling of full-grid evaluation across session backends.
 
 Times the complete Table 1 grid under the ``serial`` and ``process``
 backends (cold caches, so the numbers reflect the true pipeline cost, not
@@ -61,9 +61,10 @@ def _time_full_grid(backend: str, cores: int) -> tuple[float, list[dict]]:
 
     The corpus is pre-built before timing (on fork platforms workers inherit
     it copy-on-write), and every repeat starts from a fresh session and a
-    cleared verdict memo, so both backends pay identical cold-analysis cost:
-    the serial memo is cleared in-process, and a new worker pool (with empty
-    worker-side memos) is spawned inside the timed region.
+    cleared verdict memo, so both backends pay identical cold-analysis cost.
+    The process backend dispatches one shard per worker through the
+    dispatch driver, which starts fresh worker processes for every call:
+    process start-up, IPC and the merge are all inside the timed region.
     """
     _cold_caches()
     default_corpus()

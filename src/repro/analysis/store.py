@@ -167,7 +167,7 @@ class ContentStore:
         #: next miss: any miss drops the digest again so an external
         #: ``clear()``/compaction cannot permanently suppress re-persistence.
         self._known: set[str] = set()
-        #: Guards the counters/_known so thread-backend runs count exactly.
+        #: Guards the counters/_known so concurrent worker threads count exactly.
         self._lock = threading.Lock()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

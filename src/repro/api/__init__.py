@@ -3,11 +3,13 @@
 Everything downstream code needs lives here (reference: ``docs/api.md``;
 layering and determinism contract: ``docs/architecture.md``):
 
-* :class:`Session` — context-managed façade owning result caching, backend
-  selection, pooled runners, progress callbacks and the optional persistent
-  verdict store (``session.table(2)``, ``session.figure(4)``,
-  ``session.ablation("keywords")``, ``session.run(spec)``,
-  ``session.sweep(seeds=[...])``, ``session.run_everything()``).
+* :class:`Session` — context-managed façade owning result caching, the
+  serial or process evaluation backend, pooled runners, progress callbacks
+  and the optional persistent verdict store (``session.table(2)``,
+  ``session.figure(4)``, ``session.ablation("keywords")``,
+  ``session.run(spec)``, ``session.sweep(seeds=[...])``,
+  ``session.run_everything()``), each returning an
+  :class:`ExperimentReport` or :class:`~repro.core.runner.ResultSet`.
 * :class:`ExperimentSpec` / :class:`Shard` / :class:`ShardManifest` — the
   declarative, shardable description of a run and the manifest that
   validates partial results before merging.
@@ -30,10 +32,6 @@ layering and determinism contract: ``docs/architecture.md``):
   shard payloads survive the process, so a killed run resumes instead of
   recomputing, and a complete dispatch is byte-identical to ``run --json``.
 
-The free functions in :mod:`repro.harness.experiments` are deprecated thin
-wrappers over the process-default :class:`Session` (migration table in
-``docs/api.md``).
-
 Example — declare a run, shard it, and open a session:
 
 >>> from repro.api import ExperimentSpec, Session
@@ -53,9 +51,8 @@ from __future__ import annotations
 
 from repro.analysis.store import VerdictStore, default_store_path
 from repro.core.runner import RecordResult, ResultSet
-from repro.harness.experiments import ExperimentReport
 
-from repro.api.session import Session, default_session, reset_default_session
+from repro.api.session import ExperimentReport, Session
 from repro.api.spec import (
     SHARD_FORMAT,
     ExperimentSpec,
@@ -94,8 +91,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "Session",
-    "default_session",
-    "reset_default_session",
     "ExperimentSpec",
     "IncrementalMerge",
     "Shard",

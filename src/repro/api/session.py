@@ -1,19 +1,20 @@
 """The :class:`Session` façade — the supported entry point for experiments.
 
-A ``Session`` owns everything the legacy free functions in
-:mod:`repro.harness.experiments` used to keep in module-global state:
+A ``Session`` owns:
 
 * the result cache, keyed on ``(seed, language, config fingerprint)`` and
-  LRU-bounded — now *session-scoped*, so two sessions never share results
-  and tests get isolation by construction;
-* backend selection (``serial`` / ``thread`` / ``process``) plus pooled
-  :class:`~repro.core.runner.EvaluationRunner`s that are reused across calls
-  and closed together when the session closes;
-* progress callbacks, forwarded to every runner the session creates;
+  LRU-bounded — *session-scoped*, so two sessions never share results and
+  tests get isolation by construction;
+* the evaluation backend, fixed per session: ``serial`` evaluates in the
+  calling thread on pooled :class:`~repro.core.runner.EvaluationRunner`s,
+  ``process`` spreads each evaluation over worker processes through the
+  dispatch driver (:meth:`Session.dispatch`), with its retries and
+  quarantine;
+* progress callbacks, forwarded to every evaluation the session runs;
 * an optional persistent verdict store (``verdict_store=``), shared by every
-  runner and process-backend worker the session creates, so repeated runs —
-  even from new processes — skip sandbox execution for suggestions any
-  earlier run already analyzed.  With ``$REPRO_CACHE_URL`` set (or the CLI's
+  runner and worker process the session uses, so repeated runs — even from
+  new processes — skip sandbox execution for suggestions any earlier run
+  already analyzed.  With ``$REPRO_CACHE_URL`` set (or the CLI's
   ``--cache-url``), every store additionally reads through a shared
   ``cache-server`` remote and publishes fresh entries back — a warm remote
   fills a cold local disk with zero sandbox executions, and an unreachable
@@ -31,17 +32,18 @@ an unsharded run.
 
 from __future__ import annotations
 
+import dataclasses
+import os
 from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.analysis.store import VerdictStore
 from repro.codex.config import DEFAULT_SEED, CodexConfig
 from repro.core.aggregate import model_averages, postfix_effect
-from repro.core.compare import compare_to_paper
+from repro.core.compare import ShapeComparison, compare_to_paper
 from repro.core.evaluator import CellResult
-from repro.core.runner import BACKENDS, EvaluationRunner, ResultSet
-from repro.harness.experiments import TABLE_LANGUAGES, ExperimentReport
+from repro.core.runner import EvaluationRunner, ResultSet
 from repro.harness.figures import (
     FIGURE_LANGUAGES,
     figure_data,
@@ -49,16 +51,46 @@ from repro.harness.figures import (
     render_figure,
     render_overall_figure,
 )
-from repro.harness.tables import render_language_table
+from repro.harness.tables import TABLE_LANGUAGES, render_language_table
 from repro.models.languages import get_language, language_names
 from repro.popularity.maturity import MaturityModel
 
 from repro.api.spec import ExperimentSpec, Shard
 
-__all__ = ["Session", "default_session", "reset_default_session"]
+__all__ = ["BACKENDS", "ExperimentReport", "Session"]
+
+#: Evaluation backends understood by :class:`Session`.
+BACKENDS: tuple[str, ...] = ("serial", "process")
 
 #: Ablation name → Session method suffix (see :meth:`Session.ablation`).
 ABLATIONS: tuple[str, ...] = ("keywords", "maturity", "suggestions")
+
+
+@dataclasses.dataclass
+class ExperimentReport:
+    """The outcome of one reproduced experiment."""
+
+    #: Experiment identifier ("table2", "figure6", "ablation-keywords", ...).
+    experiment_id: str
+    #: Human-readable description.
+    description: str
+    #: Structured data (series / per-cell values) for programmatic use.
+    data: dict[str, Any] = dataclasses.field(default_factory=dict)
+    #: Shape comparison against the published values, when applicable.
+    comparison: ShapeComparison | None = None
+    #: Ready-to-print text rendering.
+    text: str = ""
+
+    def summary_line(self) -> str:
+        """One line suitable for a benchmark log."""
+        if self.comparison is None:
+            return f"{self.experiment_id}: done"
+        c = self.comparison
+        return (
+            f"{self.experiment_id}: rho={c.cell_rank_correlation:.2f} "
+            f"within-one-level={c.within_one_level:.0%} "
+            f"top-model-agrees={c.top_model_agrees}"
+        )
 
 
 class Session:
@@ -66,19 +98,27 @@ class Session:
 
     Parameters
     ----------
-    seed, config, backend:
+    seed, config:
         Session-wide defaults; every experiment method accepts per-call
         overrides with the same names.
-    max_workers, chunk_size:
-        Forwarded to the runners the session creates (parallel backends).
+    backend:
+        ``"serial"`` (default) or ``"process"``, fixed for the session.
+        Process mode evaluates through :meth:`dispatch` with one shard per
+        worker; records are byte-identical to serial mode.
+    max_workers:
+        Worker count of process mode and the default of :meth:`dispatch`'s
+        ``max_workers`` (default: one per core, at most 8).  A pool that
+        resolves to one worker evaluates in-process.
     progress:
-        Callback invoked with each :class:`CellResult` as cells complete, in
-        submission order (captured at runner creation).
+        Callback invoked per cell, in submission order: with each
+        :class:`CellResult` as it is evaluated in-process, or with each
+        :class:`~repro.core.runner.RecordResult` of a shard as it lands from
+        a worker process.
     cache_size:
         LRU bound of the per-session result cache.
     verdict_store:
         Opt-in persistent verdict cache shared by every runner (and every
-        process-backend worker) this session creates.  Pass ``True`` for the
+        worker process) this session uses.  Pass ``True`` for the
         default cache directory (:func:`repro.analysis.store.default_store_path`,
         ``$REPRO_VERDICT_STORE`` / ``~/.cache/repro-hpc-codex/verdicts``), a
         path for an explicit location, an ``http(s)://`` cache-server URL
@@ -97,7 +137,6 @@ class Session:
         config: CodexConfig | None = None,
         backend: str = "serial",
         max_workers: int | None = None,
-        chunk_size: int | None = None,
         progress: Callable[[CellResult], None] | None = None,
         cache_size: int = 64,
         max_runners: int = 8,
@@ -109,20 +148,21 @@ class Session:
         self.config = config if config is not None else CodexConfig()
         self.backend = backend
         self.max_workers = max_workers
-        self.chunk_size = chunk_size
         self.progress = progress
         self.verdict_store = VerdictStore.coerce(verdict_store)
         self._cache: OrderedDict[tuple[int, str, str], ResultSet] = OrderedDict()
         self._cache_max = int(cache_size)
-        self._runners: OrderedDict[tuple[int, str, str], EvaluationRunner] = OrderedDict()
+        self._runners: OrderedDict[tuple[int, str], EvaluationRunner] = OrderedDict()
         self._runners_max = int(max_runners)
-        self._retired_sandbox_executions = 0
-        self._retired_store_hits = 0
+        #: Work no pooled runner holds: retired runners and worker processes.
+        self._sandbox_executions = 0
+        self._store_hits = 0
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------------
     def close(self) -> None:
-        """Shut down every pooled runner and drop the cache (idempotent)."""
+        """Drop every pooled runner and the cache (idempotent); a closed
+        session refuses to evaluate."""
         for runner in self._runners.values():
             self._retire(runner)
         self._runners.clear()
@@ -130,23 +170,26 @@ class Session:
         self._closed = True
 
     def _retire(self, runner: EvaluationRunner) -> None:
-        """Close a runner, folding its counters into the session totals."""
-        self._retired_sandbox_executions += runner.sandbox_executions
-        self._retired_store_hits += runner.store_hits
-        runner.close()
+        """Fold a dropped runner's counters into the session totals."""
+        self._sandbox_executions += runner.sandbox_executions
+        self._store_hits += runner.store_hits
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise RuntimeError("this Session is closed; create a new one")
 
     @property
     def sandbox_executions(self) -> int:
-        """Suggestion modules executed for this session's runs (all backends,
-        including process-pool workers; survives :meth:`close`)."""
-        return self._retired_sandbox_executions + sum(
+        """Suggestion modules executed for this session's runs (both
+        backends, including worker processes; survives :meth:`close`)."""
+        return self._sandbox_executions + sum(
             runner.sandbox_executions for runner in self._runners.values()
         )
 
     @property
     def store_hits(self) -> int:
         """Verdicts served from the persistent store for this session's runs."""
-        return self._retired_store_hits + sum(
+        return self._store_hits + sum(
             runner.store_hits for runner in self._runners.values()
         )
 
@@ -177,35 +220,21 @@ class Session:
         while len(self._cache) > self._cache_max:
             self._cache.popitem(last=False)
 
-    def _resolve(
-        self,
-        seed: int | None,
-        config: CodexConfig | None,
-        backend: str | None,
-    ) -> tuple[int, CodexConfig, str]:
-        resolved_backend = self.backend if backend is None else backend
-        if resolved_backend not in BACKENDS:
-            raise ValueError(f"unknown backend {resolved_backend!r}; choose from {BACKENDS}")
+    def _resolve(self, seed: int | None, config: CodexConfig | None) -> tuple[int, CodexConfig]:
         return (
             self.seed if seed is None else int(seed),
             self.config if config is None else config,
-            resolved_backend,
         )
 
-    def _runner(self, seed: int, config: CodexConfig, backend: str) -> EvaluationRunner:
-        """A pooled runner for (seed, config, backend); reused across calls so
-        parallel backends keep their worker pools warm."""
-        if self._closed:
-            raise RuntimeError("this Session is closed; create a new one")
-        key = (seed, config.fingerprint(), backend)
+    def _runner(self, seed: int, config: CodexConfig) -> EvaluationRunner:
+        """The pooled runner for (seed, config), reused across calls."""
+        self._check_open()
+        key = (seed, config.fingerprint())
         runner = self._runners.get(key)
         if runner is None:
             runner = EvaluationRunner(
                 config=config,
                 seed=seed,
-                backend=backend,
-                max_workers=self.max_workers,
-                chunk_size=self.chunk_size,
                 progress=self.progress,
                 verdict_store=self.verdict_store,
             )
@@ -217,30 +246,76 @@ class Session:
         return runner
 
     def runner(
-        self,
-        seed: int | None = None,
-        config: CodexConfig | None = None,
-        backend: str | None = None,
+        self, seed: int | None = None, config: CodexConfig | None = None
     ) -> EvaluationRunner:
-        """The pooled :class:`EvaluationRunner` for (seed, config, backend).
+        """The pooled in-process :class:`EvaluationRunner` for (seed, config).
 
         The seam long-lived embeddings build on (the dispatch driver's
         inline backend, the JSON-RPC evaluation service): callers evaluate
         through the session's runner pool — shared verdict store, shared
-        progress callback, warm worker pools — without going through the
-        per-language result cache.  The runner is owned by the session;
-        do not close it."""
-        seed, config, backend = self._resolve(seed, config, backend)
-        return self._runner(seed, config, backend)
+        progress callback — without going through the per-language result
+        cache.  The runner is owned by the session."""
+        return self._runner(*self._resolve(seed, config))
 
     # -- core evaluation ------------------------------------------------------
+    def _evaluate(self, spec: ExperimentSpec) -> ResultSet:
+        """Evaluate a single-seed spec on this session's backend.
+
+        Process mode dispatches one shard per worker and raises, naming the
+        shards, if any shard ends quarantined.  A pool that resolves to one
+        worker evaluates in-process: one worker process is serial
+        evaluation plus fork and IPC overhead.
+        """
+        cells = spec.cells()
+        workers = 1
+        if self.backend == "process":
+            workers = min(self.max_workers or min(8, os.cpu_count() or 1), len(cells))
+        if workers <= 1:
+            return self._runner(spec.seed, spec.config).run_cells(cells)
+        report = self.dispatch(spec, shards=workers, backend="process", max_workers=workers)
+        if report.quarantined:
+            raise RuntimeError(
+                "process evaluation failed; quarantined: "
+                + "; ".join(quarantine.describe() for quarantine in report.quarantined)
+            )
+        return report.result()
+
+    def _cached_languages(
+        self, seed: int, config: CodexConfig, languages: Iterable[str]
+    ) -> dict[str, ResultSet]:
+        """The session-cached results of each language, in the given order.
+
+        Every uncached language is evaluated in a single call (one dispatch
+        in process mode), then cached per language.
+        """
+        fingerprint = config.fingerprint()
+        found = {
+            name: self._cache_get((seed, name, fingerprint))
+            for name in (get_language(language).name for language in languages)
+        }
+        missing = tuple(name for name, results in found.items() if results is None)
+        if missing:
+            evaluated = self._evaluate(
+                ExperimentSpec(seeds=(seed,), languages=missing, config=config)
+            )
+            for name in missing:
+                found[name] = evaluated.filter(language=name)
+                self._cache_put((seed, name, fingerprint), found[name])
+        return found
+
+    def _combined(self, seed: int, config: CodexConfig, languages: Iterable[str]) -> ResultSet:
+        combined = ResultSet(seed=seed)
+        for results in self._cached_languages(seed, config, languages).values():
+            for result in results:
+                combined.add(result)
+        return combined
+
     def language_results(
         self,
         language: str,
         *,
         seed: int | None = None,
         config: CodexConfig | None = None,
-        backend: str | None = None,
     ) -> ResultSet:
         """Evaluate all cells of one language's table, session-cached per
         (seed, language, config fingerprint).
@@ -249,81 +324,44 @@ class Session:
         as read-only and copy its results into a fresh set before adding to
         it (as :meth:`full_results` does).
         """
-        seed, config, backend = self._resolve(seed, config, backend)
-        name = get_language(language).name
-        key = (seed, name, config.fingerprint())
-        cached = self._cache_get(key)
-        if cached is None:
-            cached = self._runner(seed, config, backend).run_language(name)
-            self._cache_put(key, cached)
-        return cached
+        seed, config = self._resolve(seed, config)
+        (results,) = self._cached_languages(seed, config, (language,)).values()
+        return results
 
     def full_results(
         self,
         *,
         seed: int | None = None,
         config: CodexConfig | None = None,
-        backend: str | None = None,
     ) -> ResultSet:
         """Evaluate the full grid (all four languages), reusing cached
-        languages; missing ones share a single runner (one worker pool)."""
-        seed, config, backend = self._resolve(seed, config, backend)
-        fingerprint = config.fingerprint()
-        missing = [
-            language
-            for language in language_names()
-            if self._cache_get((seed, language, fingerprint)) is None
-        ]
-        if missing:
-            runner = self._runner(seed, config, backend)
-            for language in missing:
-                self._cache_put((seed, language, fingerprint), runner.run_language(language))
-        combined = ResultSet(seed=seed)
-        for language in language_names():
-            for result in self.language_results(language, seed=seed, config=config, backend=backend):
-                combined.add(result)
-        return combined
+        languages; the missing ones are evaluated in a single call."""
+        seed, config = self._resolve(seed, config)
+        return self._combined(seed, config, language_names())
 
-    def run(
-        self,
-        spec: ExperimentSpec | Shard,
-        *,
-        backend: str | None = None,
-    ) -> ResultSet | dict[int, ResultSet]:
+    def run(self, spec: ExperimentSpec | Shard) -> ResultSet | dict[int, ResultSet]:
         """Evaluate a declarative spec or one shard of it.
 
-        A :class:`Shard` evaluates just its cell slice (uncached — shards
-        cut across the per-language cache grain) and returns a
-        :class:`ResultSet` ready for :func:`repro.api.spec.shard_payload`.
-        A single-seed :class:`ExperimentSpec` returns one :class:`ResultSet`;
-        a multi-seed spec returns ``{seed: ResultSet}``.
+        A :class:`Shard` evaluates just its cell slice in-process (uncached
+        — shards cut across the per-language cache grain — and never
+        re-dispatched, since a shard is already the unit the driver
+        parallelizes) and returns a :class:`ResultSet` ready for
+        :func:`repro.api.spec.shard_payload`.  A single-seed
+        :class:`ExperimentSpec` returns one :class:`ResultSet`; a multi-seed
+        spec returns ``{seed: ResultSet}``.
         """
         if isinstance(spec, Shard):
-            _, _, resolved = self._resolve(None, None, backend)
-            runner = self._runner(spec.seed, spec.spec.config, resolved)
-            results = runner.run_cells(spec.cells())
-            return results
-        per_seed = {
-            seed: self._run_spec_at_seed(spec, seed, backend) for seed in spec.seeds
-        }
+            return self._runner(spec.seed, spec.spec.config).run_cells(spec.cells())
+        per_seed = {seed: self._run_spec_at_seed(spec, seed) for seed in spec.seeds}
         if len(spec.seeds) == 1:
             return per_seed[spec.seeds[0]]
         return per_seed
 
-    def _run_spec_at_seed(
-        self, spec: ExperimentSpec, seed: int, backend: str | None
-    ) -> ResultSet:
+    def _run_spec_at_seed(self, spec: ExperimentSpec, seed: int) -> ResultSet:
         if spec.models is None and spec.kernels is None:
             # Whole-language grids resolve through the session cache.
-            combined = ResultSet(seed=seed)
-            for language in spec.languages:
-                for result in self.language_results(
-                    language, seed=seed, config=spec.config, backend=backend
-                ):
-                    combined.add(result)
-            return combined
-        _, _, resolved = self._resolve(None, None, backend)
-        return self._runner(seed, spec.config, resolved).run_cells(spec.cells())
+            return self._combined(seed, spec.config, spec.languages)
+        return self._evaluate(dataclasses.replace(spec, seeds=(seed,)))
 
     def dispatch(
         self,
@@ -350,8 +388,9 @@ class Session:
         streams partial merges as shards complete — ``progress`` fires per
         cell and ``on_shard`` per completed shard, both in submission
         order.  Inline shards run on this session's pooled runners (and
-        its verdict store), so ``sandbox_executions`` / ``store_hits``
-        keep aggregating here.
+        its verdict store); process-backend workers report their counts
+        back, so ``sandbox_executions`` / ``store_hits`` keep aggregating
+        here either way.  ``max_workers`` defaults to the session's.
 
         Failures are contained, not fatal: a shard whose evaluation raises
         is retried up to ``max_attempts`` times and then *quarantined*
@@ -368,6 +407,7 @@ class Session:
         """
         from repro.dispatch.driver import ShardDriver
 
+        self._check_open()
         if spec is None:
             spec = ExperimentSpec(seeds=(self.seed,), config=self.config)
         driver = ShardDriver(
@@ -376,7 +416,7 @@ class Session:
             backend=backend,
             result_store=result_store,
             verdict_store=self.verdict_store,
-            max_workers=max_workers,
+            max_workers=self.max_workers if max_workers is None else max_workers,
             queue=queue,
             progress=self.progress,
             on_shard=on_shard,
@@ -384,9 +424,13 @@ class Session:
             max_attempts=max_attempts,
             shard_timeout=shard_timeout,
             heartbeat_interval=heartbeat_interval,
-            runner_factory=lambda seed, config: self._runner(seed, config, "serial"),
+            runner_factory=self._runner,
         )
-        return driver.run()
+        report = driver.run()
+        if backend == "process":
+            self._sandbox_executions += report.sandbox_executions
+            self._store_hits += report.verdict_store_hits
+        return report
 
     def sweep(
         self,
@@ -394,7 +438,6 @@ class Session:
         *,
         languages: Iterable[str] | None = None,
         config: CodexConfig | None = None,
-        backend: str | None = None,
     ) -> dict[int, ResultSet]:
         """Run the (optionally language-restricted) grid for several seeds.
 
@@ -406,7 +449,7 @@ class Session:
             languages=None if languages is None else tuple(languages),
             config=self.config if config is None else config,
         )
-        results = self.run(spec, backend=backend)
+        results = self.run(spec)
         if isinstance(results, ResultSet):
             return {spec.seeds[0]: results}
         return results
@@ -417,7 +460,6 @@ class Session:
         *,
         languages: Iterable[str] | None = None,
         config: CodexConfig | None = None,
-        backend: str | None = None,
         confidence: float = 0.95,
         n_resamples: int = 1000,
     ):
@@ -432,7 +474,7 @@ class Session:
         """
         from repro.api.sweep import summarize_sweep
 
-        per_seed = self.sweep(seeds, languages=languages, config=config, backend=backend)
+        per_seed = self.sweep(seeds, languages=languages, config=config)
         return summarize_sweep(per_seed, confidence=confidence, n_resamples=n_resamples)
 
     # -- paper artefacts ------------------------------------------------------
@@ -442,7 +484,6 @@ class Session:
         *,
         seed: int | None = None,
         config: CodexConfig | None = None,
-        backend: str | None = None,
     ) -> ExperimentReport:
         """Reproduce Table ``number`` (2 = C++, 3 = Fortran, 4 = Python, 5 = Julia)."""
         if number not in TABLE_LANGUAGES:
@@ -450,7 +491,7 @@ class Session:
                 f"the paper has no result table {number}; choose from {sorted(TABLE_LANGUAGES)}"
             )
         language = TABLE_LANGUAGES[number]
-        results = self.language_results(language, seed=seed, config=config, backend=backend)
+        results = self.language_results(language, seed=seed, config=config)
         comparison = compare_to_paper(results, language)
         lang_display = get_language(language).display_name
         return ExperimentReport(
@@ -471,17 +512,16 @@ class Session:
         *,
         seed: int | None = None,
         config: CodexConfig | None = None,
-        backend: str | None = None,
     ) -> ExperimentReport:
         """Reproduce Figure ``number`` (2 = C++, ..., 5 = Julia, 6 = overall)."""
         if number == 6:
-            return self.overall_figure(seed=seed, config=config, backend=backend)
+            return self.overall_figure(seed=seed, config=config)
         if number not in FIGURE_LANGUAGES:
             raise KeyError(
                 f"the paper has no figure {number}; choose from {sorted(FIGURE_LANGUAGES)} or 6"
             )
         language = FIGURE_LANGUAGES[number]
-        results = self.language_results(language, seed=seed, config=config, backend=backend)
+        results = self.language_results(language, seed=seed, config=config)
         comparison = compare_to_paper(results, language)
         lang_display = get_language(language).display_name
         return ExperimentReport(
@@ -497,10 +537,9 @@ class Session:
         *,
         seed: int | None = None,
         config: CodexConfig | None = None,
-        backend: str | None = None,
     ) -> ExperimentReport:
         """Reproduce Figure 6: overall per-kernel and per-language averages."""
-        results = self.full_results(seed=seed, config=config, backend=backend)
+        results = self.full_results(seed=seed, config=config)
         return ExperimentReport(
             experiment_id="figure6",
             description="Figure 6: overall averages per kernel and per language",
@@ -515,7 +554,7 @@ class Session:
 
         Extra keyword arguments are forwarded to the specific ablation
         (``scales`` for maturity, ``counts`` for suggestions, plus the usual
-        ``seed``/``config``/``backend`` overrides).
+        ``seed``/``config`` overrides).
         """
         runners = {
             "keywords": self.keyword_ablation,
@@ -531,10 +570,9 @@ class Session:
         *,
         seed: int | None = None,
         config: CodexConfig | None = None,
-        backend: str | None = None,
     ) -> ExperimentReport:
         """A-KW: effect of the post-fix keyword per language."""
-        results = self.full_results(seed=seed, config=config, backend=backend)
+        results = self.full_results(seed=seed, config=config)
         effects = {}
         for language in language_names():
             effects[language] = postfix_effect(results, language)
@@ -557,7 +595,6 @@ class Session:
         *,
         seed: int | None = None,
         scales: tuple[float, ...] = (0.5, 0.75, 1.0, 1.25),
-        backend: str | None = None,
     ) -> ExperimentReport:
         """A-MAT: how the model-maturity prior weight shifts the score ordering.
 
@@ -569,7 +606,7 @@ class Session:
         for scale in scales:
             maturity = MaturityModel(model_weight=0.62 * scale)
             config = CodexConfig(maturity=maturity)
-            results = self.language_results("cpp", seed=seed, config=config, backend=backend)
+            results = self.language_results("cpp", seed=seed, config=config)
             averages = model_averages(results, "cpp")
             ranked = sorted(averages, key=averages.get, reverse=True)
             orderings[scale] = ranked
@@ -592,7 +629,6 @@ class Session:
         *,
         seed: int | None = None,
         counts: tuple[int, ...] = (1, 3, 5, 10, 20),
-        backend: str | None = None,
     ) -> ExperimentReport:
         """A-SUG: rubric behaviour as the suggestion budget changes.
 
@@ -602,7 +638,7 @@ class Session:
         means: dict[int, float] = {}
         for count in counts:
             config = CodexConfig(max_suggestions=count)
-            results = self.language_results("cpp", seed=seed, config=config, backend=backend)
+            results = self.language_results("cpp", seed=seed, config=config)
             means[count] = results.mean_score()
         lines = ["Suggestion-budget ablation (mean C++ score per suggestion count)"]
         for count, mean in means.items():
@@ -614,9 +650,7 @@ class Session:
             text="\n".join(lines),
         )
 
-    def run_everything(
-        self, *, seed: int | None = None, backend: str | None = None
-    ) -> dict[str, ExperimentReport]:
+    def run_everything(self, *, seed: int | None = None) -> dict[str, ExperimentReport]:
         """Run every table, figure and ablation (used by the CLI).
 
         The default-config grid is evaluated exactly once up front; every
@@ -624,44 +658,18 @@ class Session:
         cache, and the remaining ablations only evaluate the config points
         whose fingerprint differs from the default.
         """
-        self.full_results(seed=seed, backend=backend)
+        self.full_results(seed=seed)
         reports: dict[str, ExperimentReport] = {}
         for number in sorted(TABLE_LANGUAGES):
-            report = self.table(number, seed=seed, backend=backend)
+            report = self.table(number, seed=seed)
             reports[report.experiment_id] = report
         for number in (2, 3, 4, 5, 6):
-            report = self.figure(number, seed=seed, backend=backend)
+            report = self.figure(number, seed=seed)
             reports[report.experiment_id] = report
         for report in (
-            self.keyword_ablation(seed=seed, backend=backend),
-            self.maturity_ablation(seed=seed, backend=backend),
-            self.suggestion_count_ablation(seed=seed, backend=backend),
+            self.keyword_ablation(seed=seed),
+            self.maturity_ablation(seed=seed),
+            self.suggestion_count_ablation(seed=seed),
         ):
             reports[report.experiment_id] = report
         return reports
-
-
-# ---------------------------------------------------------------------------
-# The process-default session: what the deprecated free functions in
-# repro.harness.experiments resolve through.  Tests swap it per test via
-# reset_default_session() (see tests/conftest.py) so cached runs never leak.
-# ---------------------------------------------------------------------------
-
-_DEFAULT_SESSION: Session | None = None
-
-
-def default_session() -> Session:
-    """The lazily-created process-default :class:`Session`."""
-    global _DEFAULT_SESSION
-    if _DEFAULT_SESSION is None:
-        _DEFAULT_SESSION = Session()
-    return _DEFAULT_SESSION
-
-
-def reset_default_session() -> Session:
-    """Close and replace the process-default session; returns the fresh one."""
-    global _DEFAULT_SESSION
-    if _DEFAULT_SESSION is not None:
-        _DEFAULT_SESSION.close()
-    _DEFAULT_SESSION = Session()
-    return _DEFAULT_SESSION

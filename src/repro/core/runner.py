@@ -1,32 +1,16 @@
 """Grid runner: evaluate every cell of the Table 1 experiment grid.
 
-The runner dispatches cell evaluation to one of three executor backends:
-
-``serial``
-    Evaluate in the calling thread (the default, zero overhead).
-``thread``
-    A :class:`~concurrent.futures.ThreadPoolExecutor` over chunks of cells.
-    All threads share one evaluator — the engine is stateless per cell (see
-    the per-cell seeding contract in :mod:`repro.codex.engine`) and the
-    analyzer memo is only ever extended with deterministic values.
-``process``
-    A :class:`~concurrent.futures.ProcessPoolExecutor`; each worker builds
-    its own evaluator from ``(config, seed)`` once and evaluates chunks of
-    cells.  Use this to put multiple cores behind the sandbox-heavy Python
-    cells.  When the pool would resolve to a single worker (one-core host),
-    evaluation runs in-process instead — a one-worker pool can only add
-    fork/IPC overhead on top of serial work.
-
-Because every cell owns an order-independent random stream, all three
-backends produce byte-identical :meth:`ResultSet.to_records` output; results
-are always returned in the submission order of the cells.
+:class:`EvaluationRunner` evaluates cells in the calling thread.  Parallel
+evaluation is the dispatch layer's job: ``Session(backend="process")`` and
+``repro.dispatch.ShardDriver(backend="process")`` spread shards of a spec
+over worker processes, each running its own runner.  Because every cell
+owns an order-independent random stream, any partition of the grid produces
+byte-identical :meth:`ResultSet.to_records` output; results are always
+returned in the submission order of the cells.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -44,17 +28,7 @@ from repro.models.grid import (
 )
 from repro.sandbox.executor import sandbox_execution_count
 
-__all__ = [
-    "ResultSet",
-    "RecordResult",
-    "EvaluationRunner",
-    "BACKENDS",
-    "MIN_CHUNK_CELLS",
-    "default_chunk_size",
-]
-
-#: Executor backends understood by :class:`EvaluationRunner`.
-BACKENDS: tuple[str, ...] = ("serial", "thread", "process")
+__all__ = ["ResultSet", "RecordResult", "EvaluationRunner"]
 
 
 class RecordResult:
@@ -255,121 +229,35 @@ class ResultSet:
         return merged
 
 
-# ---------------------------------------------------------------------------
-# Process-backend worker plumbing.  Workers rebuild a default evaluator from
-# (config, seed) once in the initializer; per-cell determinism makes the
-# partitioning of cells across workers irrelevant to the results.
-# ---------------------------------------------------------------------------
-
-_WORKER_EVALUATOR: PromptEvaluator | None = None
-
-
-def _init_worker(config: CodexConfig, seed: int, store_path: str | None) -> None:
-    global _WORKER_EVALUATOR
-    engine = SimulatedCodex(config=config, seed=seed)
-    analyzer = SuggestionAnalyzer(
-        store=None if store_path is None else VerdictStore(store_path)
-    )
-    _WORKER_EVALUATOR = PromptEvaluator(engine=engine, analyzer=analyzer)
-
-
-def _evaluate_chunk_in_worker(
-    cells: list[ExperimentCell],
-) -> tuple[list[CellResult], int, int]:
-    """Evaluate a chunk in a worker; returns (results, executions, store hits).
-
-    The deltas let the parent runner aggregate sandbox-execution and
-    verdict-store-hit counts across process boundaries (workers are
-    single-threaded, so per-chunk deltas are exact).
-    """
-    assert _WORKER_EVALUATOR is not None, "worker initializer did not run"
-    store = _WORKER_EVALUATOR.analyzer.store
-    executions_before = sandbox_execution_count()
-    hits_before = store.hits if store is not None else 0
-    results = [_WORKER_EVALUATOR.evaluate_cell(cell) for cell in cells]
-    executions = sandbox_execution_count() - executions_before
-    hits = (store.hits - hits_before) if store is not None else 0
-    return results, executions, hits
-
-
-def _chunked(cells: list[ExperimentCell], chunk_size: int) -> list[list[ExperimentCell]]:
-    return [cells[i : i + chunk_size] for i in range(0, len(cells), chunk_size)]
-
-
-#: Smallest chunk the default dispatch policy will cut.  Below this the
-#: per-chunk overhead (pickling, executor wakeups, future bookkeeping) is
-#: comparable to evaluating the cells, so finer chunks make the parallel
-#: backends *slower* than serial on the stock grid.
-MIN_CHUNK_CELLS = 8
-
-
-def default_chunk_size(n_cells: int, workers: int) -> int:
-    """Cells per dispatched work item when ``chunk_size`` is not given.
-
-    Targets ~2 chunks per worker — enough slack for stragglers (the
-    sandbox-heavy Python cells) to rebalance, without shredding the grid
-    into confetti — and never cuts below :data:`MIN_CHUNK_CELLS`; for small
-    grids idle workers beat per-chunk overhead.
-    """
-    return max(MIN_CHUNK_CELLS, -(-n_cells // (max(1, workers) * 2)))
-
-
 @dataclass
 class EvaluationRunner:
-    """Runs the evaluation over languages or the full grid.
+    """Evaluates cells in the calling thread, in submission order.
 
     Parameters
     ----------
-    backend:
-        ``"serial"`` (default), ``"thread"`` or ``"process"``.
-    max_workers:
-        Worker count for the parallel backends (executor default when None).
-    chunk_size:
-        Cells per dispatched work item; defaults to
-        :func:`default_chunk_size` (~2 chunks per worker with a floor of
-        :data:`MIN_CHUNK_CELLS`) so stragglers rebalance without paying
-        per-chunk overhead comparable to the work itself.
     progress:
-        Callback invoked with each :class:`CellResult`; under the parallel
-        backends it fires as chunks complete, in submission order.
+        Callback invoked with each :class:`CellResult` as it completes.
+    evaluator:
+        A custom :class:`PromptEvaluator`; by default one is built from
+        ``(config, seed)`` with a :class:`SuggestionAnalyzer` over
+        ``verdict_store``.
     verdict_store:
         Optional persistent :class:`~repro.analysis.store.VerdictStore` (or
-        its directory path) shared by every worker this runner creates:
-        serial/thread evaluation attaches it to the runner's analyzer, and
-        process-backend workers each open the same directory, so no worker
-        re-executes a suggestion any other process already analyzed.
+        its directory path) attached to the runner's analyzer.
     """
 
     config: CodexConfig = field(default_factory=CodexConfig)
     seed: int = DEFAULT_SEED
     progress: Callable[[CellResult], None] | None = None
     evaluator: PromptEvaluator | None = None
-    backend: str = "serial"
-    max_workers: int | None = None
-    chunk_size: int | None = None
     verdict_store: VerdictStore | str | Path | None = None
-    #: Lazily-created executor, kept alive across run_cells calls so repeated
-    #: runs (e.g. one language table after another) reuse the worker pool and
-    #: its per-worker state instead of paying spawn + corpus setup each time.
-    _executor: Executor | None = field(default=None, init=False, repr=False, compare=False)
-    #: Actual worker count of the live pool (set when the pool is created).
-    _workers: int = field(default=0, init=False, repr=False, compare=False)
-    #: Sandbox executions / verdict-store hits attributed to this runner's
-    #: runs, aggregated across backends (workers report per-chunk deltas).
+    #: Sandbox executions / verdict-store hits attributed to this runner's runs.
     _sandbox_executions: int = field(default=0, init=False, repr=False, compare=False)
     _store_hits: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}; choose from {BACKENDS}")
         self.verdict_store = VerdictStore.coerce(self.verdict_store)
-        self._custom_evaluator = self.evaluator is not None
-        if self.backend == "process" and self._custom_evaluator:
-            raise ValueError(
-                "the process backend rebuilds evaluators from (config, seed) in each "
-                "worker and cannot ship a custom evaluator; use serial or thread"
-            )
-        if self._custom_evaluator and self.verdict_store is not None:
+        if self.evaluator is not None and self.verdict_store is not None:
             raise ValueError(
                 "verdict_store cannot be combined with a custom evaluator; attach the "
                 "store to the evaluator's analyzer instead"
@@ -382,20 +270,30 @@ class EvaluationRunner:
 
     @property
     def sandbox_executions(self) -> int:
-        """Suggestion modules executed for this runner's cells (all backends)."""
+        """Suggestion modules executed for this runner's cells."""
         return self._sandbox_executions
 
     @property
     def store_hits(self) -> int:
-        """Verdicts served from the persistent store (all backends)."""
+        """Verdicts served from the persistent store."""
         return self._store_hits
 
     # -- entry points ---------------------------------------------------------------
     def run_cells(self, cells: Iterable[ExperimentCell]) -> ResultSet:
-        cell_list = list(cells)
-        if self.backend == "serial":
-            return self._run_serial(cell_list)
-        return self._run_executor(cell_list)
+        results = ResultSet(seed=self.seed)
+        executions_before = sandbox_execution_count()
+        hits_before = self.verdict_store.hits if self.verdict_store is not None else 0
+        try:
+            for cell in cells:
+                result = self.evaluator.evaluate_cell(cell)
+                results.add(result)
+                if self.progress is not None:
+                    self.progress(result)
+        finally:
+            self._sandbox_executions += sandbox_execution_count() - executions_before
+            if self.verdict_store is not None:
+                self._store_hits += self.verdict_store.hits - hits_before
+        return results
 
     def run_language(
         self,
@@ -412,112 +310,3 @@ class EvaluationRunner:
     def run_full_grid(self) -> ResultSet:
         """Evaluate the complete Table 1 grid (all languages and variants)."""
         return self.run_cells(experiment_grid())
-
-    # -- backends -------------------------------------------------------------------
-    def _run_serial(self, cells: list[ExperimentCell]) -> ResultSet:
-        results = ResultSet(seed=self.seed)
-        with self._count_local_work():
-            for cell in cells:
-                self._emit(results, self.evaluator.evaluate_cell(cell))
-        return results
-
-    def _run_executor(self, cells: list[ExperimentCell]) -> ResultSet:
-        results = ResultSet(seed=self.seed)
-        if not cells:
-            return results
-        if self.backend == "process" and self._resolved_workers() == 1:
-            # A one-worker subprocess pool is serial evaluation plus fork,
-            # IPC and result-pickling overhead — it can never beat the
-            # calling thread.  Evaluate in-process instead (byte-identical
-            # by the determinism contract), so the process backend at least
-            # breaks even on single-core hosts.
-            return self._run_serial(cells)
-        executor = self._get_executor()
-        chunk_size = self.chunk_size or default_chunk_size(len(cells), self._workers)
-        chunks = _chunked(cells, chunk_size)
-        if self.backend == "thread":
-            evaluator = self.evaluator
-            evaluate = lambda chunk: [evaluator.evaluate_cell(cell) for cell in chunk]
-        else:
-            evaluate = _evaluate_chunk_in_worker
-        counting = (
-            contextlib.nullcontext() if self.backend == "process" else self._count_local_work()
-        )
-        with counting:
-            futures = [executor.submit(evaluate, chunk) for chunk in chunks]
-            # Collect in submission order: the result list (and therefore
-            # to_records) is identical to a serial run regardless of which
-            # chunk finishes first.
-            for future in futures:
-                payload = future.result()
-                if self.backend == "process":
-                    chunk_results, executions, hits = payload
-                    self._sandbox_executions += executions
-                    self._store_hits += hits
-                else:
-                    chunk_results = payload
-                for result in chunk_results:
-                    self._emit(results, result)
-        return results
-
-    @contextlib.contextmanager
-    def _count_local_work(self):
-        """Attribute in-process sandbox executions / store hits to this runner.
-
-        Wraps every in-process evaluation path (serial, thread chunks, and
-        the process backend's single-worker shortcut); process-pool work is
-        counted from the per-chunk deltas the workers report instead.
-        """
-        executions_before = sandbox_execution_count()
-        hits_before = self.verdict_store.hits if self.verdict_store is not None else 0
-        try:
-            yield
-        finally:
-            self._sandbox_executions += sandbox_execution_count() - executions_before
-            if self.verdict_store is not None:
-                self._store_hits += self.verdict_store.hits - hits_before
-
-    def _resolved_workers(self) -> int:
-        """Worker count of the (eventual) pool: the explicit ``max_workers``
-        or one per core up to 8 — from the hardware, never from the first
-        run's cell count, because the pool outlives run_cells calls of very
-        different sizes."""
-        return self.max_workers or min(8, os.cpu_count() or 1)
-
-    def _get_executor(self) -> Executor:
-        if self._executor is None:
-            self._workers = self._resolved_workers()
-            if self.backend == "thread":
-                self._executor = ThreadPoolExecutor(max_workers=self._workers)
-            else:
-                store_path = (
-                    None if self.verdict_store is None else str(self.verdict_store.path)
-                )
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self._workers,
-                    initializer=_init_worker,
-                    initargs=(self.config, self.seed, store_path),
-                )
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down the worker pool (idempotent; serial runners are no-ops).
-
-        Pools left open are reaped at interpreter exit, but callers issuing
-        many parallel runs should close runners (or use them as context
-        managers) once done.
-        """
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def __enter__(self) -> "EvaluationRunner":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _emit(self, results: ResultSet, result: CellResult) -> None:
-        results.add(result)
-        if self.progress is not None:
-            self.progress(result)

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -205,37 +206,53 @@ class DispatchReport:
         return line
 
 
-def _process_shard_worker(conn, spec: ExperimentSpec, index: int, of: int, store_path) -> None:
+def _extended_grid_installed() -> bool:
+    """Whether this process installed the extended grid, without importing
+    :mod:`repro.extensions` (which only an installer has loaded)."""
+    extensions = sys.modules.get("repro.extensions")
+    return extensions is not None and extensions.extended_grid_installed()
+
+
+def _process_shard_worker(
+    conn, spec: ExperimentSpec, index: int, of: int, store_path, extended_grid: bool
+) -> None:
     """Process-backend worker: evaluate one shard, report through the pipe.
 
     Sends ``("ok", records, sandbox executions, verdict-store hits,
     seconds)`` — the counter deltas let the parent driver aggregate across
-    the pool exactly as :class:`EvaluationRunner`'s chunk workers do, and
-    the worker-measured seconds are the shard's own evaluation cost (the
-    parent cannot separate queueing from computing) — or
-    ``("error", failure record)`` when evaluation raises.  A worker that
+    the pool, and the worker-measured seconds are the shard's own
+    evaluation cost (the parent cannot separate queueing from computing) —
+    or ``("error", failure record)`` when evaluation raises.  A worker that
     dies without sending anything (hard crash, injected ``die``, kill on
     timeout) is detected by the parent through the closed pipe.
+
+    The grid registries are process state that only a forked worker
+    inherits, so a worker started by ``spawn`` or ``forkserver`` installs
+    the extended grid itself when the parent had it installed
+    (``extended_grid``) before it rebuilds the shard's cells.
     """
     try:
+        if extended_grid:
+            from repro.extensions import extended_grid_installed, install_extended_grid
+
+            if not extended_grid_installed():  # a forked worker keeps its warm corpus
+                install_extended_grid()
         shard = spec.shard(index, of)
         store = None if store_path is None else VerdictStore(store_path)
-        with EvaluationRunner(config=spec.config, seed=shard.seed, verdict_store=store) as runner:
-            results, failure, seconds = run_shard_contained(
-                runner, shard, label=shard_label(shard)
-            )
-            if failure is not None:
-                conn.send(("error", failure))
-            else:
-                conn.send(
-                    (
-                        "ok",
-                        results.to_records(),
-                        runner.sandbox_executions,
-                        runner.store_hits,
-                        seconds,
-                    )
+        runner = EvaluationRunner(config=spec.config, seed=shard.seed, verdict_store=store)
+        results, failure, seconds = run_shard_contained(runner, shard, label=shard_label(shard))
+        if failure is not None:
+            conn.send(("error", failure))
+        else:
+            conn.send(
+                (
+                    "ok",
+                    results.to_records(),
+                    runner.sandbox_executions,
+                    runner.store_hits,
+                    seconds,
                 )
+            )
     except Exception as exc:  # containment of setup errors, not just evaluation
         try:
             conn.send(("error", failure_record(exc, label=f"shard-{index}", phase="worker")))
@@ -481,7 +498,8 @@ class ShardDriver:
                 yield ShardOutcome(shard.entry(), cached[shard.index], "store", 0.0)
             return
         store_path = None if self.verdict_store is None else str(self.verdict_store.path)
-        # Same hardware-based sizing policy as EvaluationRunner's pools,
+        extended_grid = _extended_grid_installed()
+        # Same hardware-based sizing policy as Session's process backend,
         # additionally capped by the actual shard count.
         workers = self.max_workers or min(8, os.cpu_count() or 1, len(to_execute))
         ctx = multiprocessing.get_context()
@@ -497,7 +515,9 @@ class ShardDriver:
                 parent_end, child_end = ctx.Pipe(duplex=False)
                 proc = ctx.Process(
                     target=_process_shard_worker,
-                    args=(child_end, shard.spec, shard.index, shard.of, store_path),
+                    args=(
+                        child_end, shard.spec, shard.index, shard.of, store_path, extended_grid
+                    ),
                 )
                 proc.start()
                 child_end.close()

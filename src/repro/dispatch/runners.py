@@ -2,7 +2,7 @@
 
 Both the :class:`~repro.dispatch.driver.ShardDriver` (inline and
 file-queue-local execution) and :func:`~repro.dispatch.queue.drain_queue`
-(the ``dispatch-worker`` loop) evaluate shards on lazily-created serial
+(the ``dispatch-worker`` loop) evaluate shards on lazily-created
 :class:`~repro.core.runner.EvaluationRunner`s keyed on
 ``(seed, config fingerprint)``, and both must survive a shard whose
 evaluation raises: this module is the single implementation of the runner
@@ -144,8 +144,8 @@ def evaluate_with_retries(
 
 
 class RunnerPool:
-    """Lazily-created serial runners keyed ``(seed, config fingerprint)``,
-    all sharing one verdict store and progress callback, closed together."""
+    """Lazily-created runners keyed ``(seed, config fingerprint)``, all
+    sharing one verdict store and progress callback, dropped together."""
 
     def __init__(self, *, verdict_store=None, progress: Callable | None = None) -> None:
         self.verdict_store = verdict_store
@@ -165,8 +165,6 @@ class RunnerPool:
         return runner
 
     def close(self) -> None:
-        for runner in self._runners.values():
-            runner.close()
         self._runners.clear()
 
     def __enter__(self) -> "RunnerPool":

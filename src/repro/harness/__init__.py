@@ -6,35 +6,16 @@ The supported programmatic surface is :mod:`repro.api` — hold a
 ``session.run(spec)``.  Within this package,
 :mod:`repro.harness.tables` and :mod:`repro.harness.figures` render
 artefacts as text; :mod:`repro.harness.io` persists raw per-cell records;
-:mod:`repro.harness.cli` wires everything (including the ``shard`` /
-``merge`` subcommands) into the ``repro-hpc-codex`` command-line tool; and
-:mod:`repro.harness.experiments` keeps the legacy free functions alive as
-deprecated wrappers over the process-default session.
+and :mod:`repro.harness.cli` wires everything (including the ``shard`` /
+``merge`` subcommands) into the ``repro-hpc-codex`` command-line tool.
 """
 
 from __future__ import annotations
 
-from repro.harness.experiments import (
-    ExperimentReport,
-    run_table,
-    run_figure,
-    run_overall_figure,
-    run_keyword_ablation,
-    run_maturity_ablation,
-    run_suggestion_count_ablation,
-    TABLE_LANGUAGES,
-)
-from repro.harness.tables import render_language_table
+from repro.harness.tables import TABLE_LANGUAGES, render_language_table
 from repro.harness.figures import figure_data, render_figure
 
 __all__ = [
-    "ExperimentReport",
-    "run_table",
-    "run_figure",
-    "run_overall_figure",
-    "run_keyword_ablation",
-    "run_maturity_ablation",
-    "run_suggestion_count_ablation",
     "TABLE_LANGUAGES",
     "render_language_table",
     "figure_data",

@@ -89,9 +89,8 @@ from repro.codex.engine import SimulatedCodex
 from repro.codex.prompt import Prompt
 from repro.core.compare import compare_to_paper
 from repro.core.evaluator import PromptEvaluator
-from repro.core.runner import BACKENDS
-from repro.harness.experiments import TABLE_LANGUAGES
 from repro.harness.io import save_records_csv, save_records_json
+from repro.harness.tables import TABLE_LANGUAGES
 from repro.models.grid import ExperimentCell
 from repro.models.languages import get_language, language_names
 
@@ -107,9 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="experiment seed")
     parser.add_argument(
         "--backend",
-        choices=sorted(BACKENDS),
+        # repro.api.session.BACKENDS, spelled out so that building the
+        # parser does not import the api layer.
+        choices=["serial", "process"],
         default="serial",
-        help="executor backend for grid evaluation (results are identical across backends)",
+        help="evaluate in this process (serial) or over a worker-process pool through "
+        "the dispatch driver (process); results are identical across backends",
     )
     parser.add_argument(
         "--verdict-store",

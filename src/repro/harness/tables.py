@@ -10,7 +10,10 @@ from repro.models.keywords import has_postfix_variant, postfix_keyword
 from repro.models.languages import get_language
 from repro.models.programming_models import models_for_language
 
-__all__ = ["render_language_table", "table_rows"]
+__all__ = ["TABLE_LANGUAGES", "render_language_table", "table_rows"]
+
+#: Paper table number → language (Table 2 = C++, ... Table 5 = Julia).
+TABLE_LANGUAGES: dict[int, str] = {2: "cpp", 3: "fortran", 4: "python", 5: "julia"}
 
 
 def _cell_hazards(results: ResultSet, model_uid: str, kernel: str, *, use_postfix: bool) -> int:

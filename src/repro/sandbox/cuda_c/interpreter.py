@@ -77,8 +77,8 @@ class ParseScope:
 
 
 #: The active :class:`ParseScope`, or ``None`` outside any scope (every
-#: consumer then parses on its own).  Context-local, so concurrent batches
-#: under the thread backend each see their own scope.
+#: consumer then parses on its own).  Context-local, so batches running at
+#: once on the evaluation service's worker threads each see their own scope.
 _PARSE_SCOPE: contextvars.ContextVar[ParseScope | None] = contextvars.ContextVar(
     "parse_scope", default=None
 )
@@ -177,9 +177,9 @@ def cuda_parse(source: str, parse: Callable[[str], dict[str, ast.KernelDef]]) ->
 
 
 #: Active execution mode: "auto" (lockstep where compiled, scalar otherwise)
-#: or "scalar" (force the reference sweep).  Context-local so concurrent
-#: sandbox contexts under the thread backend are independent; the process
-#: default honours ``$REPRO_CUDA_EXECUTION`` for CLI-level control.
+#: or "scalar" (force the reference sweep).  Context-local so sandbox
+#: contexts on the evaluation service's worker threads are independent; the
+#: process default honours ``$REPRO_CUDA_EXECUTION`` for CLI-level control.
 _EXECUTION_MODE: contextvars.ContextVar[str | None] = contextvars.ContextVar(
     "cuda_execution_mode", default=None
 )

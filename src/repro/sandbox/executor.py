@@ -44,7 +44,8 @@ __all__ = [
 
 #: Process-wide count of suggestion modules actually executed (monotonic;
 #: callers measure deltas).  Incremented just before a module's ``exec``,
-#: under a lock so thread-backend runs never drop increments.
+#: under a lock so the evaluation service's worker threads never drop
+#: increments.
 _EXECUTION_COUNT = 0
 _EXECUTION_COUNT_LOCK = threading.Lock()
 

@@ -296,7 +296,9 @@ class EvaluationServer:
     def request_stop(self) -> None:
         """Thread-safe hard stop (the test suite's ``kill -9`` stand-in)."""
         if self.loop is not None and self._stopped is not None:
-            self.loop.call_soon_threadsafe(self._stopped.set)
+            # A graceful ``shutdown`` may already have closed the loop.
+            with contextlib.suppress(RuntimeError):
+                self.loop.call_soon_threadsafe(self._stopped.set)
 
     async def _close(self) -> None:
         if self._server is not None:

@@ -11,22 +11,11 @@ import numpy as np
 import pytest
 
 from repro.analysis.analyzer import SuggestionAnalyzer
-from repro.api.session import reset_default_session
 from repro.codex.config import CodexConfig, DEFAULT_SEED
 from repro.codex.engine import SimulatedCodex
 from repro.core.evaluator import PromptEvaluator
 from repro.core.runner import EvaluationRunner, ResultSet
 from repro.corpus.store import CorpusStore, default_corpus
-
-
-@pytest.fixture(autouse=True)
-def _fresh_default_session():
-    """The legacy harness wrappers resolve through the process-default
-    Session; each test gets a fresh one so cached ResultSets never leak
-    between seeds/configs, and the old session's worker pools are closed."""
-    reset_default_session()
-    yield
-    reset_default_session()
 
 
 @pytest.fixture(scope="session")

@@ -1,15 +1,18 @@
-"""Tests for the Session façade and the deprecated legacy shim over it."""
+"""Tests for the Session façade: caching, lifecycle, artefacts, specs and
+the process backend on the dispatch driver."""
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
 from repro.api import Session
-from repro.api.session import default_session, reset_default_session
 from repro.api.spec import ExperimentSpec
 from repro.codex.config import CodexConfig, DEFAULT_SEED
-from repro.core.runner import ResultSet
-from repro.harness import experiments
+from repro.core.runner import RecordResult, ResultSet
+from repro.dispatch import faults
+from repro.models.grid import cells_for_language
 
 
 class TestSessionCaching:
@@ -53,13 +56,34 @@ class TestSessionCaching:
 
 class TestSessionLifecycle:
     def test_close_shuts_down_runners(self):
-        session = Session(backend="thread")
-        session.language_results("julia")
+        # Two threads evaluate through the session's runners at once, as the
+        # evaluation service's worker threads do: concurrent parse scopes and
+        # the sandbox's process-wide runtime lock must keep both exact.
+        with Session() as serial:
+            expected = {
+                language: serial.language_results(language).to_records()
+                for language in ("julia", "python")
+            }
+        session = Session()
+        records: dict[str, list[dict]] = {}
+
+        def evaluate(language: str) -> None:
+            records[language] = session.runner().run_language(language).to_records()
+
+        threads = [threading.Thread(target=evaluate, args=(name,)) for name in expected]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert records == expected
         assert session._runners
         session.close()
         assert not session._runners
         with pytest.raises(RuntimeError):
             session.language_results("cpp")
+        with pytest.raises(RuntimeError):
+            session.runner()
         session.close()  # idempotent
 
     def test_runner_pool_reused_across_calls(self):
@@ -70,11 +94,9 @@ class TestSessionLifecycle:
             assert next(iter(session._runners.values())) is runner
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            Session(backend="gpu")
-        with Session() as session:
+        for backend in ("gpu", "thread"):
             with pytest.raises(ValueError):
-                session.language_results("julia", backend="gpu")
+                Session(backend=backend)
 
     def test_progress_callback_fires_per_cell(self):
         seen: list[str] = []
@@ -84,15 +106,6 @@ class TestSessionLifecycle:
 
 
 class TestSessionArtefacts:
-    def test_table_matches_legacy_wrapper(self):
-        with Session() as session:
-            report = session.table(5)
-        with pytest.warns(DeprecationWarning):
-            legacy = experiments.run_table(5)
-        assert report.experiment_id == legacy.experiment_id == "table5"
-        assert report.text == legacy.text
-        assert report.data["records"] == legacy.data["records"]
-
     def test_figure_and_overall(self):
         with Session() as session:
             fig = session.figure(3)
@@ -148,34 +161,67 @@ class TestSpecRunsAndSweeps:
             assert swept[7].to_records() == alone.to_records()
 
 
-class TestLegacyShim:
-    def test_wrappers_emit_deprecation_warnings(self):
-        for call in (
-            lambda: experiments.run_language_results("julia"),
-            lambda: experiments.run_table(2),
-            lambda: experiments.run_figure(5),
-            lambda: experiments.clear_result_cache(),
-        ):
-            with pytest.warns(DeprecationWarning):
-                call()
+class TestProcessBackend:
+    """``Session(backend="process")`` evaluates through the dispatch driver."""
 
-    def test_wrappers_share_the_default_session_cache(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = experiments.run_language_results("julia")
-        assert default_session().language_results("julia") is legacy
+    def test_process_matches_serial(self):
+        restricted = ExperimentSpec(models=("cpp.openmp", "julia.threads"), kernels=("axpy", "cg"))
+        with Session() as serial, Session(backend="process", max_workers=2) as process:
+            assert (
+                process.language_results("julia").to_records()
+                == serial.language_results("julia").to_records()
+            )
+            assert process.full_results().to_records() == serial.full_results().to_records()
+            assert process.run(restricted).to_records() == serial.run(restricted).to_records()
+            swept = process.sweep([7, 8], languages=("fortran",))
+            expected = serial.sweep([7, 8], languages=("fortran",))
+            assert list(swept) == [7, 8]
+            assert all(swept[seed].to_records() == expected[seed].to_records() for seed in (7, 8))
 
-    def test_legacy_cache_internals_mirror_default_session(self):
-        from repro.harness.experiments import _RESULT_CACHE, _RESULT_CACHE_MAX, _cache_put
+    def test_uncached_languages_share_one_dispatch(self, monkeypatch):
+        dispatched: list[int] = []
+        original = Session.dispatch
 
-        assert _RESULT_CACHE is default_session()._cache
-        assert _RESULT_CACHE_MAX == default_session()._cache_max
-        _cache_put((1, "x", "f"), ResultSet(seed=1))
-        assert (1, "x", "f") in default_session()._cache
+        def counting(self, spec=None, **kwargs):
+            dispatched.append(len(spec.cells()))
+            return original(self, spec, **kwargs)
 
-    def test_reset_default_session_isolates(self):
-        first = default_session()
-        first.language_results("julia")
-        fresh = reset_default_session()
-        assert fresh is not first
-        assert not fresh._cache
-        assert default_session() is fresh
+        monkeypatch.setattr(Session, "dispatch", counting)
+        with Session(backend="process", max_workers=2) as session:
+            session.language_results("julia")
+            assert len(session.full_results()) == 204
+        # Julia alone, then the three languages still uncached together.
+        assert dispatched == [24, 180]
+
+    def test_progress_fires_in_submission_order(self):
+        seen: list = []
+        with Session(backend="process", max_workers=2, progress=seen.append) as session:
+            session.language_results("julia")
+        assert [result.cell for result in seen] == cells_for_language("julia")
+        assert all(isinstance(result, RecordResult) for result in seen)
+
+    def test_quarantined_shard_raises_and_names_it(self, monkeypatch):
+        # The plan travels through the environment, so every worker (and
+        # each retry's fresh worker) re-arms it.
+        monkeypatch.setenv(
+            faults.FAULTS_ENV,
+            '[{"point": "worker.evaluate", "action": "crash", "match": "-00000-"}]',
+        )
+        faults.reset()
+        try:
+            with Session(backend="process", max_workers=2) as session:
+                with pytest.raises(RuntimeError, match="quarantined") as excinfo:
+                    session.language_results("julia")
+                assert not session._cache  # no partial records were kept
+        finally:
+            faults.reset()
+        assert "shard [00000,00012)" in str(excinfo.value)
+        assert "InjectedCrash after 3 attempt(s)" in str(excinfo.value)
+
+    def test_closed_session_refuses_to_evaluate(self):
+        session = Session(backend="process", max_workers=2)
+        session.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            session.language_results("julia")
+        with pytest.raises(RuntimeError, match="closed"):
+            session.run(ExperimentSpec(languages=("julia",), kernels=("axpy",)))

@@ -195,7 +195,7 @@ class TestMergeDeterminism:
         with pytest.raises(ValueError):
             ResultSet.merge()
 
-    @pytest.mark.parametrize("backend,n", [("serial", 3), ("thread", 2), ("process", 4)])
+    @pytest.mark.parametrize("backend,n", [("serial", 3), ("process", 4)])
     def test_sharded_run_matches_unsharded_serial(self, full_results, backend, n):
         reference = full_results.to_records()
         spec = ExperimentSpec()

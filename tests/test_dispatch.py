@@ -334,6 +334,20 @@ class TestSessionDispatch:
             assert report.spec.seeds == (DEFAULT_SEED,)
             assert len(report.result()) == len(report.spec.cells())
 
+    def test_session_dispatch_defaults_to_the_session_workers(self, spec, monkeypatch):
+        widths: list = []
+        original = ShardDriver.__init__
+
+        def recording(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            widths.append(self.max_workers)
+
+        monkeypatch.setattr(ShardDriver, "__init__", recording)
+        with Session(seed=DEFAULT_SEED, max_workers=3) as session:
+            session.dispatch(spec, shards=2)
+            session.dispatch(spec, shards=2, max_workers=1)
+        assert widths == [3, 1]
+
     def test_session_progress_streams_through_dispatch(self, spec, tmp_path):
         cells: list = []
         with Session(seed=DEFAULT_SEED, progress=lambda r: cells.append(r.cell)) as session:

@@ -9,13 +9,21 @@ Covers the extension contract of docs/extending.md:
   fail it;
 * the static analyzer's geometry profiles cover the new families
   non-vacuously (mutants are HAZARD, correct code is not) and an
-  unregistered family raises instead of silently reporting zero hazards.
+  unregistered family raises instead of silently reporting zero hazards;
+* worker processes started by ``spawn`` (which inherit no registry state)
+  still evaluate the extended grid byte-identically.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.analysis.hazards import register_profile, static_findings_for, unregister_profile
 from repro.api import Session
 from repro.corpus.mutations import MUTATION_OPERATORS
@@ -235,3 +243,32 @@ class TestStaticHazardCoverage:
             unregister_profile("fft")
         with pytest.raises(KeyError):
             static_findings_for(code, "python", "fft")
+
+
+class TestSpawnedWorkers:
+    def test_spawned_process_workers_install_the_extended_grid(self, tmp_path):
+        """Only forked workers inherit the installed grid; spawned ones must
+        install it themselves or they rebuild stock-grid cells."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+        probe = "\n".join([
+            "import multiprocessing, sys",
+            "from repro.harness import cli",
+            "multiprocessing.set_start_method('spawn')",
+            "out, ext = sys.argv[1], ['--extended-grid']",
+            "assert cli.main(ext + ['run', '--json', out + '/run.json']) == 0",
+            "assert cli.main(ext + ['dispatch', '--backend', 'process', '--workers', '2',",
+            "                       '--shards', '2', '--json', out + '/dispatch.json']) == 0",
+            "assert cli.main(ext + ['--backend', 'process', 'run', '--json',",
+            "                       out + '/process.json']) == 0",
+        ])
+        subprocess.run(
+            [sys.executable, "-c", probe, str(tmp_path)], env=env, capture_output=True,
+            check=True, timeout=120,
+        )
+        expected = (tmp_path / "run.json").read_bytes()
+        assert b'"kernel": "scan"' in expected
+        assert (tmp_path / "dispatch.json").read_bytes() == expected
+        assert (tmp_path / "process.json").read_bytes() == expected

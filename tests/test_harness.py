@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.harness import experiments
+import repro
+from repro.api import Session
 from repro.harness.cli import build_parser, main
 from repro.harness.figures import (
     FIGURE_LANGUAGES,
@@ -79,56 +84,60 @@ class TestFiguresRendering:
 
 class TestExperiments:
     def test_run_table_reports(self):
-        report = experiments.run_table(5)
+        with Session() as session:
+            report = session.table(5)
         assert report.experiment_id == "table5"
         assert report.comparison is not None
         assert "Julia" in report.text
         assert "rho=" in report.summary_line()
 
     def test_run_table_unknown_number(self):
-        with pytest.raises(KeyError):
-            experiments.run_table(7)
+        with Session() as session, pytest.raises(KeyError):
+            session.table(7)
 
     def test_run_figure_reports(self):
-        report = experiments.run_figure(3)
+        with Session() as session:
+            report = session.figure(3)
         assert report.experiment_id == "figure3"
         assert "kernels" in report.data
         assert report.comparison is not None
 
     def test_run_figure6(self):
-        report = experiments.run_figure(6)
+        with Session() as session:
+            report = session.figure(6)
         assert report.experiment_id == "figure6"
         assert set(report.data["languages"]) == set(language_names())
         assert report.summary_line().endswith("done")
 
     def test_run_figure_unknown_number(self):
-        with pytest.raises(KeyError):
-            experiments.run_figure(9)
+        with Session() as session, pytest.raises(KeyError):
+            session.figure(9)
 
     def test_language_results_are_cached(self):
-        first = experiments.run_language_results("julia")
-        second = experiments.run_language_results("julia")
+        with Session() as session:
+            first = session.language_results("julia")
+            second = session.language_results("julia")
         assert first is second
 
     def test_keyword_ablation(self):
-        report = experiments.run_keyword_ablation()
+        with Session() as session:
+            report = session.ablation("keywords")
         effects = report.data["effects"]
         assert effects["fortran"]["delta"] > 0
         assert effects["python"]["delta"] > 0
         assert "Fortran" in report.text
 
     def test_suggestion_count_ablation_scores_bounded(self):
-        report = experiments.run_suggestion_count_ablation(counts=(1, 10))
+        with Session() as session:
+            report = session.ablation("suggestions", counts=(1, 10))
         means = report.data["means"]
         assert set(means) == {1, 10}
         assert all(0.0 <= v <= 1.0 for v in means.values())
 
     def test_maturity_ablation_keeps_openmp_on_top(self):
-        report = experiments.run_maturity_ablation(scales=(0.75, 1.0))
+        with Session() as session:
+            report = session.ablation("maturity", scales=(0.75, 1.0))
         assert all(report.data["openmp_in_top3"].values())
-
-    def test_full_grid_size_helper(self):
-        assert experiments.full_grid_size() == 204
 
 
 class TestIo:
@@ -182,6 +191,34 @@ class TestCli:
         assert args.command == "table" and args.number == 2
         args = parser.parse_args(["--seed", "5", "prompt", "axpy", "cpp.openmp", "--keyword"])
         assert args.seed == 5 and args.keyword
+
+    def test_backend_choices_match_the_session(self):
+        from repro.api.session import BACKENDS
+
+        (backend,) = [action for action in build_parser()._actions if action.dest == "backend"]
+        assert tuple(backend.choices) == BACKENDS
+
+    def test_cli_loads_no_worker_pool(self):
+        """A serial command imports no process or thread pool, and importing
+        the CLI does not import the api layer."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+        probe = "\n".join([
+            "import contextlib, io, sys",
+            "from repro.harness import cli",
+            "api = 'repro.api' in sys.modules",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert cli.main(['table', '5']) == 0",
+            "pools = ('concurrent.futures', 'multiprocessing')",
+            "print(api, sorted(m for m in pools if m in sys.modules))",
+        ])
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        ).stdout
+        assert out.strip() == "False []"
 
     def test_cli_table(self, capsys):
         assert main(["table", "4"]) == 0

@@ -4,12 +4,14 @@ Covers the four layers of the perf architecture:
 
 * the per-cell seeding contract (:func:`repro.codex.engine.cell_seed_sequence`),
 * the shared corpus memo (:func:`repro.corpus.store.default_corpus`),
-* the executor backends and indexed :class:`ResultSet` in
-  :mod:`repro.core.runner`, and
+* the runner's determinism, the session's one-worker shortcut and the
+  indexed :class:`ResultSet` in :mod:`repro.core.runner`, and
 * the process-wide verdict memo and fingerprint-keyed result cache.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pytest
@@ -19,14 +21,10 @@ from repro.analysis.analyzer import SuggestionAnalyzer, clear_verdict_memo
 from repro.codex.config import CodexConfig, DEFAULT_SEED
 from repro.codex.engine import cell_seed_sequence
 from repro.codex.sampler import SuggestionSampler
-from repro.core.runner import (
-    MIN_CHUNK_CELLS,
-    EvaluationRunner,
-    ResultSet,
-    default_chunk_size,
-)
+from repro.api import ExperimentSpec, Session
+from repro.core.runner import EvaluationRunner, ResultSet
 from repro.corpus.store import default_corpus
-from repro.harness import experiments
+from repro.dispatch.driver import ShardDriver
 from repro.models.grid import experiment_grid
 from repro.popularity.maturity import MaturityModel
 
@@ -65,14 +63,6 @@ class TestCellSeedSequence:
 # ---------------------------------------------------------------------------
 
 class TestBackendDeterminism:
-    def test_serial_thread_process_identical_full_grid(self, full_results):
-        serial_records = full_results.to_records()
-        for backend, workers in (("thread", 4), ("process", 2)):
-            runner = EvaluationRunner(
-                config=CodexConfig(), seed=DEFAULT_SEED, backend=backend, max_workers=workers
-            )
-            assert runner.run_full_grid().to_records() == serial_records, backend
-
     def test_single_cell_matches_full_grid_value(self, full_results):
         # Any cell evaluated in isolation reproduces its in-grid record.
         cells = experiment_grid()
@@ -91,98 +81,56 @@ class TestBackendDeterminism:
 
     def test_progress_callback_fires_in_submission_order(self):
         cells = experiment_grid(languages=("julia",), kernels=("axpy", "gemv"))
-        for backend in ("serial", "thread"):
-            seen: list[str] = []
-            runner = EvaluationRunner(
-                config=CodexConfig(),
-                seed=DEFAULT_SEED,
-                backend=backend,
-                progress=lambda result: seen.append(result.cell.cell_id),
-            )
-            runner.run_cells(cells)
-            assert seen == [cell.cell_id for cell in cells], backend
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            EvaluationRunner(backend="gpu")
-
-    def test_runner_reuses_pool_across_runs(self):
-        with EvaluationRunner(config=CodexConfig(), seed=DEFAULT_SEED, backend="thread") as runner:
-            first = runner.run_language("julia")
-            executor = runner._executor
-            assert executor is not None
-            second = runner.run_language("julia")
-            assert runner._executor is executor
-            assert first.to_records() == second.to_records()
-        assert runner._executor is None
-        runner.close()  # idempotent
-
-    def test_process_backend_rejects_custom_evaluator(self, evaluator):
-        with pytest.raises(ValueError):
-            EvaluationRunner(backend="process", evaluator=evaluator)
+        seen: list[str] = []
+        runner = EvaluationRunner(
+            config=CodexConfig(),
+            seed=DEFAULT_SEED,
+            progress=lambda result: seen.append(result.cell.cell_id),
+        )
+        runner.run_cells(cells)
+        assert seen == [cell.cell_id for cell in cells]
 
 
 # ---------------------------------------------------------------------------
-# Parallel dispatch policy: the process backend must at least break even
+# Process backend policy: it must at least break even with serial
 # ---------------------------------------------------------------------------
 
 class TestDispatchPolicy:
-    def test_default_chunk_size_targets_two_chunks_per_worker(self):
-        # ~2 chunks per worker: enough straggler rebalancing without paying
-        # per-chunk IPC comparable to the work (the old 4-chunks-per-worker
-        # policy put the stock 204-cell grid at 7-cell chunks, where the
-        # process backend lost to serial outright).
-        assert default_chunk_size(204, 8) == 13
-        assert default_chunk_size(204, 1) == 102
-        assert default_chunk_size(1000, 4) == 125
-
-    def test_default_chunk_size_never_cuts_confetti(self):
-        # Below MIN_CHUNK_CELLS the dispatch overhead dominates; small grids
-        # prefer idle workers over finer chunks.
-        assert default_chunk_size(48, 4) == MIN_CHUNK_CELLS
-        assert default_chunk_size(3, 8) == MIN_CHUNK_CELLS
-        assert all(
-            default_chunk_size(n, w) >= MIN_CHUNK_CELLS
-            for n in (1, 10, 100, 1000)
-            for w in (1, 2, 8)
-        )
-
-    def test_single_worker_process_backend_runs_in_process(self):
+    def test_single_worker_process_backend_runs_in_process(self, monkeypatch):
         # A one-worker subprocess pool is serial evaluation plus fork and
         # IPC overhead — strictly slower than the calling thread.  On hosts
         # where the pool would resolve to a single worker the process
         # backend therefore evaluates in-process (byte-identical by the
-        # determinism contract), which is what guarantees it breaks even
-        # with serial on the stock grid instead of losing ~20% to overhead.
-        runner = EvaluationRunner(
-            config=CodexConfig(), seed=DEFAULT_SEED, backend="process", max_workers=1
-        )
-        results = runner.run_language("julia")
-        assert runner._executor is None  # no pool was ever spawned
+        # determinism contract), so it breaks even with serial instead of
+        # losing to overhead.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-worker pool must not spawn a subprocess")
+
+        monkeypatch.setattr(ShardDriver, "_drive_process", no_pool)
+        with Session(backend="process", max_workers=1) as session:
+            results = session.language_results("julia")
         serial = EvaluationRunner(config=CodexConfig(), seed=DEFAULT_SEED).run_language("julia")
         assert results.to_records() == serial.to_records()
 
     def test_single_worker_process_backend_still_counts_work(self, tmp_path):
-        # The in-process shortcut must keep the counter contract: sandbox
-        # executions and verdict-store hits are attributed to the runner
-        # exactly as the pool path attributes worker deltas.
-        cells = experiment_grid(languages=("python",), kernels=("axpy",))
+        # The in-process shortcut keeps the counter contract: sandbox
+        # executions and verdict-store hits reach the session exactly as
+        # worker processes' counts do.
+        spec = ExperimentSpec(languages=("python",), kernels=("axpy",))
         clear_verdict_memo()
         try:
-            cold = EvaluationRunner(
-                config=CodexConfig(), seed=DEFAULT_SEED, backend="process",
-                max_workers=1, verdict_store=tmp_path / "store",
-            )
-            cold_records = cold.run_cells(cells).to_records()
-            assert cold.sandbox_executions > 0
+            with Session(
+                backend="process", max_workers=1, verdict_store=tmp_path / "store"
+            ) as cold:
+                cold_records = cold.run(spec).to_records()
+                assert cold.sandbox_executions > 0
             clear_verdict_memo()
-            warm = EvaluationRunner(
-                config=CodexConfig(), seed=DEFAULT_SEED, backend="process",
-                max_workers=1, verdict_store=tmp_path / "store",
-            )
-            assert warm.run_cells(cells).to_records() == cold_records
-            assert warm.sandbox_executions == 0
-            assert warm.store_hits > 0
+            with Session(
+                backend="process", max_workers=1, verdict_store=tmp_path / "store"
+            ) as warm:
+                assert warm.run(spec).to_records() == cold_records
+                assert warm.sandbox_executions == 0
+                assert warm.store_hits > 0
         finally:
             clear_verdict_memo()
 
@@ -451,18 +399,33 @@ class TestVerdictMemo:
         assert all(owner is not None for owner, _ in cuda_parses)
         assert interpreter._PARSE_SCOPE.get() is None
 
-    def test_thread_backend_matches_serial_with_concurrent_parse_scopes(self):
-        records = {}
-        for backend in ("serial", "thread"):
+    def test_runner_threads_match_serial_with_concurrent_parse_scopes(self, full_results):
+        # The evaluation service evaluates on worker threads over one
+        # Session: two grids evaluated at once must each keep their own
+        # parse scope and take turns on the sandbox runtime.
+        other_seed = DEFAULT_SEED + 1
+        records: dict[int, list[dict]] = {}
+        clear_verdict_memo()
+        try:
+            with Session() as session:
+
+                def evaluate(seed: int) -> None:
+                    records[seed] = session.runner(seed=seed).run_full_grid().to_records()
+
+                threads = [
+                    threading.Thread(target=evaluate, args=(seed,))
+                    for seed in (DEFAULT_SEED, other_seed)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+        finally:
             clear_verdict_memo()
-            try:
-                with EvaluationRunner(
-                    config=CodexConfig(), seed=DEFAULT_SEED, backend=backend, max_workers=4
-                ) as runner:
-                    records[backend] = runner.run_full_grid().to_records()
-            finally:
-                clear_verdict_memo()
-        assert records["thread"] == records["serial"]
+        assert records[DEFAULT_SEED] == full_results.to_records()
+        serial = EvaluationRunner(config=CodexConfig(), seed=other_seed).run_full_grid()
+        assert records[other_seed] == serial.to_records()
 
     def test_clear_verdict_memo_empties_the_code_memo(self, corpus):
         code = corpus.template("fortran", "fortran.openmp", "gemv").code
@@ -519,37 +482,40 @@ class TestCacheLayers:
             CodexConfig().fingerprint()
 
     def test_equal_configs_share_cached_results(self):
-        first = experiments.run_language_results("julia", config=CodexConfig())
-        second = experiments.run_language_results("julia", config=CodexConfig())
-        default = experiments.run_language_results("julia")
+        with Session() as session:
+            first = session.language_results("julia", config=CodexConfig())
+            second = session.language_results("julia", config=CodexConfig())
+            default = session.language_results("julia")
         assert first is second is default
 
     def test_clear_result_cache_forces_reevaluation(self):
-        first = experiments.run_language_results("julia")
-        experiments.clear_result_cache()
-        second = experiments.run_language_results("julia")
+        with Session() as session:
+            first = session.language_results("julia")
+            session.clear_cache()
+            second = session.language_results("julia")
         assert first is not second
         assert first.to_records() == second.to_records()
 
     def test_ablation_points_reuse_default_run(self):
-        default_cpp = experiments.run_language_results("cpp")
-        # Maturity scale 1.0 and suggestion budget 10 fingerprint to the
-        # default config, so neither ablation re-evaluates that point.
-        scaled = experiments.run_language_results(
-            "cpp", config=CodexConfig(maturity=MaturityModel(model_weight=0.62 * 1.0))
-        )
-        budget10 = experiments.run_language_results("cpp", config=CodexConfig(max_suggestions=10))
+        with Session() as session:
+            default_cpp = session.language_results("cpp")
+            # Maturity scale 1.0 and suggestion budget 10 fingerprint to the
+            # default config, so neither ablation re-evaluates that point.
+            scaled = session.language_results(
+                "cpp", config=CodexConfig(maturity=MaturityModel(model_weight=0.62 * 1.0))
+            )
+            budget10 = session.language_results("cpp", config=CodexConfig(max_suggestions=10))
         assert scaled is default_cpp
         assert budget10 is default_cpp
 
     def test_result_cache_is_lru_bounded(self):
-        from repro.harness.experiments import _RESULT_CACHE, _RESULT_CACHE_MAX, _cache_put
-
-        for i in range(_RESULT_CACHE_MAX + 5):
-            _cache_put((i, "x", "f"), ResultSet(seed=i))
-        assert len(_RESULT_CACHE) == _RESULT_CACHE_MAX
-        assert (0, "x", "f") not in _RESULT_CACHE
-        assert (_RESULT_CACHE_MAX + 4, "x", "f") in _RESULT_CACHE
+        with Session() as session:
+            bound = session._cache_max
+            for i in range(bound + 5):
+                session._cache_put((i, "x", "f"), ResultSet(seed=i))
+            assert len(session._cache) == bound
+            assert (0, "x", "f") not in session._cache
+            assert (bound + 4, "x", "f") in session._cache
 
     def test_run_everything_evaluates_each_cell_once_per_fingerprint(self, monkeypatch):
         evaluated: list[tuple[str, str]] = []
@@ -561,5 +527,6 @@ class TestCacheLayers:
             return original(self, cells)
 
         monkeypatch.setattr(EvaluationRunner, "run_cells", counting_run_cells)
-        experiments.run_everything(seed=DEFAULT_SEED)
+        with Session() as session:
+            session.run_everything(seed=DEFAULT_SEED)
         assert len(evaluated) == len(set(evaluated)), "a (fingerprint, cell) pair ran twice"
