@@ -90,6 +90,18 @@ class TestBackendDeterminism:
         runner.run_cells(cells)
         assert seen == [cell.cell_id for cell in cells]
 
+    def test_unknown_backend_rejected(self):
+        # The runner evaluates serially and takes no backend; the layers that
+        # choose one reject both unknown and deleted (thread) backends.
+        with pytest.raises(TypeError):
+            EvaluationRunner(backend="process")
+        spec = ExperimentSpec(languages=("julia",))
+        for backend in ("gpu", "thread"):
+            with pytest.raises(ValueError):
+                Session(backend=backend)
+            with pytest.raises(ValueError):
+                ShardDriver(spec, backend=backend)
+
 
 # ---------------------------------------------------------------------------
 # Process backend policy: it must at least break even with serial
