@@ -3,40 +3,40 @@
 A :class:`VerdictStore` is an on-disk cache of
 :class:`~repro.analysis.verdict.SuggestionVerdict`s keyed on
 ``(code, language, kernel, requested model uid)`` — the exact tuple analysis
-is pure in (see :mod:`repro.analysis.analyzer`).  It is the durable layer
-below the process-wide in-memory verdict memo: in-memory hits stay free,
-misses consult the store before paying for analysis (and, for Python,
-sandbox execution), and freshly computed verdicts are written back so *other
-processes* — process-backend workers, a later CLI invocation, another
-machine sharing the directory — never re-analyze a suggestion this process
-already judged.
+is pure in (see :mod:`repro.analysis.analyzer`) — and on the code that
+computes them.  It is the layer below the process-wide in-memory verdict
+memo: in-memory hits stay free, misses consult the store before paying for
+analysis (and, for Python, sandbox execution), and freshly computed
+verdicts are written back so *other processes* — process-backend workers,
+a later CLI invocation, another machine sharing the directory — never
+re-analyze a suggestion this process already judged.
 
-The durable-layer mechanics live in :class:`ContentStore`, which is shared
-with the shard-level :class:`~repro.dispatch.store.ResultStore`:
+The store mechanics live in :class:`ContentStore`, which is shared with
+the shard-level :class:`~repro.dispatch.store.ResultStore`:
 
-* **Content-hashed entries.**  Each key is digested (SHA-256 over the schema
-  version and all key fields) into a content address, so lookups are a
-  single ``open`` and the store scales to hundreds of thousands of entries.
-* **Pluggable backends.**  Where the bytes live is a
-  :mod:`repro.cache.backends` concern: a local fanout directory by default,
-  tiered with a shared HTTP remote (the ``cache-server`` subcommand) when
-  ``remote=`` or ``$REPRO_CACHE_URL`` names one — a fleet of workers then
-  shares every verdict any of them computed, read through a local cache.
-* **Versioned schema.**  Entries carry their schema version both in the
-  digest and in the payload; bumping the version orphans old entries, which
-  degrade to recompute — never to a wrong value.
-* **Atomic, durable, race-safe writes.**  Entries are published through the
-  shared fsync-before-replace writer (:func:`repro.atomicio.write_atomic_bytes`);
-  two writers racing on one key both write the same deterministic value and
-  the last rename wins.  Corrupt or truncated entries (killed writer,
-  foreign bytes) are detected on read, dropped, and recomputed.
+* **Content-hashed, code-derived keys.**  Each key is digested (SHA-256
+  over the schema version, a digest of the code that computes the value,
+  and all key fields) into a content address.  Editing any source the
+  value depends on (:func:`~repro.analysis.verdict.verdict_digest`)
+  orphans every entry computed before the edit — no version number has to
+  be bumped by hand.
+* **Append-only segments.**  Where the bytes live is a
+  :mod:`repro.cache.backends` concern: local segment files by default (one
+  per writing process, indexed by digest on first read), tiered with a
+  shared HTTP remote (the ``cache-server`` subcommand) when ``remote=`` or
+  ``$REPRO_CACHE_URL`` names one — a fleet of workers then shares every
+  verdict any of them computed, read through a local cache.
+* **Validated, not durable.**  Writes are flushed but never fsynced.
+  Every entry carries its schema, key fields and ``code_sha``, checked on
+  read; a torn, lost, corrupt or foreign entry reads as a miss and is
+  recomputed — never served as a wrong value.
 * **Fail-soft.**  Store I/O errors and unreachable remotes never propagate
   into analysis; the worst case is always "compute it again".
 * **Operational surface.**  :meth:`ContentStore.stats` reports entry
   counts, this instance's hit/miss/write traffic and per-backend latency
-  counters; :meth:`ContentStore.compact` evicts entries from a stale
-  analysis generation or past an age bound; ``$REPRO_CACHE_READONLY``
-  (or ``readonly=True``) serves lookups but never writes — the CI knob.
+  counters; :meth:`ContentStore.compact` evicts entries computed by other
+  code or past an age bound; ``$REPRO_CACHE_READONLY`` (or
+  ``readonly=True``) serves lookups but never writes — the CI knob.
 
 Example:
 
@@ -65,7 +65,7 @@ import threading
 import time
 from pathlib import Path
 
-from repro.analysis.verdict import ANALYSIS_VERSION, SuggestionVerdict
+from repro.analysis.verdict import SuggestionVerdict, verdict_digest
 from repro.cache.backends import (
     LocalBackend,
     RemoteBackend,
@@ -83,12 +83,13 @@ __all__ = [
     "default_store_path",
 ]
 
-#: Version of the on-disk verdict-entry format.  Bump on any change to the
-#: digest inputs or the entry payload; old entries then degrade to recompute.
-#: Behavior changes to the analyzers/sandbox are covered separately by
-#: :data:`repro.analysis.verdict.ANALYSIS_VERSION`, which is also folded
-#: into every entry digest.
-STORE_SCHEMA = 1
+#: Version of the verdict-entry format.  Bump on any change to the digest
+#: inputs or the entry payload; old entries then degrade to recompute.
+#: Behavior changes to the analyzers/sandbox need no bump: the digest folds
+#: in :func:`~repro.analysis.verdict.verdict_digest` of their sources.
+#:
+#: 2: append-only segments, keys derived from the code.
+STORE_SCHEMA = 2
 
 #: Store key: (code, language, kernel, requested model uid).
 StoreKey = tuple[str, str, str, str]
@@ -115,23 +116,23 @@ def _default_cache_path(env_var: str, subdir: str) -> Path:
 class ContentStore:
     """Shared core of the on-disk content-addressed stores.
 
-    Owns everything the durable caches have in common — content-addressed
+    Owns everything the persistent caches have in common — content-addressed
     keying, corrupt-entry dropping, fail-soft writes, hit/miss/write
     counters and the ``stats``/``clear``/``compact`` maintenance surface —
     while delegating byte storage to a :mod:`repro.cache.backends` backend:
-    a :class:`~repro.cache.backends.LocalBackend` fanout directory at
+    a :class:`~repro.cache.backends.LocalBackend` of segment files at
     ``path``, tiered with a shared :class:`~repro.cache.backends.RemoteBackend`
     when ``remote`` (or ``$REPRO_CACHE_URL``) names a ``cache-server``.
     Subclasses define what a key is (:meth:`digest`), how an entry payload
-    is validated back into a value, and their remote namespace; the
-    corruption/versioning guarantees then hold for every store built on
-    this core (:class:`VerdictStore` here,
+    is validated back into a value, which code digest tags their entries,
+    and their remote namespace; the corruption/versioning guarantees then
+    hold for every store built on this core (:class:`VerdictStore` here,
     :class:`repro.dispatch.store.ResultStore` for whole shard payloads).
 
     ``readonly`` (default: ``$REPRO_CACHE_READONLY``) serves lookups but
-    swallows every write — no new entries, no read-through fills — and makes
-    ``clear``/``compact`` refuse; CI jobs use it to guarantee a published
-    cache is consumed verbatim.
+    swallows every write — no new entries, no read-through fills, nothing
+    created on disk — and makes ``clear``/``compact`` refuse; CI jobs use it
+    to guarantee a published cache is consumed verbatim.
 
     ``hits``/``misses``/``writes`` count this instance's traffic only; the
     backend storage itself is shared state.
@@ -150,24 +151,17 @@ class ContentStore:
     ) -> None:
         self.readonly = env_flag(_ENV_READONLY) if readonly is None else bool(readonly)
         self.path = Path(path)
-        local = LocalBackend(self.path, create=not self.readonly)
+        self.local = LocalBackend(self.path, readonly=self.readonly)
         if remote is None:
             remote = remote_url_from_env()
         if isinstance(remote, str):
             remote = RemoteBackend(remote, namespace=self.remote_namespace)
         self.remote = remote
-        self.backend = (
-            local if remote is None else TieredBackend(local, remote, readonly=self.readonly)
-        )
+        self.backend = self.local if remote is None else TieredBackend(self.local, remote)
         self.hits = 0
         self.misses = 0
         self.writes = 0
-        #: Digests known to exist in the backend (avoids re-stat/re-write
-        #: churn).  A *positive* cache only, and only trustworthy until the
-        #: next miss: any miss drops the digest again so an external
-        #: ``clear()``/compaction cannot permanently suppress re-persistence.
-        self._known: set[str] = set()
-        #: Guards the counters/_known so concurrent worker threads count exactly.
+        #: Guards the counters so concurrent worker threads count exactly.
         self._lock = threading.Lock()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -180,13 +174,10 @@ class ContentStore:
         the module-level constant takes effect)."""
         raise NotImplementedError
 
-    def _analysis_version(self) -> int:
-        """The live analysis generation, as tagged into entry payloads;
-        :meth:`compact` evicts entries from any other generation."""
+    def _code_digest(self) -> str:
+        """Digest of the code computing this store's values, as tagged into
+        entry payloads; :meth:`compact` evicts entries with any other tag."""
         raise NotImplementedError
-
-    def _entry_path(self, digest: str) -> Path:
-        return self.path / digest[:2] / f"{digest}.json"
 
     # -- lookups --------------------------------------------------------------
     def _load_entry(self, digest: str, validate) -> object | None:
@@ -194,60 +185,43 @@ class ContentStore:
 
         ``validate`` receives the parsed JSON payload and returns the cached
         value, raising ``ValueError``/``KeyError``/``TypeError`` when the
-        payload does not belong to the requested key.  Truncated, unparsable,
-        schema-mismatched or key-mismatched entries are dropped (best-effort,
-        local layer only) and reported as misses, so every failure mode —
-        including an unreachable remote — degrades to recompute.
-
-        Every miss also forgets the digest in ``_known``: the entry may have
-        been cleared or evicted externally since this instance last saw it,
-        and a stale positive would make :meth:`_store_entry` skip the
-        re-persist forever.
+        payload does not belong to the requested key.  Unparsable,
+        schema-mismatched or key-mismatched entries are dropped (a tombstone
+        in the local layer only) and reported as misses, so every failure
+        mode — including an unreachable remote — degrades to recompute.
         """
         data = self.backend.get(digest)
         if data is None:
             # Absent entry, transient read failure (EIO, stale NFS handle),
             # or the remote is down: a plain miss.  The entry is never
-            # destroyed on a read error — on a shared store a transient
+            # dropped on a read error — on a shared store a transient
             # failure must not delete a valid entry for every other reader.
             with self._lock:
                 self.misses += 1
-                self._known.discard(digest)
             return None
         try:
             value = validate(json.loads(data))
         except (ValueError, KeyError, TypeError):
             # The bytes were read but do not parse/validate: the entry
-            # itself is corrupt (truncated writer, old schema, foreign
-            # file) — drop the local copy so the next writer replaces it.
+            # itself is corrupt (old schema, foreign bytes) — drop the
+            # local copy so the next put replaces it.
             with self._lock:
                 self.misses += 1
-                self._known.discard(digest)
             self.backend.discard(digest)
             return None
         with self._lock:
             self.hits += 1
-            self._known.add(digest)
         return value
 
     def _store_entry(self, digest: str, payload: dict) -> None:
         """Persist one entry (idempotent; failures are swallowed).
 
         The payload is serialised once to canonical bytes
-        (``sort_keys=True`` — stable for byte-identity checks) and published
-        by the backend through the shared fsync-before-replace writer:
-        readers never observe partial writes, racing writers cannot
-        interleave, and a power loss cannot leave an empty-but-renamed
-        entry behind.  In read-only mode this is a no-op.
+        (``sort_keys=True`` — stable for byte-identity checks) and appended
+        by the backend as one framed record; readers never observe a
+        partial record.  In read-only mode this is a no-op.
         """
-        if self.readonly:
-            return
-        with self._lock:
-            if digest in self._known:
-                return
-        if self.backend.exists(digest):
-            with self._lock:
-                self._known.add(digest)
+        if self.readonly or self.backend.exists(digest):
             return
         data = json.dumps(payload, sort_keys=True).encode("utf-8")
         if not self.backend.put(digest, data):
@@ -255,116 +229,82 @@ class ContentStore:
             # fail because the cache could not be written.
             return
         with self._lock:
-            self._known.add(digest)
             self.writes += 1
 
     # -- maintenance ----------------------------------------------------------
-    def _entry_files(self):
-        return self.path.glob("??/*.json")
-
     def __len__(self) -> int:
-        return sum(1 for _ in self._entry_files())
+        return self.local.stats()["entries"]
 
     def stats(self) -> dict:
         """Local entry count/size, this instance's traffic, backend counters."""
-        entries = 0
-        size = 0
-        for entry in self._entry_files():
-            entries += 1
-            try:
-                size += entry.stat().st_size
-            except OSError:  # pragma: no cover - concurrent clear
-                pass
+        local = self.local.stats()
         with self._lock:
             hits, misses, writes = self.hits, self.misses, self.writes
         return {
             "path": str(self.path),
             "schema": self._schema(),
             "readonly": self.readonly,
-            "entries": entries,
-            "bytes": size,
+            "entries": local["entries"],
+            "segments": local["segments"],
+            "bytes": local["bytes"],
             "hits": hits,
             "misses": misses,
             "writes": writes,
             "backend": self.backend.counters(),
         }
 
-    def clear(self) -> int:
-        """Remove every local entry (and leftover temp file); returns entries
-        removed.  Local layer only — a shared remote is never mass-deleted
-        from a client.  Refuses in read-only mode."""
+    def _refuse_readonly(self) -> None:
         if self.readonly:
             raise RuntimeError("store is read-only (REPRO_CACHE_READONLY)")
-        removed = 0
-        for entry in self._entry_files():
-            try:
-                entry.unlink()
-                removed += 1
-            except OSError:  # pragma: no cover - concurrent clear
-                pass
-        for leftover in self.path.glob("??/.*.tmp"):
-            try:
-                leftover.unlink()
-            except OSError:  # pragma: no cover - concurrent clear
-                pass
-        with self._lock:
-            self._known.clear()
-        return removed
+
+    def clear(self) -> int:
+        """Remove every local segment and schema-1 entry file; returns the
+        entries removed.  Local layer only — a shared remote is never
+        mass-deleted from a client.  Refuses in read-only mode."""
+        self._refuse_readonly()
+        return self.local.clear()
 
     def compact(self, *, max_age: float | None = None, now: float | None = None) -> dict:
-        """Evict local entries that can no longer (or should no longer) hit.
+        """Rewrite the local segments without entries that can no longer (or
+        should no longer) hit.
 
         Two eviction rules, both safe by the degradation contract (an entry
         removed here at worst recomputes):
 
-        * **Stale analysis generation** — the payload's ``"analysis"`` tag
-          differs from the live :meth:`_analysis_version` (entries written
-          before the tag existed count as stale).  Such entries are already
-          unreachable through :meth:`get` because the digest folds the
-          version in; compaction reclaims the dead bytes.  Unparsable
-          entries are evicted under the same rule.
-        * **Age** — with ``max_age`` (seconds), entries whose mtime is older
-          than ``now - max_age``.
+        * **Stale code** — the payload's ``"analysis"`` tag differs from the
+          live :meth:`_code_digest`.  Such entries are already unreachable
+          through :meth:`get` because the key folds the digest in;
+          compaction reclaims the dead bytes.  Unparsable entries, and every
+          file of the schema-1 fanout layout, are evicted under the same
+          rule.
+        * **Age** — with ``max_age`` (seconds), entries whose record time is
+          older than ``now - max_age``.
 
         Local layer only; a shared remote is compacted by running this
-        against its served directory.  Refuses in read-only mode.  Returns
-        ``{"removed_stale", "removed_aged", "kept"}``.
+        against its served namespace directory.  Refuses in read-only mode.
+        Returns ``{"removed_stale", "removed_aged", "kept"}``.
         """
-        if self.readonly:
-            raise RuntimeError("store is read-only (REPRO_CACHE_READONLY)")
+        self._refuse_readonly()
         if now is None:
             now = time.time()
-        live = self._analysis_version()
-        removed_stale = 0
-        removed_aged = 0
-        kept = 0
-        for entry in self._entry_files():
-            stale = False
+        live = self._code_digest()
+
+        def evict(data: bytes, recorded: float) -> str | None:
             try:
-                payload = json.loads(entry.read_bytes())
-                stale = payload.get("analysis") != live
-            except (OSError, ValueError, TypeError, AttributeError):
-                stale = True
-            aged = False
-            if not stale and max_age is not None:
-                try:
-                    aged = entry.stat().st_mtime < now - max_age
-                except OSError:  # pragma: no cover - concurrent clear
-                    continue
-            if not (stale or aged):
-                kept += 1
-                continue
-            try:
-                entry.unlink()
-            except OSError:  # pragma: no cover - concurrent clear
-                continue
-            removed_stale += stale
-            removed_aged += not stale
-        # Everything this instance "knew" may just have been evicted; the
-        # next put re-checks the backend (and re-persists on a miss).
-        with self._lock:
-            self._known.clear()
-        return {"removed_stale": removed_stale, "removed_aged": removed_aged, "kept": kept}
+                if json.loads(data).get("analysis") != live:
+                    return "stale"
+            except (ValueError, AttributeError):
+                return "stale"
+            if max_age is not None and recorded < now - max_age:
+                return "aged"
+            return None
+
+        counts = self.local.compact(evict)
+        return {
+            "removed_stale": counts["stale"],
+            "removed_aged": counts["aged"],
+            "kept": counts["kept"],
+        }
 
 
 class VerdictStore(ContentStore):
@@ -409,17 +349,20 @@ class VerdictStore(ContentStore):
     def _schema(self) -> int:
         return STORE_SCHEMA
 
-    def _analysis_version(self) -> int:
-        return ANALYSIS_VERSION
+    def _code_digest(self) -> str:
+        return verdict_digest()
 
     # -- keying ---------------------------------------------------------------
     @staticmethod
     def digest(key: StoreKey) -> str:
-        """Content digest of a key (schema- and analysis-versioned, so both
-        format changes and analyzer behavior changes orphan old entries)."""
+        """Content digest of a key.  It folds in the schema and
+        :func:`~repro.analysis.verdict.verdict_digest`, so both format
+        changes and edits to the analysis code orphan old entries."""
         code, language, kernel, model = key
-        payload = json.dumps([STORE_SCHEMA, ANALYSIS_VERSION, code, language, kernel, model])
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        head = f"{STORE_SCHEMA}\0{verdict_digest()}\0{language}\0{kernel}\0{model}\0"
+        digest = hashlib.sha256(head.encode("utf-8"))
+        digest.update(code.encode("utf-8"))
+        return digest.hexdigest()
 
     # -- lookups --------------------------------------------------------------
     def get(self, key: StoreKey) -> SuggestionVerdict | None:
@@ -439,7 +382,7 @@ class VerdictStore(ContentStore):
         """Persist a verdict (idempotent, atomic, fail-soft)."""
         payload = {
             "schema": STORE_SCHEMA,
-            "analysis": ANALYSIS_VERSION,
+            "analysis": verdict_digest(),
             "language": key[1],
             "kernel": key[2],
             "model": key[3],

@@ -1,30 +1,90 @@
-"""Verdict data structures produced by the analyzers.
+"""Verdict data structures produced by the analyzers, and the code digests
+that key every stored result.
 
 A :class:`SuggestionVerdict` captures, for a single suggestion, everything
 the paper's rubric needs: is it code at all, which programming model does it
 use, and is it a correct implementation of the requested kernel.
+
+:func:`verdict_digest` and :func:`record_digest` identify the code that
+computes a stored value.  The verdict and shard-result stores fold them into
+every key, so an edit to any source file a value depends on orphans the
+entries computed before it; no version number has to be bumped by hand.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import os
+import sys
 from dataclasses import dataclass, field
 
-__all__ = ["ANALYSIS_VERSION", "SuggestionVerdict"]
+__all__ = [
+    "RECORD_SOURCES",
+    "UNDIGESTED",
+    "VERDICT_SOURCES",
+    "SuggestionVerdict",
+    "record_digest",
+    "verdict_digest",
+]
 
-#: Version of the analysis *behavior* (static checks, sandbox oracles,
-#: detection rules).  Bump whenever a change alters the verdict any
-#: suggestion receives — the persistent verdict store folds this into its
-#: entry digests, so stale pre-change verdicts degrade to recompute instead
-#: of silently diverging from freshly-computed ones across repo versions.
-#:
-#: 2: the CUDA-C interpreter gained the vectorized lockstep engine (plus
-#:    ternary-expression support and pyCUDA GPUArray/memcpy fidelity fixes);
-#:    verdicts produced by interpreter-backed execution are re-derived
-#:    rather than served from stores written by the scalar-only interpreter.
-#: 3: verdicts carry ``static_findings`` from the CUDA-C static hazard
-#:    analyzer (race/OOB/barrier/uninit verdicts per embedded kernel);
-#:    pre-3 store entries lack the field and degrade to recompute.
-ANALYSIS_VERSION = 3
+#: ``repro`` packages (or top-level modules) whose sources decide a verdict:
+#: everything :mod:`repro.analysis.analyzer` imports.  ``models`` is here
+#: because detection reads the model registry.
+VERDICT_SOURCES: tuple[str, ...] = ("analysis", "kernels", "models", "sandbox")
+
+#: What else decides a shard's records: everything a shard evaluation
+#: imports beyond :data:`VERDICT_SOURCES`.
+RECORD_SOURCES: tuple[str, ...] = ("api", "codex", "core", "corpus", "popularity", "extensions")
+
+#: ``repro`` packages that store, move or render values but never compute
+#: one; no digest covers them.
+UNDIGESTED: tuple[str, ...] = ("atomicio", "cache", "dispatch", "harness", "service")
+
+
+def _source_digest(names: tuple[str, ...], *extra: str) -> str:
+    """SHA-256 over the ``.py`` sources of ``repro.<name>`` for each name
+    (a package's whole tree, or one module), plus ``extra`` strings."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    digest = hashlib.sha256()
+    for text in extra:
+        digest.update(text.encode("utf-8") + b"\0")
+    for name in names:
+        top = os.path.join(root, name)
+        files = [top + ".py"]
+        if os.path.isdir(top):
+            files = []
+            for directory, subdirs, filenames in os.walk(top):
+                subdirs[:] = sorted(sub for sub in subdirs if sub != "__pycache__")
+                files += [os.path.join(directory, f) for f in sorted(filenames) if f.endswith(".py")]
+        for path in files:
+            with open(path, "rb") as handle:
+                source = handle.read()
+            relative = path[len(root) + 1 :].replace(os.sep, "/")
+            digest.update(f"{relative}\0{len(source)}\0".encode("utf-8"))
+            digest.update(source)
+    return digest.hexdigest()
+
+
+@functools.cache
+def verdict_digest() -> str:
+    """Digest of the code behind a verdict: the :data:`VERDICT_SOURCES`
+    trees, the numpy version and Python's major.minor.
+
+    Computed once per process, on first use of a store (~3 ms), so runs
+    without a store never pay for it.
+    """
+    import numpy
+
+    python = "{}.{}".format(*sys.version_info[:2])
+    return _source_digest(VERDICT_SOURCES, f"numpy {numpy.__version__}", f"python {python}")
+
+
+@functools.cache
+def record_digest() -> str:
+    """Digest of the code behind a shard's records: :func:`verdict_digest`
+    plus the :data:`RECORD_SOURCES` trees."""
+    return _source_digest(RECORD_SOURCES, verdict_digest())
 
 
 @dataclass
@@ -86,7 +146,7 @@ class SuggestionVerdict:
         """
         detected = payload["detected_models"]
         issues = payload["issues"]
-        # The key is required: pre-version-3 payloads lack it, and the
+        # The key is required: a payload without it is corrupt, and the
         # resulting KeyError makes the verdict store degrade to recompute.
         findings = payload["static_findings"]
         # A bare string would iterate characterwise into a garbled-but-valid

@@ -1,18 +1,20 @@
-"""Durable atomic file publication, shared by every on-disk store.
+"""Durable atomic file publication for the dispatch queue.
 
 ``os.replace`` alone makes a write *atomic* (readers see the old bytes or
 the new bytes, never a mix) but not *durable*: after a power loss the
 filesystem may have persisted the rename without the data, leaving an
-empty-but-renamed file where a valid entry used to be.  The cure is the
-classic write → flush → ``fsync`` → rename sequence (plus a best-effort
-directory fsync so the rename itself survives), and it must be the *same*
-sequence everywhere — :class:`repro.analysis.store.ContentStore` and
-:class:`repro.dispatch.queue.FileQueue` both publish JSON documents this
-way, so this module is the single implementation both build on.
+empty-but-renamed file where a valid document used to be.  The cure is the
+classic write → flush → ``fsync`` → rename sequence, plus a best-effort
+directory fsync so the rename itself survives.
 
-Callers that need fail-soft semantics (a cache write must never break the
-computation it caches) catch ``OSError`` at the call site; this function
-always raises so the decision stays visible where it matters.
+:class:`repro.dispatch.queue.FileQueue` publishes its tasks, claims,
+results and failure records this way, because leases and claims are state,
+not cache.  The verdict and shard-result stores do not: their entries are
+validated on read, so a lost entry only costs a recompute, and they append
+to segment files without fsync (:class:`repro.cache.backends.LocalBackend`).
+
+This function always raises ``OSError`` on failure, so the decision how to
+degrade stays visible at the call site.
 """
 
 from __future__ import annotations
@@ -25,35 +27,24 @@ from pathlib import Path
 __all__ = ["write_atomic_bytes", "write_atomic_json"]
 
 
-def write_atomic_json(
-    path: str | Path,
-    payload: object,
-    *,
-    indent: int | None = None,
-    durable: bool = True,
-) -> None:
+def write_atomic_json(path: str | Path, payload: object, *, indent: int | None = None) -> None:
     """Publish ``payload`` as JSON at ``path`` atomically and durably.
 
     The document is serialised with ``sort_keys=True`` (stable bytes for
     byte-identity checks) and published through :func:`write_atomic_bytes`.
     """
     data = json.dumps(payload, indent=indent, sort_keys=True).encode("utf-8")
-    write_atomic_bytes(path, data, durable=durable)
+    write_atomic_bytes(path, data)
 
 
-def write_atomic_bytes(
-    path: str | Path,
-    data: bytes,
-    *,
-    durable: bool = True,
-) -> None:
+def write_atomic_bytes(path: str | Path, data: bytes) -> None:
     """Publish ``data`` at ``path`` atomically and durably.
 
     The bytes are written to a unique temporary file in the target
-    directory, flushed and fsynced, then published with ``os.replace``.
-    With ``durable=True`` (the default) the containing directory is fsynced
-    as well, best-effort, so a power loss cannot leave an empty-but-renamed
-    file — the worst case is the *old* state, never a torn one.
+    directory, flushed and fsynced, then published with ``os.replace``; the
+    containing directory is fsynced as well, best-effort, so a power loss
+    cannot leave an empty-but-renamed file — the worst case is the *old*
+    state, never a torn one.
 
     Raises ``OSError`` on any failure; the temporary file is removed
     best-effort so a failed write leaves no droppings behind.
@@ -70,8 +61,7 @@ def write_atomic_bytes(
         with handle:
             handle.write(data)
             handle.flush()
-            if durable:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         os.replace(handle.name, path)
     except OSError:
         try:
@@ -79,8 +69,7 @@ def write_atomic_bytes(
         except OSError:
             pass
         raise
-    if durable:
-        _fsync_directory(path.parent)
+    _fsync_directory(path.parent)
 
 
 def _fsync_directory(directory: Path) -> None:
@@ -88,9 +77,9 @@ def _fsync_directory(directory: Path) -> None:
 
     Not every filesystem allows opening directories for fsync (and Windows
     has no equivalent at all), so failures are swallowed: the rename is
-    already atomic, durability of the *entry data* was handled by the file
-    fsync, and "the rename may be lost on power cut" degrades to "the old
-    state", which every store here treats as recompute.
+    already atomic, durability of the document data was handled by the
+    file fsync, and "the rename may be lost on power cut" degrades to "the
+    old state", never a torn one.
     """
     try:
         fd = os.open(directory, os.O_RDONLY)

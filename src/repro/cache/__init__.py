@@ -1,7 +1,7 @@
 """Pluggable storage backends for the content-addressed stores.
 
 ``repro.cache.backends`` holds the backend implementations (local
-directory, shared HTTP remote, tiered read-through) consumed by
+append-only segments, shared HTTP remote, tiered read-through) consumed by
 :class:`repro.analysis.store.ContentStore`; ``repro.cache.server`` is the
 matching stdlib cache server behind the ``cache-server`` CLI subcommand.
 """

@@ -2,7 +2,7 @@
 
 A small stdlib HTTP server holding content-addressed JSON entries for any
 number of :class:`~repro.cache.backends.RemoteBackend` clients — the
-durable tier a fleet of ``dispatch-worker`` hosts, CLI invocations and
+tier a fleet of ``dispatch-worker`` hosts, CLI invocations and
 ``serve`` processes share so each verdict/shard payload is computed once
 per *fleet* instead of once per machine.
 
@@ -14,7 +14,7 @@ line, graceful ``KeyboardInterrupt`` exit):
 ``GET /v1/<ns>/<digest>``   entry bytes (``application/json``) or 404
 ``HEAD /v1/<ns>/<digest>``  existence probe
 ``PUT /v1/<ns>/<digest>``   publish an entry (body must parse as JSON;
-                            atomic fsync-before-replace write) → 204
+                            one framed append) → 204
 ``DELETE /v1/<ns>/<digest>`` drop an entry → 204 (404 when absent)
 ``GET /v1/stats``           per-namespace entry counts/bytes + request
                             counters, as JSON
@@ -27,9 +27,11 @@ JSON — keying, schema versioning and validation live in the client stores,
 so a stale or corrupt served entry degrades to recompute client-side,
 never to a wrong verdict.
 
-On disk each namespace is exactly a :class:`LocalBackend` layout
-(``<root>/<ns>/<digest[:2]>/<digest>.json``), so ``cache stats|clear|
-compact`` pointed at ``<root>/<ns>`` administer the served store directly.
+Each namespace is stored through a :class:`~repro.cache.backends.LocalBackend`
+at ``<root>/<ns>`` (append-only segments in ``<root>/<ns>/segments``):
+``GET``, ``HEAD``, ``PUT`` and ``DELETE`` map to its ``get``, ``exists``,
+``put`` and ``discard``, so ``cache stats|clear|compact`` pointed at
+``<root>/<ns>`` administer the served store directly.
 
 ``--readonly`` refuses ``PUT``/``DELETE`` with 403 — a published cache CI
 may read but must not grow.
@@ -44,7 +46,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from repro.atomicio import write_atomic_bytes
+from repro.cache.backends import LocalBackend
 
 __all__ = ["CacheServer", "MAX_ENTRY_BYTES", "main"]
 
@@ -76,6 +78,7 @@ class CacheServer:
         self.root.mkdir(parents=True, exist_ok=True)
         self.readonly = bool(readonly)
         self._counter_lock = threading.Lock()
+        self._backends: dict[str, LocalBackend] = {}
         self.counters = {"get_hits": 0, "get_misses": 0, "puts": 0, "deletes": 0, "rejected": 0}
         server = self
 
@@ -142,8 +145,14 @@ class CacheServer:
         with self._counter_lock:
             self.counters[key] += 1
 
-    def _entry_path(self, namespace: str, digest: str) -> Path:
-        return self.root / namespace / digest[:2] / f"{digest}.json"
+    def _backend(self, namespace: str) -> LocalBackend:
+        with self._counter_lock:
+            backend = self._backends.get(namespace)
+            if backend is None:
+                backend = self._backends[namespace] = LocalBackend(
+                    self.root / namespace, readonly=self.readonly
+                )
+            return backend
 
     def _handle(self, handler: BaseHTTPRequestHandler, method: str) -> None:
         try:
@@ -168,11 +177,13 @@ class CacheServer:
             self._count("rejected")
             self._reply(handler, 400, b'{"error": "bad namespace or digest"}')
             return
-        path = self._entry_path(namespace, digest)
+        backend = self._backend(namespace)
         if method in ("GET", "HEAD"):
-            try:
-                data = path.read_bytes()
-            except OSError:
+            if method == "GET":
+                data = backend.get(digest)
+            else:
+                data = b"" if backend.exists(digest) else None
+            if data is None:
                 self._count("get_misses")
                 self._reply(handler, 404, b'{"error": "no such entry"}')
                 return
@@ -205,17 +216,17 @@ class CacheServer:
                 self._count("rejected")
                 self._reply(handler, 400, b'{"error": "body is not JSON"}')
                 return
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write_atomic_bytes(path, data)
+            if not backend.put(digest, data):
+                self._reply(handler, 500, b'{"error": "io failure"}')
+                return
             self._count("puts")
             self._reply(handler, 204, b"")
             return
         if method == "DELETE":
-            try:
-                path.unlink()
-            except OSError:
+            if not backend.exists(digest):
                 self._reply(handler, 404, b'{"error": "no such entry"}')
                 return
+            backend.discard(digest)
             self._count("deletes")
             self._reply(handler, 204, b"")
             return
@@ -240,15 +251,8 @@ class CacheServer:
         for ns_dir in sorted(self.root.iterdir() if self.root.exists() else []):
             if not ns_dir.is_dir() or not _NAMESPACE_RE.match(ns_dir.name):
                 continue
-            entries = 0
-            size = 0
-            for entry in ns_dir.glob("??/*.json"):
-                entries += 1
-                try:
-                    size += entry.stat().st_size
-                except OSError:  # pragma: no cover - concurrent delete
-                    pass
-            namespaces[ns_dir.name] = {"entries": entries, "bytes": size}
+            local = self._backend(ns_dir.name).stats()
+            namespaces[ns_dir.name] = {"entries": local["entries"], "bytes": local["bytes"]}
         with self._counter_lock:
             counters = dict(self.counters)
         return {

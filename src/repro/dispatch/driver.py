@@ -402,19 +402,16 @@ class ShardDriver:
                     cached[shard.index] = hit
         pending = [shard for shard in plan if shard.index not in cached]
         budget = len(pending) if self.max_shards is None else min(self.max_shards, len(pending))
-        try:
-            runners = {
-                "inline": self._drive_inline,
-                "process": self._drive_process,
-                "file-queue": self._drive_queue,
-            }
-            for settled in runners[self.backend](plan, cached, budget, report):
-                if isinstance(settled, ShardQuarantine):
-                    report.quarantined.append(settled)
-                    continue
-                self._complete_shard(settled, merge, report)
-        finally:
-            self._close_runners()
+        runners = {
+            "inline": self._drive_inline,
+            "process": self._drive_process,
+            "file-queue": self._drive_queue,
+        }
+        for settled in runners[self.backend](plan, cached, budget, report):
+            if isinstance(settled, ShardQuarantine):
+                report.quarantined.append(settled)
+                continue
+            self._complete_shard(settled, merge, report)
         report.complete = len(report.outcomes) == report.shards_total
         report.results = merge.merged() if report.complete else merge.partial()
         return report
@@ -476,9 +473,6 @@ class ShardDriver:
         if self._runner_factory is not None:
             return self._runner_factory(seed, self.spec.config)
         return self._own_runners.runner(seed, self.spec.config)
-
-    def _close_runners(self) -> None:
-        self._own_runners.close()
 
     # -- process backend -------------------------------------------------------
     def _drive_process(

@@ -145,7 +145,7 @@ def evaluate_with_retries(
 
 class RunnerPool:
     """Lazily-created runners keyed ``(seed, config fingerprint)``, all
-    sharing one verdict store and progress callback, dropped together."""
+    sharing one verdict store and progress callback."""
 
     def __init__(self, *, verdict_store=None, progress: Callable | None = None) -> None:
         self.verdict_store = verdict_store
@@ -163,12 +163,3 @@ class RunnerPool:
                 verdict_store=self.verdict_store,
             )
         return runner
-
-    def close(self) -> None:
-        self._runners.clear()
-
-    def __enter__(self) -> "RunnerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -6,20 +6,23 @@ one suggestion's analysis, the result store caches one **evaluated shard
 payload** — the complete per-cell records of one
 :class:`~repro.api.spec.Shard` — keyed on the shard's full identity
 ``(config fingerprint, grid digest, seed, cell slice)`` plus
-:data:`~repro.analysis.verdict.ANALYSIS_VERSION`.  A
-:class:`~repro.dispatch.driver.ShardDriver` consults it before dispatching
-any shard, so a killed driver re-run (or a second driver sharing the
-directory) skips every shard an earlier run already completed, and the warm
-path reproduces the unsharded records byte-for-byte.
+:func:`~repro.analysis.verdict.record_digest`, a digest of every source a
+shard evaluation runs.  A :class:`~repro.dispatch.driver.ShardDriver`
+consults it before dispatching any shard, so a killed driver re-run (or a
+second driver sharing the directory) skips every shard an earlier run
+already completed, and the warm path reproduces the unsharded records
+byte-for-byte.  An edit to the corpus, sampler, rubric or analyzers changes
+the digest, so records computed by older code are never served.
 
 Both stores share :class:`~repro.analysis.store.ContentStore` — the same
-pluggable backends (local fanout directory; tiered with a shared
+pluggable backends (local append-only segments; tiered with a shared
 ``cache-server`` remote via ``remote=``/``$REPRO_CACHE_URL``, under the
-``results`` namespace), atomic publication, corrupt-entry dropping,
-fail-soft writes, read-only mode and ``compact`` eviction — so every
-degradation guarantee of the verdict store (truncation, foreign bytes,
-schema or analysis-version bumps, unreachable remote → recompute, never a
-wrong result) holds for shard payloads too.
+``results`` namespace), framed appends, corrupt-entry dropping, fail-soft
+writes, read-only mode and ``compact`` eviction — so every degradation
+guarantee of the verdict store (truncation, foreign bytes, schema bumps,
+code edits, unreachable remote → recompute, never a wrong result) holds
+for shard payloads too.  Entries are flushed, not fsynced: a driver killed
+between shards leaves every finished shard readable.
 
 Example:
 
@@ -46,18 +49,19 @@ import json
 from pathlib import Path
 
 from repro.analysis.store import ContentStore, _default_cache_path
-from repro.analysis.verdict import ANALYSIS_VERSION
+from repro.analysis.verdict import record_digest
 from repro.api.spec import ShardEntry
 from repro.core.runner import ResultSet
 
 __all__ = ["RESULT_STORE_SCHEMA", "ResultStore", "default_result_store_path"]
 
-#: Version of the on-disk shard-payload format.  Bump on any change to the
-#: digest inputs or the entry payload; old entries then degrade to
-#: re-evaluation.  Behavior changes to the evaluation pipeline itself are
-#: covered by :data:`~repro.analysis.verdict.ANALYSIS_VERSION`, folded into
-#: every entry digest.
-RESULT_STORE_SCHEMA = 1
+#: Version of the shard-payload format.  Bump on any change to the digest
+#: inputs or the entry payload; old entries then degrade to re-evaluation.
+#: Behavior changes to the evaluation pipeline need no bump: the digest
+#: folds in :func:`~repro.analysis.verdict.record_digest` of its sources.
+#:
+#: 2: append-only segments, keys derived from the code.
+RESULT_STORE_SCHEMA = 2
 
 
 def default_result_store_path() -> Path:
@@ -102,23 +106,23 @@ class ResultStore(ContentStore):
     def _schema(self) -> int:
         return RESULT_STORE_SCHEMA
 
-    def _analysis_version(self) -> int:
-        return ANALYSIS_VERSION
+    def _code_digest(self) -> str:
+        return record_digest()
 
     # -- keying ---------------------------------------------------------------
     @staticmethod
     def digest(entry: ShardEntry) -> str:
         """Content digest of a shard identity.
 
-        Folds in the store schema, :data:`ANALYSIS_VERSION` (pipeline
-        behavior changes orphan cached shards), the spec's config
-        fingerprint and grid digest, and the exact ``(seed, cell slice)`` —
-        everything that determines the shard's records.
+        Folds in the store schema, :func:`record_digest` (code edits orphan
+        cached shards), the spec's config fingerprint and grid digest, and
+        the exact ``(seed, cell slice)`` — everything that determines the
+        shard's records.
         """
         payload = json.dumps(
             [
                 RESULT_STORE_SCHEMA,
-                ANALYSIS_VERSION,
+                record_digest(),
                 entry.fingerprint,
                 entry.grid,
                 entry.seed,
@@ -164,7 +168,7 @@ class ResultStore(ContentStore):
             raise ValueError(f"results carry seed {results.seed}, shard expects {entry.seed}")
         payload = {
             "schema": RESULT_STORE_SCHEMA,
-            "analysis": ANALYSIS_VERSION,
+            "analysis": record_digest(),
             "entry": entry.to_payload(),
             "records": results.to_records(),
         }

@@ -370,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="compact only: also evict entries older than this "
-        "(stale-ANALYSIS_VERSION entries are always evicted)",
+        help="compact only: also evict entries recorded longer ago than this "
+        "(entries computed by other code are always evicted)",
     )
 
     cache_server = sub.add_parser(
@@ -720,7 +720,7 @@ def _cmd_lint(args: argparse.Namespace, session) -> int:
 
 def _print_store_stats(label: str, stats: dict) -> None:
     print(f"{label} {stats['path']}")
-    for field in ("schema", "readonly", "entries", "bytes", "hits", "misses", "writes"):
+    for field in ("schema", "readonly", "entries", "segments", "bytes", "hits", "misses", "writes"):
         print(f"  {field:8s} {stats[field]}")
     backend = stats["backend"]
     layers = (
@@ -829,7 +829,7 @@ def main(argv: list[str] | None = None) -> int:
         status = handlers[args.command](args, session)
         if session.verdict_store is not None and args.command not in ("cache", "cache-server"):
             # Stderr so piped payloads (shard --out -, merge --json -) stay
-            # clean; only O(1) counters — `cache stats` walks the directory.
+            # clean; only O(1) counters — `cache stats` rescans the segments.
             print(
                 f"verdict store: {session.verdict_store.path} "
                 f"hits={session.store_hits} sandbox-executions={session.sandbox_executions}",

@@ -3,14 +3,14 @@ operational surface layered on :class:`~repro.analysis.store.ContentStore`.
 
 Covers the tentpole guarantees of the backend seam:
 
-* the stale-``_known`` regression: an external ``clear()``/compaction can
-  no longer permanently suppress re-persistence — any miss forgets the
-  digest, so the next ``put`` writes again;
+* the stale-index regression: an external ``clear()``/compaction can
+  never suppress re-persistence — a miss on a segment that is gone or
+  corrupt forgets the digest, so the next ``put`` writes again;
 * ``stats()``/``__repr__`` read the traffic counters under ``_lock``;
 * read-only mode (``$REPRO_CACHE_READONLY``) serves lookups but never
   writes, and ``clear``/``compact`` refuse;
-* ``compact()`` evicts exactly the stale-``ANALYSIS_VERSION``/aged/legacy
-  entries and keeps the live generation;
+* ``compact()`` evicts exactly the entries computed by other code, aged
+  and legacy entries, and keeps the live ones;
 * the shared remote tier: a ``cache-server`` populated by one store warms
   another with a cold local disk (zero sandbox executions, byte-identical
   records), namespaces stay disjoint, corrupt served entries degrade to
@@ -65,7 +65,7 @@ def server(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The stale-_known regression (the bugfix this PR is named for)
+# The stale-index regression: external clears cannot suppress re-persistence
 # ---------------------------------------------------------------------------
 
 class TestKnownInvalidation:
@@ -73,31 +73,35 @@ class TestKnownInvalidation:
         store = VerdictStore(tmp_path)
         store.put(_key(), _verdict())
         assert len(store) == 1
-        # Another process empties the directory behind this instance's back.
+        # Another process empties the directory behind this instance's back,
+        # deleting the segment this instance still holds open for appends.
         VerdictStore(tmp_path).clear()
         assert len(store) == 0
         assert store.get(_key()) is None  # the miss must forget the digest...
-        store.put(_key(), _verdict())  # ...so this re-persists
+        store.put(_key(), _verdict())  # ...so this re-persists, in a new segment
         assert len(store) == 1
         assert VerdictStore(tmp_path).get(_key()) == _verdict()
 
     def test_own_compaction_cannot_suppress_represistence(self, tmp_path, monkeypatch):
         store = VerdictStore(tmp_path)
         store.put(_key(), _verdict())
-        monkeypatch.setattr(store_module, "ANALYSIS_VERSION", store_module.ANALYSIS_VERSION + 1)
-        # Everything on disk is now a stale generation; compaction drops it.
+        monkeypatch.setattr(store_module, "verdict_digest", lambda: "e" * 64)
+        # Everything on disk is now computed by other code; compaction drops it.
         assert store.compact() == {"removed_stale": 1, "removed_aged": 0, "kept": 0}
-        store.put(_key(), _verdict())  # compaction cleared _known -> re-persists
+        store.put(_key(), _verdict())  # compaction reset the index -> re-persists
         assert len(store) == 1
+        assert VerdictStore(tmp_path).get(_key()) == _verdict()
 
     def test_corrupt_entry_miss_also_forgets_the_digest(self, tmp_path):
         store = VerdictStore(tmp_path)
         store.put(_key(), _verdict())
-        [entry] = list(tmp_path.glob("??/*.json"))
-        entry.write_text("not json at all")
-        assert store.get(_key()) is None  # corrupt -> dropped + forgotten
+        [segment] = (tmp_path / "segments").glob("*.seg")
+        data = segment.read_bytes()
+        segment.write_bytes(data[:-15] + b"not json at all")
+        assert store.get(_key()) is None  # corrupt -> forgotten
         store.put(_key(), _verdict())
         assert store.get(_key()) == _verdict()
+        assert VerdictStore(tmp_path).get(_key()) == _verdict()
 
 
 # ---------------------------------------------------------------------------
@@ -176,38 +180,41 @@ class TestReadonly:
 
 class TestCompact:
     def test_compact_evicts_only_stale_generation_entries(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(store_module, "ANALYSIS_VERSION", 1)
+        monkeypatch.setattr(store_module, "verdict_digest", lambda: "0" * 64)
         VerdictStore(tmp_path).put(_key("old generation"), _verdict())
         monkeypatch.undo()
         store = VerdictStore(tmp_path)
         store.put(_key("live generation"), _verdict())
         assert len(store) == 2
         assert store.compact() == {"removed_stale": 1, "removed_aged": 0, "kept": 1}
+        assert store.stats()["segments"] == 1  # the live records, rewritten
         assert store.get(_key("live generation")) == _verdict()
 
-    def test_compact_evicts_aged_entries(self, tmp_path):
-        import os
+    def test_compact_evicts_aged_entries(self, tmp_path, monkeypatch):
+        import time
 
-        store = VerdictStore(tmp_path)
-        store.put(_key("ancient"), _verdict())
-        store.put(_key("recent"), _verdict())
         now = 1_000_000.0
-        ancient = VerdictStore.digest(_key("ancient"))
-        os.utime(tmp_path / ancient[:2] / f"{ancient}.json", (now - 5000, now - 5000))
-        recent = VerdictStore.digest(_key("recent"))
-        os.utime(tmp_path / recent[:2] / f"{recent}.json", (now - 10, now - 10))
+        store = VerdictStore(tmp_path)
+        monkeypatch.setattr(time, "time", lambda: now - 5000)
+        store.put(_key("ancient"), _verdict())
+        monkeypatch.setattr(time, "time", lambda: now - 10)
+        store.put(_key("recent"), _verdict())
+        monkeypatch.undo()
         outcome = store.compact(max_age=3600, now=now)
         assert outcome == {"removed_stale": 0, "removed_aged": 1, "kept": 1}
         assert store.get(_key("recent")) == _verdict()
         assert store.get(_key("ancient")) is None
+        # The kept record keeps its record time: a later compaction ages it too.
+        assert store.compact(max_age=5, now=now)["removed_aged"] == 1
 
     def test_untagged_legacy_entries_count_as_stale(self, tmp_path):
         store = VerdictStore(tmp_path)
         store.put(_key(), _verdict())
-        [entry] = list(tmp_path.glob("??/*.json"))
-        payload = json.loads(entry.read_text())
+        backend = LocalBackend(tmp_path)
+        digest = VerdictStore.digest(_key())
+        payload = json.loads(backend.get(digest))
         del payload["analysis"]  # an entry written before the tag existed
-        entry.write_text(json.dumps(payload))
+        backend.put(digest, json.dumps(payload).encode())
         assert store.compact() == {"removed_stale": 1, "removed_aged": 0, "kept": 0}
 
 
@@ -292,7 +299,7 @@ class TestTieredStore:
         store.put(_key(), _verdict())
         assert len(store) == 1  # local copy
         digest = VerdictStore.digest(_key())
-        assert (server.root / "verdicts" / digest[:2] / f"{digest}.json").exists()
+        assert LocalBackend(server.root / "verdicts").exists(digest)  # served copy
 
     def test_cold_local_disk_warms_from_the_remote(self, tmp_path, server):
         VerdictStore(tmp_path / "machine-a", remote=server.url).put(_key(), _verdict())
@@ -311,19 +318,16 @@ class TestTieredStore:
         assert len(ro) == 0  # no read-through fill in read-only mode
 
     def test_corrupt_remote_entry_degrades_to_recompute(self, tmp_path, server):
-        from repro.atomicio import write_atomic_bytes
-
         digest = VerdictStore.digest(_key())
-        served = server.root / "verdicts" / digest[:2] / f"{digest}.json"
-        served.parent.mkdir(parents=True)
         # Valid JSON, wrong key: the fleet's cache somehow serves garbage.
-        write_atomic_bytes(served, b'{"schema": 1, "foreign": true}')
+        LocalBackend(server.root / "verdicts").put(digest, b'{"schema": 1, "foreign": true}')
         store = VerdictStore(tmp_path / "local", remote=server.url)
         assert store.get(_key()) is None  # validation rejects it -> miss
         assert len(store) == 0  # the read-through fill was dropped again
         store.put(_key(), _verdict())  # recompute overwrites both layers
         assert store.get(_key()) == _verdict()
-        assert json.loads(served.read_bytes())["kernel"] == "axpy"
+        served = RemoteBackend(server.url, namespace="verdicts").get(digest)
+        assert json.loads(served)["kernel"] == "axpy"
 
     def test_remote_down_degrades_to_local_only(self, tmp_path):
         store = VerdictStore(tmp_path / "local", remote="http://127.0.0.1:9")
@@ -429,12 +433,16 @@ class TestCliCacheExtended:
         assert main(["cache", "stats", "--result-store", str(store_dir)]) == 0
         out = capsys.readouterr().out
         assert "result store" in out and "entries  1" in out
+        [written] = (store_dir / "segments").glob("*.seg")
         assert main(["cache", "compact", "--result-store", str(store_dir)]) == 0
         assert "compacted" in capsys.readouterr().out
-        assert len(ResultStore(store_dir)) == 1  # live generation kept
+        assert len(ResultStore(store_dir)) == 1  # live generation kept...
+        [compacted] = (store_dir / "segments").glob("*.seg")
+        assert compacted != written  # ...rewritten into a new segment
         assert main(["cache", "clear", "--result-store", str(store_dir)]) == 0
         assert "cleared 1" in capsys.readouterr().out
         assert len(ResultStore(store_dir)) == 0
+        assert not list((store_dir / "segments").glob("*.seg"))
 
     def test_cache_compact_requires_an_explicit_store(self, tmp_path, monkeypatch):
         from repro.harness.cli import main

@@ -394,7 +394,7 @@ class TestQueueFaults:
 
 
 # ---------------------------------------------------------------------------
-# Durability: the shared fsync-before-replace writer
+# Durability: the queue's fsync-before-replace writer
 # ---------------------------------------------------------------------------
 
 class TestAtomicWrites:
@@ -407,9 +407,6 @@ class TestAtomicWrites:
         write_atomic_json(tmp_path / "entry.json", {"a": 1})
         assert len(synced) >= 1  # the entry file (plus, best-effort, its dir)
         assert json.loads((tmp_path / "entry.json").read_text()) == {"a": 1}
-        synced.clear()
-        write_atomic_json(tmp_path / "fast.json", {"a": 1}, durable=False)
-        assert synced == []
 
     def test_failed_write_leaves_no_droppings(self, tmp_path, monkeypatch):
         import repro.atomicio as atomicio
@@ -423,26 +420,32 @@ class TestAtomicWrites:
         assert list(tmp_path.iterdir()) == []
 
     def test_stores_share_the_durable_writer(self, tmp_path, monkeypatch):
-        # Both on-disk stores and the queue publish through the same code
-        # path — count fsyncs to prove nothing grew its own writer back.
+        # Only the queue's state is durable: its leases and claims must
+        # survive a power cut, so it publishes through the fsyncing writer.
+        # Cache entries are validated, not durable; the stores append to
+        # segments and must never pay for an fsync.
         import repro.atomicio as atomicio
         from repro.analysis.store import VerdictStore
         from repro.analysis.verdict import SuggestionVerdict
+        from repro.dispatch.store import ResultStore
 
         synced: list[int] = []
         real_fsync = atomicio.os.fsync
         monkeypatch.setattr(atomicio.os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd))
+        spec = ExperimentSpec(seeds=(DEFAULT_SEED,), languages=("julia",), kernels=("axpy",))
+        shard = spec.partition(1)[0]
         store = VerdictStore(tmp_path / "verdicts")
         store.put(
             ("code", "python", "axpy", "python.numpy"),
             SuggestionVerdict(is_code=True, math_correct=True, method="executed"),
         )
-        assert synced, "VerdictStore.put no longer goes through write_atomic_json"
-        before = len(synced)
+        with Session(seed=DEFAULT_SEED) as session:
+            ResultStore(tmp_path / "results").put(shard.entry(), session.run(shard))
+        assert store.writes == 1
+        assert synced == [], "a store write fsynced"
         queue = FileQueue(tmp_path / "q")
-        spec = ExperimentSpec(seeds=(DEFAULT_SEED,), languages=("julia",))
-        queue.publish(spec.partition(1)[0])
-        assert len(synced) > before, "FileQueue.publish no longer goes through write_atomic_json"
+        queue.publish(shard)
+        assert synced, "FileQueue.publish no longer goes through write_atomic_json"
 
 
 # ---------------------------------------------------------------------------

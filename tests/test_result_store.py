@@ -2,8 +2,8 @@
 
 Mirrors ``tests/test_verdict_store.py`` one layer up: a
 :class:`repro.dispatch.store.ResultStore` must round-trip whole shard
-payloads through disk and degrade every failure mode — truncation,
-corruption, foreign entries, schema bumps, ``ANALYSIS_VERSION`` bumps — to
+payloads through its segment files and degrade every failure mode —
+truncation, corruption, foreign entries, schema bumps, code edits — to
 re-evaluation, never to wrong records; and the streamed
 :class:`repro.api.IncrementalMerge` must produce byte-identical merged
 records whatever order shards complete in.
@@ -17,6 +17,7 @@ import threading
 import pytest
 
 from repro.api import ExperimentSpec, IncrementalMerge, Session
+from repro.cache.backends import LocalBackend
 from repro.codex.config import CodexConfig, DEFAULT_SEED
 from repro.core.runner import ResultSet
 from repro.dispatch import store as result_store_module
@@ -121,10 +122,13 @@ class TestResultStoreRoundTrip:
             store.put(shard.entry(), results)
         stats = store.stats()
         assert stats["entries"] == 2
-        assert stats["bytes"] > 0
+        assert stats["segments"] == 1  # one writing process, one segment
+        [segment] = (tmp_path / "segments").glob("*.seg")
+        assert stats["bytes"] == segment.stat().st_size > 0
         assert stats["schema"] == result_store_module.RESULT_STORE_SCHEMA
         assert store.clear() == 2
         assert len(store) == 0
+        assert not list((tmp_path / "segments").glob("*.seg"))
         assert ResultStore(tmp_path).get(evaluated_shards[0][0].entry()) is None
 
 
@@ -133,36 +137,48 @@ class TestResultStoreRoundTrip:
 # ---------------------------------------------------------------------------
 
 class TestResultStoreDegradation:
-    def _entry_file(self, tmp_path):
-        [entry] = list(tmp_path.glob("??/*.json"))
-        return entry
+    def _segment(self, tmp_path):
+        [segment] = list((tmp_path / "segments").glob("*.seg"))
+        return segment
+
+    def _supersede(self, tmp_path, entry, edit):
+        """Append a frame that replaces ``entry``'s payload with
+        ``edit(payload)``: a valid frame the store must reject."""
+        backend = LocalBackend(tmp_path)
+        digest = ResultStore.digest(entry)
+        payload = json.loads(backend.get(digest))
+        edit(payload)
+        assert backend.put(digest, json.dumps(payload).encode())
 
     def test_truncated_entry_is_a_miss_and_dropped(self, tmp_path, evaluated_shards):
         shard, results = evaluated_shards[0]
         ResultStore(tmp_path).put(shard.entry(), results)
-        entry = self._entry_file(tmp_path)
-        entry.write_text(entry.read_text()[:40])
+        segment = self._segment(tmp_path)
+        segment.write_bytes(segment.read_bytes()[:-40])  # a writer killed mid-frame
         fresh = ResultStore(tmp_path)
-        assert fresh.get(shard.entry()) is None
-        assert not entry.exists()  # corrupt entry removed, next put re-evaluates
-        fresh.put(shard.entry(), results)
+        assert fresh.get(shard.entry()) is None  # the torn frame is not indexed
+        fresh.put(shard.entry(), results)  # ...so the re-evaluation is appended again
         assert ResultStore(tmp_path).get(shard.entry()).to_records() == results.to_records()
 
     def test_non_json_garbage_is_a_miss(self, tmp_path, evaluated_shards):
         shard, results = evaluated_shards[0]
         ResultStore(tmp_path).put(shard.entry(), results)
-        self._entry_file(tmp_path).write_text("\x00\x01 not json")
+        segment = self._segment(tmp_path)
+        data = segment.read_bytes()
+        garbage = b"\x00\x01 not json"
+        segment.write_bytes(data[: -len(garbage)] + garbage)  # bytes rotted in place
         assert ResultStore(tmp_path).get(shard.entry()) is None
 
     def test_entry_for_a_different_shard_is_rejected(self, tmp_path, evaluated_shards):
-        # Simulate a digest collision / foreign file: valid JSON, wrong slice.
+        # Simulate a digest collision / foreign frame: valid JSON, wrong slice.
         shard, results = evaluated_shards[0]
         ResultStore(tmp_path).put(shard.entry(), results)
-        entry = self._entry_file(tmp_path)
-        payload = json.loads(entry.read_text())
-        payload["entry"]["cell_slice"] = [payload["entry"]["cell_slice"][0] + 1,
-                                          payload["entry"]["cell_slice"][1] + 1]
-        entry.write_text(json.dumps(payload))
+
+        def shift(payload):
+            start, stop = payload["entry"]["cell_slice"]
+            payload["entry"]["cell_slice"] = [start + 1, stop + 1]
+
+        self._supersede(tmp_path, shard.entry(), shift)
         assert ResultStore(tmp_path).get(shard.entry()) is None
 
     def test_record_count_mismatch_is_rejected(self, tmp_path, evaluated_shards):
@@ -170,29 +186,28 @@ class TestResultStoreDegradation:
         # short shard into a merge.
         shard, results = evaluated_shards[0]
         ResultStore(tmp_path).put(shard.entry(), results)
-        entry = self._entry_file(tmp_path)
-        payload = json.loads(entry.read_text())
-        payload["records"] = payload["records"][:-1]
-        entry.write_text(json.dumps(payload))
+        self._supersede(
+            tmp_path, shard.entry(), lambda payload: payload["records"].pop()
+        )
         assert ResultStore(tmp_path).get(shard.entry()) is None
 
     def test_transient_read_error_is_a_miss_but_keeps_the_entry(
         self, tmp_path, monkeypatch, evaluated_shards
     ):
-        from pathlib import Path
+        import os
 
         shard, results = evaluated_shards[0]
         ResultStore(tmp_path).put(shard.entry(), results)
-        entry = self._entry_file(tmp_path)
+        segment = self._segment(tmp_path)
 
-        def flaky_read_bytes(self, *args, **kwargs):
+        def flaky_pread(*args, **kwargs):
             raise OSError("Input/output error")
 
         reader = ResultStore(tmp_path)
-        monkeypatch.setattr(Path, "read_bytes", flaky_read_bytes)
+        monkeypatch.setattr(os, "pread", flaky_pread)
         assert reader.get(shard.entry()) is None  # transient failure -> plain miss
         monkeypatch.undo()
-        assert entry.exists()  # ... the shared entry was NOT destroyed
+        assert segment.exists()  # ... the shared entry was NOT destroyed
         assert reader.get(shard.entry()).to_records() == results.to_records()
 
     def test_schema_version_bump_invalidates_old_entries(
@@ -214,14 +229,12 @@ class TestResultStoreDegradation:
     def test_analysis_version_bump_invalidates_old_entries(
         self, tmp_path, monkeypatch, evaluated_shards
     ):
-        # Pipeline *behavior* changes must orphan stale shard payloads, the
-        # same way they orphan stale verdicts: records computed by an older
-        # analyzer must never short-circuit a newer driver.
+        # Edits to the evaluation code must orphan stale shard payloads, the
+        # same way they orphan stale verdicts: records computed by older
+        # code must never short-circuit a newer driver.
         shard, results = evaluated_shards[0]
         ResultStore(tmp_path).put(shard.entry(), results)
-        monkeypatch.setattr(
-            result_store_module, "ANALYSIS_VERSION", result_store_module.ANALYSIS_VERSION + 1
-        )
+        monkeypatch.setattr(result_store_module, "record_digest", lambda: "e" * 64)
         current = ResultStore(tmp_path)
         assert current.get(shard.entry()) is None
         current.put(shard.entry(), results)
@@ -251,8 +264,8 @@ class TestResultStoreDegradation:
         def writer() -> None:
             try:
                 barrier.wait()
-                # A fresh instance defeats the _known shortcut, so both
-                # threads really race the same entry file.
+                # A fresh instance has a fresh index, so both threads
+                # really race the same entry.
                 ResultStore(tmp_path).put(shard.entry(), results)
             except Exception as exc:  # pragma: no cover - failure reporting
                 errors.append(exc)
@@ -264,7 +277,7 @@ class TestResultStoreDegradation:
             thread.join()
         assert not errors
         assert ResultStore(tmp_path).get(shard.entry()).to_records() == results.to_records()
-        assert not list(tmp_path.glob("??/.*.tmp"))  # no leaked temp files
+        assert not list(tmp_path.rglob("*.tmp"))  # no leaked temp files
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.dispatch import faults
 from repro.service import protocol
 from repro.service.server import ServerThread
 
@@ -78,6 +79,16 @@ def conn(server):
 
 
 TINY_SPEC = {"seed": 7, "languages": ["julia"], "kernels": ["axpy"]}
+
+
+@pytest.fixture()
+def slow_shards(monkeypatch):
+    """Hold every shard for 200 ms, so an experiment is still running when
+    the next request lands even when warm memos make evaluation instant."""
+    monkeypatch.delenv(faults.FAULTS_ENV, raising=False)
+    faults.install([{"point": "worker.evaluate", "action": "hang", "arg": 0.2}])
+    yield
+    faults.reset()
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +240,7 @@ class TestRequestResponse:
             reply = conn.request(method, {"experiment_id": "exp-999999"}, id=method)
             assert reply["error"]["code"] == protocol.ERR_UNKNOWN_EXPERIMENT
 
+    @pytest.mark.usefixtures("slow_shards")
     def test_result_before_terminal_state_is_refused(self, conn):
         conn.hello()
         # The module server has one worker: keep it busy so the second

@@ -3,8 +3,9 @@
 Covers the tentpole guarantees:
 
 * :class:`repro.analysis.store.VerdictStore` round-trips verdicts through
-  disk and degrades every failure mode (truncation, corruption, schema
-  bumps, racing writers) to recompute — never to a wrong verdict;
+  its segment files and degrades every failure mode (truncation,
+  corruption, schema bumps, code edits, racing writers) to recompute —
+  never to a wrong verdict;
 * the analyzer layers the store under the process-wide memo (memo hits stay
   free and are written through; store hits fill the memo);
 * batched sandbox execution produces byte-identical outcomes to the serial
@@ -25,6 +26,7 @@ from repro.analysis.analyzer import SuggestionAnalyzer, clear_verdict_memo
 from repro.analysis.store import VerdictStore, default_store_path
 from repro.analysis.verdict import SuggestionVerdict
 from repro.api import Session
+from repro.cache.backends import LocalBackend
 from repro.codex.config import DEFAULT_SEED
 from repro.sandbox import (
     evaluate_python_suggestion,
@@ -97,10 +99,13 @@ class TestVerdictStoreRoundTrip:
         store.put(_key("other"), _verdict())
         stats = store.stats()
         assert stats["entries"] == 2
-        assert stats["bytes"] > 0
+        assert stats["segments"] == 1  # one writing process, one segment
+        [segment] = (tmp_path / "segments").glob("*.seg")
+        assert stats["bytes"] == segment.stat().st_size > 0
         assert stats["schema"] == store_module.STORE_SCHEMA
         assert store.clear() == 2
         assert len(store) == 0
+        assert not list((tmp_path / "segments").glob("*.seg"))
         assert VerdictStore(tmp_path).get(_key()) is None
 
 
@@ -109,60 +114,64 @@ class TestVerdictStoreRoundTrip:
 # ---------------------------------------------------------------------------
 
 class TestStoreDegradation:
-    def _entry_file(self, tmp_path):
-        [entry] = list(tmp_path.glob("??/*.json"))
-        return entry
+    def _segment(self, tmp_path):
+        [segment] = list((tmp_path / "segments").glob("*.seg"))
+        return segment
+
+    def _supersede(self, tmp_path, edit):
+        """Append a frame that replaces the entry for ``_key()`` with
+        ``edit(payload)``: a valid frame, but a payload the store must
+        reject."""
+        backend = LocalBackend(tmp_path)
+        digest = VerdictStore.digest(_key())
+        payload = json.loads(backend.get(digest))
+        edit(payload)
+        assert backend.put(digest, json.dumps(payload).encode())
 
     def test_truncated_entry_is_a_miss_and_dropped(self, tmp_path):
         VerdictStore(tmp_path).put(_key(), _verdict())
-        entry = self._entry_file(tmp_path)
-        entry.write_text(entry.read_text()[:17])
+        segment = self._segment(tmp_path)
+        segment.write_bytes(segment.read_bytes()[:-17])  # a writer killed mid-frame
         fresh = VerdictStore(tmp_path)
-        assert fresh.get(_key()) is None
-        assert not entry.exists()  # corrupt entry removed, next put recomputes
-        fresh.put(_key(), _verdict())
+        assert fresh.get(_key()) is None  # the torn frame is not indexed
+        fresh.put(_key(), _verdict())  # ...so the recompute is appended again
         assert VerdictStore(tmp_path).get(_key()) == _verdict()
 
     def test_non_json_garbage_is_a_miss(self, tmp_path):
         VerdictStore(tmp_path).put(_key(), _verdict())
-        self._entry_file(tmp_path).write_text("\x00\x01 not json")
+        segment = self._segment(tmp_path)
+        data = segment.read_bytes()
+        garbage = b"\x00\x01 not json"
+        segment.write_bytes(data[: -len(garbage)] + garbage)  # bytes rotted in place
         assert VerdictStore(tmp_path).get(_key()) is None
 
     def test_string_typed_issue_list_is_rejected_as_corrupt(self, tmp_path):
         # Valid JSON, valid key, but "issues" is a string: characterwise
         # iteration would fabricate a garbled verdict — must be a miss.
-        store = VerdictStore(tmp_path)
-        store.put(_key(), _verdict())
-        entry = self._entry_file(tmp_path)
-        payload = json.loads(entry.read_text())
-        payload["verdict"]["issues"] = "bad"
-        entry.write_text(json.dumps(payload))
+        VerdictStore(tmp_path).put(_key(), _verdict())
+        self._supersede(tmp_path, lambda payload: payload["verdict"].update(issues="bad"))
         assert VerdictStore(tmp_path).get(_key()) is None
 
     def test_entry_for_a_different_key_is_rejected(self, tmp_path):
-        # Simulate a digest collision / foreign file: valid JSON, wrong key.
-        store = VerdictStore(tmp_path)
-        store.put(_key(), _verdict())
-        entry = self._entry_file(tmp_path)
-        payload = json.loads(entry.read_text())
-        payload["kernel"] = "gemv"
-        entry.write_text(json.dumps(payload))
+        # Simulate a digest collision / foreign frame: valid JSON, wrong key.
+        VerdictStore(tmp_path).put(_key(), _verdict())
+        self._supersede(tmp_path, lambda payload: payload.update(kernel="gemv"))
         assert VerdictStore(tmp_path).get(_key()) is None
 
     def test_transient_read_error_is_a_miss_but_keeps_the_entry(self, tmp_path, monkeypatch):
-        from pathlib import Path
+        import os
 
         VerdictStore(tmp_path).put(_key(), _verdict())
-        entry = self._entry_file(tmp_path)
+        segment = self._segment(tmp_path)
 
-        def flaky_read_bytes(self, *args, **kwargs):
+        def flaky_pread(*args, **kwargs):
             raise OSError("Input/output error")
 
         reader = VerdictStore(tmp_path)
-        monkeypatch.setattr(Path, "read_bytes", flaky_read_bytes)
+        monkeypatch.setattr(os, "pread", flaky_pread)
         assert reader.get(_key()) is None  # transient failure -> plain miss
         monkeypatch.undo()
-        assert entry.exists()  # ... the shared entry was NOT destroyed
+        assert segment.exists()  # ... the shared entry was NOT destroyed
         assert reader.get(_key()) == _verdict()
 
     def test_schema_version_bump_invalidates_old_entries(self, tmp_path, monkeypatch):
@@ -175,26 +184,30 @@ class TestStoreDegradation:
         assert bumped.get(_key()) == _verdict()
 
     def test_analysis_version_bump_invalidates_old_entries(self, tmp_path, monkeypatch):
-        # Analyzer *behavior* changes must orphan stale verdicts too.
+        # An edit to the analysis code changes the verdict digest, which
+        # must orphan the verdicts computed before it.
         VerdictStore(tmp_path).put(_key(), _verdict())
-        monkeypatch.setattr(store_module, "ANALYSIS_VERSION", store_module.ANALYSIS_VERSION + 1)
+        monkeypatch.setattr(store_module, "verdict_digest", lambda: "e" * 64)
         assert VerdictStore(tmp_path).get(_key()) is None
 
     def test_lockstep_interpreter_bump_is_recorded(self):
         # The vectorized lockstep CUDA interpreter changed what execution
-        # *can* observe (GPUArray write-back, memcpy fidelity, ternary
-        # support), so the analysis version must be past the scalar-era 1.
-        # Stores written before the bump degrade to recompute (below).
-        from repro.analysis.verdict import ANALYSIS_VERSION
+        # *can* observe, so its source must be part of the verdict digest:
+        # any edit to it orphans the stored verdicts.
+        from pathlib import Path
 
-        assert ANALYSIS_VERSION >= 2
+        from repro.analysis.verdict import VERDICT_SOURCES
+        from repro.sandbox.cuda_c import lockstep
+
+        package = Path(lockstep.__file__).resolve().parents[1].name
+        assert package == "sandbox" and package in VERDICT_SOURCES
 
     def test_pre_bump_store_degrades_to_recompute(self, tmp_path, monkeypatch):
-        # Simulate a store populated by the scalar-era interpreter (analysis
-        # version 1): the current analyzer must never serve those entries —
-        # every lookup misses and recomputation repopulates under the new
-        # digest, with both generations coexisting in the directory.
-        monkeypatch.setattr(store_module, "ANALYSIS_VERSION", 1)
+        # Simulate a store populated by older analysis code: the current
+        # analyzer must never serve those entries — every lookup misses and
+        # recomputation repopulates under the new digest, with both
+        # generations coexisting in the store.
+        monkeypatch.setattr(store_module, "verdict_digest", lambda: "0" * 64)
         legacy = VerdictStore(tmp_path)
         legacy.put(_key(), _verdict())
         assert legacy.get(_key()) is not None
@@ -227,8 +240,8 @@ class TestStoreDegradation:
             try:
                 for i in range(iterations):
                     barrier.wait()
-                    # A fresh instance per iteration defeats the _known
-                    # shortcut, so both threads really race the same entry.
+                    # A fresh instance per iteration has a fresh index, so
+                    # both threads really race the same entry.
                     VerdictStore(tmp_path).put(_key(f"code {i}"), _verdict())
             except Exception as exc:  # pragma: no cover - failure reporting
                 errors.append(exc)
@@ -243,7 +256,7 @@ class TestStoreDegradation:
         for i in range(iterations):
             assert reader.get(_key(f"code {i}")) == _verdict(), i
         assert len(reader) == iterations
-        assert not list(tmp_path.glob("??/.*.tmp"))  # no leaked temp files
+        assert not list(tmp_path.rglob("*.tmp"))  # no leaked temp files
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +498,11 @@ class TestCliCache:
         assert "verdict store:" in capsys.readouterr().err
         assert main(["--verdict-store", store_arg, "cache", "stats"]) == 0
         out = capsys.readouterr().out
-        assert "entries" in out and store_arg in out
+        assert "entries" in out and "segments 1" in out and store_arg in out
         assert main(["--verdict-store", store_arg, "cache", "clear"]) == 0
         assert "cleared" in capsys.readouterr().out
         assert len(VerdictStore(store_arg)) == 0
+        assert not list((tmp_path / "store" / "segments").glob("*.seg"))
 
     def test_verdict_store_auto_uses_default_location(self, tmp_path, monkeypatch, capsys):
         from repro.harness.cli import main
