@@ -15,8 +15,9 @@ sequential engine-level RNG state exists, so
 * the full grid is byte-identical regardless of evaluation order or of how
   cells are partitioned across threads/processes.
 
-That contract is what makes the parallel backends in
-:mod:`repro.core.runner` safe.
+That contract is what lets the dispatch layer (:mod:`repro.dispatch`) split
+the grid into shards, evaluate them in worker processes or on other
+machines in any order, and merge them back byte-identically.
 """
 
 from __future__ import annotations

@@ -17,11 +17,32 @@ Given the prompt's latent knowledge state (drawn from the competence model in
 
 The sampler's internal labels are *not* visible to the evaluation pipeline —
 the analyzers re-derive everything from the suggestion text.
+
+Sampling plans: what a draw reads that depends only on the corpus and the
+cell — the template, the same-model mutation operators with their weights,
+the other-model templates with their cumulative weight table, and the
+non-code fallback — is gathered into a :class:`_CellPlan` on the cell's first
+draw.  Plans live in the corpus store's ``plans`` table, so every sampler,
+engine, runner, seed and session of a process shares them, and the store
+drops them when its snippets change.  Operators are applied to a template,
+through the corpus' mutant table, only when a draw first needs the result.
+Nothing config-dependent goes into a plan: competence, the knowledge-state
+distribution and the list budget stay per call.
+
+Every draw consumes the random stream exactly as ``Generator.choice(n, p=p)``
+and a ``sorted`` key of per-element ``rng.random()`` calls would: a bisect
+over the cumulative table numpy builds (:func:`_choice_cdf`) returns
+``choice``'s index, and the weighted operator order (:func:`_weighted_order`)
+draws its uniforms in one ``rng.random(k)`` call.  ``tests/test_sampling_plans.py``
+pins both against numpy.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -49,6 +70,115 @@ _CUDA_MUTATIONS = ("race_injection",)
 #: exact same random stream as before these operators existed.
 _PARALLEL_MUTATIONS = ("reduction_order", "drop_atomic", "bounds_off_by_one")
 _PARALLEL_KERNELS = ("scan", "histogram")
+#: Operators that corrupt an other-model suggestion, tried in this order.
+_CORRUPTIONS = ("wrong_operator", "off_by_one", "truncate")
+
+#: An unfilled lazy plan slot (``None`` means "the operator does not apply").
+_UNSET = object()
+
+#: Every :class:`CodexConfig` field ``state_probabilities`` reads.
+_STATE_FIELDS = attrgetter(
+    "competent_threshold", "competent_gain", "fuzzy_center", "fuzzy_width",
+    "confused_center", "confused_width", "ignorant_threshold", "ignorant_gain",
+    "state_temperature",
+)
+#: ``(competence, those fields' values) -> (states, cdf)``, process-wide like
+#: the plans, because every seed redraws the same cells.  Never keyed on
+#: competence alone: configs that differ in those fields differ in the table.
+_STATE_TABLES: dict[tuple, tuple[list[KnowledgeState], list[float]]] = {}
+_STATE_TABLES_MAX = 1 << 14
+
+
+def _probabilities(weights) -> np.ndarray:
+    """``weights / sum(weights)``, rejecting what ``Generator.choice`` rejects:
+    negative, non-finite or zero-sum weights (a bisect over a NaN table would
+    silently pick an index)."""
+    w = np.array(weights, dtype=np.float64)
+    total = w.sum()
+    # Chained comparisons are False for NaN, so these also reject NaN.
+    if not (0 < total < math.inf and all(0 <= x < math.inf for x in weights)):
+        raise ValueError(
+            f"sampling weights must be finite, non-negative and not all zero: {w.tolist()}"
+        )
+    return w / total
+
+
+def _choice_cdf(weights) -> list[float]:
+    """The table ``rng.choice(n, p=weights / sum(weights))`` searches, built as
+    numpy builds it, so ``bisect_right(cdf, rng.random())`` returns the same
+    index and leaves the generator in the same state."""
+    cdf = _probabilities(weights).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _weighted_order(neg_weights: np.ndarray, order: np.ndarray, uniforms: np.ndarray) -> list[int]:
+    """``sorted(order, key=lambda i: -w[i] * rng.random())`` given the uniforms
+    that sort would draw: ``sorted`` computes every key, in list order, before
+    it sorts stably."""
+    return order[(neg_weights[order] * uniforms).argsort(kind="stable")].tolist()
+
+
+class _CellPlan:
+    """One cell's draw tables for one corpus, built by :func:`_build_plan`.
+
+    Immutable once built, apart from its lazy slots (``mutants``,
+    ``corrupted``, ``non_code``).  Each slot is filled on first use with a
+    pure function of the plan, so threads racing on a slot store equal
+    values: the same benign race as the corpus' mutant table, hence no lock.
+    """
+
+    __slots__ = (
+        "prompt", "template", "operators", "neg_weights", "mutants",
+        "others", "other_cdf", "corrupted", "non_code",
+    )
+
+    def __init__(self, prompt: Prompt, template: CodeSnippet | None,
+                 operators: tuple[str, ...], others: tuple[CodeSnippet, ...]) -> None:
+        self.prompt = prompt
+        self.template = template
+        #: Same-model operators and minus their normalized weights (the sort
+        #: keys of the weighted order are ``neg_weights[i] * uniform``).
+        self.operators = operators
+        self.neg_weights = (
+            -_probabilities([MUTATION_OPERATORS[n].weight for n in operators]) if operators else None
+        )
+        #: Operator index -> the template's mutant, or None where it does not apply.
+        self.mutants: list = [_UNSET] * len(operators)
+        #: Other-model templates and their maturity-weighted choice table.
+        self.others = others
+        self.other_cdf = (
+            _choice_cdf([model_maturity(c.label_model) for c in others]) if others else []
+        )
+        #: Other-model index -> its first applicable corruption, or the template.
+        self.corrupted: list = [_UNSET] * len(others)
+        self.non_code: CodeSnippet | None = None
+
+
+def _build_plan(corpus: CorpusStore, prompt: Prompt) -> _CellPlan:
+    """Gather the cell's template, operators and other-model templates."""
+    language = prompt.language.name
+    template = corpus.template(language, prompt.model_uid, prompt.kernel)
+    operators: tuple[str, ...] = ()
+    if template is not None:
+        operators = _SAME_MODEL_MUTATIONS + _SERIAL_MUTATIONS
+        if prompt.kernel in _PARALLEL_KERNELS:
+            operators += _PARALLEL_MUTATIONS
+        if template.language == "python" and (
+            "RawKernel" in template.code or "SourceModule" in template.code
+        ):
+            operators += _CUDA_MUTATIONS
+    # Confusion suggestions for stock-model prompts come only from other
+    # stock models: registering an extension model (e.g. python.kokkos) must
+    # not perturb a stock cell's random stream.
+    stock_only = prompt.model_uid in STOCK_MODEL_UIDS
+    others = tuple(
+        c
+        for c in corpus.other_model_snippets(language, prompt.model_uid, prompt.kernel)
+        if c.origin is SnippetOrigin.TEMPLATE
+        and (not stock_only or c.label_model in STOCK_MODEL_UIDS)
+    )
+    return _CellPlan(prompt, template, operators, others)
 
 
 @dataclass
@@ -60,7 +190,8 @@ class SuggestionSampler:
 
     def __post_init__(self) -> None:
         if self.corpus is None:
-            self.corpus = default_corpus()
+            # Templates only: the mutant table fills as draws need mutants.
+            self.corpus = default_corpus(include_mutations=False)
 
     # -- public API ------------------------------------------------------------
     def sample(
@@ -81,28 +212,40 @@ class SuggestionSampler:
     ) -> list[CodeSnippet]:
         """Compose suggestions for an explicit knowledge state (used by tests
         and ablations as well as by :meth:`sample`)."""
+        plan = self._plan(prompt)
         if state is KnowledgeState.COMPETENT:
-            return self._compose_competent(prompt, rng)
+            return self._compose_competent(plan, rng)
         if state is KnowledgeState.FUZZY:
-            return self._compose_fuzzy(prompt, rng)
+            return self._compose_fuzzy(plan, rng)
         if state is KnowledgeState.CONFUSED:
-            return self._compose_confused(prompt, rng)
-        return self._compose_ignorant(prompt, rng)
+            return self._compose_confused(plan, rng)
+        return self._compose_ignorant(plan, rng)
 
     # -- state draw --------------------------------------------------------------
     def _draw_state(self, competence: float, rng: np.random.Generator) -> KnowledgeState:
-        probs = self.config.state_probabilities(competence)
-        states = list(probs.keys())
-        p = np.array([probs[s] for s in states], dtype=np.float64)
-        p = p / p.sum()
-        return states[int(rng.choice(len(states), p=p))]
+        key = (competence, _STATE_FIELDS(self.config))
+        table = _STATE_TABLES.get(key)
+        if table is None:
+            probs = self.config.state_probabilities(competence)
+            if len(_STATE_TABLES) >= _STATE_TABLES_MAX:
+                _STATE_TABLES.clear()
+            table = _STATE_TABLES[key] = (list(probs), _choice_cdf(list(probs.values())))
+        states, cdf = table
+        return states[bisect_right(cdf, rng.random())]
 
     # -- building blocks -----------------------------------------------------------
-    def _template(self, prompt: Prompt) -> CodeSnippet | None:
-        return self.corpus.template(prompt.language.name, prompt.model_uid, prompt.kernel)
+    def _plan(self, prompt: Prompt) -> _CellPlan:
+        """The cell's plan from the corpus' shared table, built on first draw.
 
-    def _correct_suggestion(self, prompt: Prompt) -> CodeSnippet | None:
-        return self._template(prompt)
+        Threads racing on a missing plan each build an equal one and the
+        last store wins, so a race costs at most a repeated, equal
+        computation; hence no lock.
+        """
+        plans = self.corpus.plans
+        plan = plans.get(prompt)
+        if plan is None:
+            plan = plans[prompt] = _build_plan(self.corpus, prompt)
+        return plan
 
     def _mutant(self, template: CodeSnippet, name: str) -> CodeSnippet | None:
         """Operator ``name`` applied to ``template``, through the corpus's
@@ -113,65 +256,57 @@ class SuggestionSampler:
             mutants[key] = apply_mutation(template, name)
         return mutants[key]
 
-    def _broken_same_model(self, prompt: Prompt, rng: np.random.Generator) -> CodeSnippet | None:
+    def _broken_same_model(self, plan: _CellPlan, rng: np.random.Generator) -> CodeSnippet | None:
         """An incorrect suggestion that still targets the requested model
         (or its serial skeleton)."""
-        template = self._template(prompt)
-        if template is None:
+        if plan.template is None:
             return None
-        names = list(_SAME_MODEL_MUTATIONS + _SERIAL_MUTATIONS)
-        if prompt.kernel in _PARALLEL_KERNELS:
-            names.extend(_PARALLEL_MUTATIONS)
-        if template.language == "python" and (
-            "RawKernel" in template.code or "SourceModule" in template.code
-        ):
-            names.extend(_CUDA_MUTATIONS)
-        weights = np.array([MUTATION_OPERATORS[n].weight for n in names], dtype=np.float64)
-        weights /= weights.sum()
-        order = rng.permutation(len(names))
+        order = rng.permutation(len(plan.operators))
         # Try operators in a weighted random order until one applies.
-        ranked = sorted(order, key=lambda idx: -weights[idx] * rng.random())
-        for idx in ranked:
-            mutated = self._mutant(template, names[idx])
-            if mutated is not None:
-                return mutated
+        for idx in _weighted_order(plan.neg_weights, order, rng.random(len(order))):
+            mutant = plan.mutants[idx]
+            if mutant is _UNSET:
+                mutant = plan.mutants[idx] = self._mutant(plan.template, plan.operators[idx])
+            if mutant is not None:
+                return mutant
         return None
 
-    def _other_model_suggestion(self, prompt: Prompt, rng: np.random.Generator,
+    def _other_model_suggestion(self, plan: _CellPlan, rng: np.random.Generator,
                                 *, corrupt_probability: float = 0.3) -> CodeSnippet | None:
         """A suggestion written in a different programming model of the same
         language, weighted towards the mature models whose code dominates the
         public corpus."""
-        candidates = self.corpus.other_model_snippets(
-            prompt.language.name, prompt.model_uid, prompt.kernel, correct_only=True
-        )
-        templates = [c for c in candidates if c.origin is SnippetOrigin.TEMPLATE]
-        if prompt.model_uid in STOCK_MODEL_UIDS:
-            # Confusion suggestions for stock-model prompts come only from
-            # other stock models: registering an extension model (e.g.
-            # python.kokkos) must not perturb a stock cell's random stream.
-            templates = [c for c in templates if c.label_model in STOCK_MODEL_UIDS]
-        if not templates:
+        if not plan.others:
             return None
-        weights = np.array([model_maturity(c.label_model) for c in templates], dtype=np.float64)
-        weights = weights / weights.sum()
-        chosen = templates[int(rng.choice(len(templates), p=weights))]
+        index = bisect_right(plan.other_cdf, rng.random())
         if rng.random() < corrupt_probability:
-            for name in ("wrong_operator", "off_by_one", "truncate"):
-                mutated = self._mutant(chosen, name)
-                if mutated is not None:
-                    return mutated
-        return chosen
+            corrupted = plan.corrupted[index]
+            if corrupted is _UNSET:
+                corrupted = plan.corrupted[index] = self._corrupt(plan.others[index])
+            return corrupted
+        return plan.others[index]
 
-    def _non_code(self, prompt: Prompt) -> CodeSnippet:
-        template = self._template(prompt)
-        if template is not None:
-            non_code = self._mutant(template, "comment_only")
+    def _corrupt(self, template: CodeSnippet) -> CodeSnippet:
+        for name in _CORRUPTIONS:
+            mutated = self._mutant(template, name)
+            if mutated is not None:
+                return mutated
+        return template
+
+    def _non_code(self, plan: _CellPlan) -> CodeSnippet:
+        non_code = plan.non_code
+        if non_code is None:
+            non_code = plan.non_code = self._comment_only(plan)
+        return non_code
+
+    def _comment_only(self, plan: _CellPlan) -> CodeSnippet:
+        if plan.template is not None:
+            non_code = self._mutant(plan.template, "comment_only")
             if non_code is not None:
                 return non_code
-        prefix = prompt.language.comment_prefix
+        prompt = plan.prompt
         return CodeSnippet(
-            code=f"{prefix} {prompt.query}\n",
+            code=f"{prompt.language.comment_prefix} {prompt.query}\n",
             language=prompt.language.name,
             kernel=prompt.kernel,
             label_model="none",
@@ -180,56 +315,56 @@ class SuggestionSampler:
         )
 
     # -- per-state composition ---------------------------------------------------------
-    def _compose_competent(self, prompt: Prompt, rng: np.random.Generator) -> list[CodeSnippet]:
-        correct = self._correct_suggestion(prompt)
+    def _compose_competent(self, plan: _CellPlan, rng: np.random.Generator) -> list[CodeSnippet]:
+        correct = plan.template
         if correct is None:
-            return self._compose_ignorant(prompt, rng)
+            return self._compose_ignorant(plan, rng)
         low = min(2, self.config.max_suggestions)
         count = int(rng.integers(low, self.config.max_suggestions + 1))
         return [correct] * count
 
-    def _compose_fuzzy(self, prompt: Prompt, rng: np.random.Generator) -> list[CodeSnippet]:
-        correct = self._correct_suggestion(prompt)
+    def _compose_fuzzy(self, plan: _CellPlan, rng: np.random.Generator) -> list[CodeSnippet]:
+        correct = plan.template
         if correct is None:
-            return self._compose_ignorant(prompt, rng)
+            return self._compose_ignorant(plan, rng)
         low = min(4, self.config.max_suggestions)
         count = int(rng.integers(low, self.config.max_suggestions + 1))
         n_correct = max(1, int(rng.integers(1, 3)))
         suggestions: list[CodeSnippet] = [correct] * n_correct
         while len(suggestions) < count:
-            broken = self._broken_same_model(prompt, rng)
-            suggestions.append(broken if broken is not None else self._non_code(prompt))
+            broken = self._broken_same_model(plan, rng)
+            suggestions.append(broken if broken is not None else self._non_code(plan))
         rng.shuffle(suggestions)
         # n_correct is drawn independently of the budget, so cap the list for
         # tiny budgets (count < 2); a no-op whenever count >= n_correct.
         return suggestions[:count]
 
-    def _compose_confused(self, prompt: Prompt, rng: np.random.Generator) -> list[CodeSnippet]:
-        correct = self._correct_suggestion(prompt)
+    def _compose_confused(self, plan: _CellPlan, rng: np.random.Generator) -> list[CodeSnippet]:
+        correct = plan.template
         if correct is None:
-            return self._compose_ignorant(prompt, rng)
+            return self._compose_ignorant(plan, rng)
         low = min(4, self.config.max_suggestions)
         count = int(rng.integers(low, self.config.max_suggestions + 1))
         suggestions: list[CodeSnippet] = [correct]
         n_other = max(1, int(rng.integers(1, max(2, count // 2))))
         for _ in range(n_other):
-            other = self._other_model_suggestion(prompt, rng)
+            other = self._other_model_suggestion(plan, rng)
             if other is not None:
                 suggestions.append(other)
         while len(suggestions) < count:
             roll = rng.random()
             if roll < 0.55:
-                broken = self._broken_same_model(prompt, rng)
-                suggestions.append(broken if broken is not None else self._non_code(prompt))
+                broken = self._broken_same_model(plan, rng)
+                suggestions.append(broken if broken is not None else self._non_code(plan))
             elif roll < 0.8:
-                other = self._other_model_suggestion(prompt, rng)
-                suggestions.append(other if other is not None else self._non_code(prompt))
+                other = self._other_model_suggestion(plan, rng)
+                suggestions.append(other if other is not None else self._non_code(plan))
             else:
-                suggestions.append(self._non_code(prompt))
+                suggestions.append(self._non_code(plan))
         rng.shuffle(suggestions)
         return suggestions[:count]
 
-    def _compose_ignorant(self, prompt: Prompt, rng: np.random.Generator) -> list[CodeSnippet]:
+    def _compose_ignorant(self, plan: _CellPlan, rng: np.random.Generator) -> list[CodeSnippet]:
         # With some probability the model offers nothing at all.
         if rng.random() < 0.25:
             return []
@@ -238,11 +373,11 @@ class SuggestionSampler:
         while len(suggestions) < count:
             roll = rng.random()
             if roll < 0.45:
-                broken = self._broken_same_model(prompt, rng)
-                suggestions.append(broken if broken is not None else self._non_code(prompt))
+                broken = self._broken_same_model(plan, rng)
+                suggestions.append(broken if broken is not None else self._non_code(plan))
             elif roll < 0.75:
-                other = self._other_model_suggestion(prompt, rng, corrupt_probability=0.6)
-                suggestions.append(other if other is not None else self._non_code(prompt))
+                other = self._other_model_suggestion(plan, rng, corrupt_probability=0.6)
+                suggestions.append(other if other is not None else self._non_code(plan))
             else:
-                suggestions.append(self._non_code(prompt))
+                suggestions.append(self._non_code(plan))
         return suggestions

@@ -12,9 +12,14 @@ surrounded by a halo of near-misses, serial fallbacks and unfinished
 completions.
 
 The store indexes its snippets by ``(language, kernel)`` on first lookup,
-and keeps a mutant table ``(template, operator) -> mutant or None``, which
-``build_default_corpus`` fills from the operator applications it performs
-anyway, so samplers never re-apply an operator to a template.
+and keeps two derived tables for the sampler (:mod:`repro.codex.sampler`):
+
+* a mutant table ``(template, operator) -> mutant or None``, which
+  ``build_default_corpus`` fills from the operator applications it performs
+  anyway and samplers fill on first use, so one thread applies each
+  operator to a template at most once;
+* a plan table ``cell -> sampling plan``, filled on each cell's first draw
+  and dropped, with the index, whenever the snippets change.
 """
 
 from __future__ import annotations
@@ -59,16 +64,24 @@ class CorpusStore:
     mutants: dict[tuple[CodeSnippet, str], CodeSnippet | None] = field(
         default_factory=dict, repr=False
     )
+    #: ``prompt -> sampling plan``, owned by :mod:`repro.codex.sampler`.
+    plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _index: _Index | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- population ---------------------------------------------------------
     def add(self, snippet: CodeSnippet) -> None:
         self.snippets.append(snippet)
-        self._index = None
+        self._contents_changed()
 
     def extend(self, snippets: Iterable[CodeSnippet]) -> None:
         self.snippets.extend(snippets)
+        self._contents_changed()
+
+    def _contents_changed(self) -> None:
+        # A new dict rather than clear(): a sampler still holding the old
+        # table cannot put a stale plan into the new one.
         self._index = None
+        self.plans = {}
 
     def __len__(self) -> int:
         return len(self.snippets)
@@ -179,8 +192,9 @@ def default_corpus(*, include_mutations: bool = True) -> CorpusStore:
     """The shared default corpus, built at most once per process.
 
     Every :class:`~repro.codex.sampler.SuggestionSampler` without an explicit
-    corpus draws from this store, so repeated runner construction (tables,
-    figures, ablations) stops re-deriving templates and mutations.
+    corpus draws from the template-only store (``include_mutations=False``),
+    so repeated runner construction (tables, figures, ablations) shares its
+    templates, mutant table and sampling plans.
     """
     if include_mutations not in _DEFAULT_CORPUS_CACHE:
         _DEFAULT_CORPUS_CACHE[include_mutations] = build_default_corpus(
