@@ -107,8 +107,8 @@ class Session:
         worker; records are byte-identical to serial mode.
     max_workers:
         Worker count of process mode and the default of :meth:`dispatch`'s
-        ``max_workers`` (default: one per core, at most 8).  A pool that
-        resolves to one worker evaluates in-process.
+        ``max_workers`` (default: one per core, at most 8; at least 1).  A
+        pool that resolves to one worker evaluates in-process.
     progress:
         Callback invoked per cell, in submission order: with each
         :class:`CellResult` as it is evaluated in-process, or with each
@@ -144,6 +144,8 @@ class Session:
     ) -> None:
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
+        if max_workers is not None and max_workers < 1:
+            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.seed = int(seed)
         self.config = config if config is not None else CodexConfig()
         self.backend = backend

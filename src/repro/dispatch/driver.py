@@ -9,9 +9,11 @@ A :class:`ShardDriver` turns a declarative
    :class:`~repro.dispatch.store.ResultStore`; hits are *skipped* entirely,
    so a driver killed mid-run re-executes nothing it already finished.
 3. **Dispatch** — misses go to one of three pluggable worker backends:
-   ``inline`` (evaluate in this process), ``process`` (a subprocess pool),
-   or ``file-queue`` (a shared directory any host can drain with
-   ``repro-hpc-codex dispatch-worker`` — see :mod:`repro.dispatch.queue`).
+   ``inline`` (evaluate in this process), ``process`` (one worker process
+   per pool slot, each evaluating a contiguous run of the shards so that
+   its later shards find the memos warm), or ``file-queue`` (a shared
+   directory any host can drain with ``repro-hpc-codex dispatch-worker`` —
+   see :mod:`repro.dispatch.queue`).
 4. **Stream** — shard payloads are folded into an
    :class:`~repro.api.spec.IncrementalMerge` the moment they complete, and
    ``progress`` / ``on_shard`` callbacks fire in **submission order** — the
@@ -28,13 +30,16 @@ failure record, never a dead driver), failed shards are retried up to
 ``max_attempts`` with backoff, and a shard that keeps failing is
 **quarantined** — reported as a :class:`ShardQuarantine` (and, on the file
 queue, dead-lettered to ``failed/``) so one poison shard can never livelock
-a dispatch.  The ``process`` backend enforces an optional per-shard
-``shard_timeout``: a hung subprocess is killed and the shard re-offered.
-File-queue claims are heartbeat-renewed leases (see
-:class:`~repro.dispatch.queue.HeartbeatLease`), so a long-running shard
-with a live worker is never double-executed while a dead worker's shard is
-reclaimed after a few missed beats.  The end state of a dispatch is always
-*byte-identical merge or explicit quarantine* — never wrong records.
+a dispatch.  Failure accounting stays per shard on the ``process``
+backend too: an optional ``shard_timeout`` bounds each shard, a worker
+that dies or is killed charges one attempt to its in-flight shard only
+and the rest of its run is re-offered, uncharged, to a fresh worker, and a
+failed shard is retried alone.  File-queue claims are heartbeat-renewed
+leases (see :class:`~repro.dispatch.queue.HeartbeatLease`), so a
+long-running shard with a live worker is never double-executed while a
+dead worker's shard is reclaimed after a few missed beats.  The end state
+of a dispatch is always *byte-identical merge or explicit quarantine* —
+never wrong records.
 
 Every executed shard is written back to the store before its callbacks
 fire, so the crash window never loses more than the shard in flight.
@@ -213,56 +218,62 @@ def _extended_grid_installed() -> bool:
     return extensions is not None and extensions.extended_grid_installed()
 
 
-def _process_shard_worker(
-    conn, spec: ExperimentSpec, index: int, of: int, store_path, extended_grid: bool
-) -> None:
-    """Process-backend worker: evaluate one shard, report through the pipe.
+def _process_shard_worker(conn, run: list[Shard], store_path, extended_grid: bool) -> None:
+    """Process-backend worker: evaluate a run of shards in order.
 
-    Sends ``("ok", records, sandbox executions, verdict-store hits,
-    seconds)`` — the counter deltas let the parent driver aggregate across
-    the pool, and the worker-measured seconds are the shard's own
-    evaluation cost (the parent cannot separate queueing from computing) —
-    or ``("error", failure record)`` when evaluation raises.  A worker that
-    dies without sending anything (hard crash, injected ``die``, kill on
-    timeout) is detected by the parent through the closed pipe.
+    Sends one message per shard, in run order: ``("ok", records, sandbox
+    executions, verdict-store hits, seconds)`` — the counter deltas let the
+    parent driver aggregate across the pool, and the worker-measured
+    seconds are the shard's own evaluation cost (the parent cannot separate
+    queueing from computing) — or ``("error", failure record)`` when the
+    shard's evaluation or the worker's setup raises, after which the worker
+    carries on with the next shard.  A worker that dies without reporting
+    (hard crash, injected ``die``, kill on timeout) is detected by the
+    parent through the closed pipe.
 
-    The grid registries are process state that only a forked worker
-    inherits, so a worker started by ``spawn`` or ``forkserver`` installs
-    the extended grid itself when the parent had it installed
-    (``extended_grid``) before it rebuilds the shard's cells.
+    The run is a contiguous stretch of the plan, and neighbouring cells
+    share suggestion code: every shard after the first finds the
+    process-wide code memo and sampling plans warm.  The verdict store is
+    opened once per worker.  The grid registries are process state that
+    only a forked worker inherits, so a worker started by ``spawn`` or
+    ``forkserver`` installs the extended grid itself when the parent had it
+    installed (``extended_grid``) before it builds any shard's cells.
     """
+    store = None
     try:
-        if extended_grid:
-            from repro.extensions import extended_grid_installed, install_extended_grid
+        for shard in run:
+            try:
+                if extended_grid:
+                    from repro.extensions import extended_grid_installed, install_extended_grid
 
-            if not extended_grid_installed():  # a forked worker keeps its warm corpus
-                install_extended_grid()
-        shard = spec.shard(index, of)
-        store = None if store_path is None else VerdictStore(store_path)
-        runner = EvaluationRunner(config=spec.config, seed=shard.seed, verdict_store=store)
-        results, failure, seconds = run_shard_contained(runner, shard, label=shard_label(shard))
-        if failure is not None:
-            conn.send(("error", failure))
-        else:
-            conn.send(
-                (
-                    "ok",
-                    results.to_records(),
-                    runner.sandbox_executions,
-                    runner.store_hits,
-                    seconds,
+                    if not extended_grid_installed():  # a forked worker keeps its warm corpus
+                        install_extended_grid()
+                if store is None and store_path is not None:
+                    store = VerdictStore(store_path)
+                runner = EvaluationRunner(
+                    config=shard.spec.config, seed=shard.seed, verdict_store=store
                 )
-            )
-    except Exception as exc:  # containment of setup errors, not just evaluation
-        try:
-            conn.send(("error", failure_record(exc, label=f"shard-{index}", phase="worker")))
-        except Exception:
-            pass
+                results, failure, seconds = run_shard_contained(
+                    runner, shard, label=shard_label(shard)
+                )
+                if failure is not None:
+                    message = ("error", failure)
+                else:
+                    message = (
+                        "ok",
+                        results.to_records(),
+                        runner.sandbox_executions,
+                        runner.store_hits,
+                        seconds,
+                    )
+            except Exception as exc:  # containment of setup errors, not just evaluation
+                message = (
+                    "error",
+                    failure_record(exc, label=f"shard-{shard.index}", phase="worker"),
+                )
+            conn.send(message)
     finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
+        conn.close()
 
 
 class ShardDriver:
@@ -285,7 +296,10 @@ class ShardDriver:
         Optional persistent verdict cache handed to every local worker
         (suggestion-level resume, orthogonal to the shard-level store).
     max_workers:
-        Subprocess-pool width for the ``process`` backend.
+        Pool width of the ``process`` backend (default: one per core, at
+        most 8), capped by the number of shards to execute; at least 1.
+        Each slot's worker process evaluates a contiguous run of the
+        shards, in plan order.
     queue:
         Queue directory (or :class:`~repro.dispatch.queue.FileQueue`) for
         the ``file-queue`` backend.
@@ -306,9 +320,11 @@ class ShardDriver:
         queue's policy for the file-queue backend, otherwise
         :data:`~repro.dispatch.queue.DEFAULT_MAX_ATTEMPTS`).
     shard_timeout:
-        Per-shard wall-clock limit for the ``process`` backend: a worker
-        exceeding it is killed and the shard retried (counting as one
-        failed attempt).  ``None`` (default) disables the limit.
+        Per-shard wall-clock limit for the ``process`` backend, restarting
+        when the worker's previous shard lands: a worker exceeding it is
+        killed, its in-flight shard is retried (counting as one failed
+        attempt) and the rest of its run re-offered.  ``None`` (default)
+        disables the limit.
     heartbeat_interval, lease_beats:
         Lease policy forwarded to the :class:`FileQueue` the driver
         creates from a ``queue`` path (ignored when an existing
@@ -353,6 +369,8 @@ class ShardDriver:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         if shard_timeout is not None and shard_timeout <= 0:
             raise ValueError(f"shard_timeout must be > 0, got {shard_timeout}")
+        if max_workers is not None and max_workers < 1:
+            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.spec = spec
         self.shards = shards
         self.backend = backend
@@ -494,33 +512,40 @@ class ShardDriver:
         store_path = None if self.verdict_store is None else str(self.verdict_store.path)
         extended_grid = _extended_grid_installed()
         # Same hardware-based sizing policy as Session's process backend,
-        # additionally capped by the actual shard count.
-        workers = self.max_workers or min(8, os.cpu_count() or 1, len(to_execute))
+        # capped by the actual shard count.
+        count = len(to_execute)
+        workers = min(self.max_workers or min(8, os.cpu_count() or 1), count)
         ctx = multiprocessing.get_context()
-        waiting: deque[tuple[Shard, int]] = deque((shard, 1) for shard in to_execute)
+        # One worker per slot, each owning a contiguous run of the plan
+        # (lengths differ by at most one) so its later shards hit the memos
+        # its earlier shards warmed; no work stealing, which would hand a
+        # worker a cold shard from elsewhere in the grid.  A run is a list
+        # of (shard, attempt).
+        waiting: deque[list[tuple[Shard, int]]] = deque(
+            [(shard, 1) for shard in to_execute[j * count // workers : (j + 1) * count // workers]]
+            for j in range(workers)
+        )
+        #: pipe -> (process, shards still owed a message, in-flight first,
+        #: deadline of the in-flight shard)
         running: dict = {}
         ready: dict[int, ShardOutcome] = {}
         quarantine: dict[int, ShardQuarantine] = {}
         failures: dict[int, list[dict]] = {}
 
+        def deadline() -> float | None:
+            return None if self.shard_timeout is None else time.monotonic() + self.shard_timeout
+
         def spawn() -> None:
             while waiting and len(running) < workers:
-                shard, attempt = waiting.popleft()
+                run = waiting.popleft()
                 parent_end, child_end = ctx.Pipe(duplex=False)
                 proc = ctx.Process(
                     target=_process_shard_worker,
-                    args=(
-                        child_end, shard.spec, shard.index, shard.of, store_path, extended_grid
-                    ),
+                    args=(child_end, [shard for shard, _ in run], store_path, extended_grid),
                 )
                 proc.start()
                 child_end.close()
-                deadline = (
-                    None
-                    if self.shard_timeout is None
-                    else time.monotonic() + self.shard_timeout
-                )
-                running[parent_end] = (shard, proc, attempt, deadline)
+                running[parent_end] = (proc, deque(run), deadline())
 
         def settle_failure(shard: Shard, attempt: int, failure: dict) -> None:
             history = failures.setdefault(shard.index, [])
@@ -530,31 +555,39 @@ class ShardDriver:
                     shard.entry(), len(history), failure
                 )
             else:
-                waiting.append((shard, attempt + 1))
+                waiting.append([(shard, attempt + 1)])  # retried alone, in a fresh worker
 
-        def reap(conn, shard: Shard, proc, attempt: int) -> None:
+        def retire(conn, proc, *, terminate: bool = False) -> None:
+            del running[conn]
+            conn.close()
+            if terminate:
+                proc.terminate()
+            proc.join(timeout=5.0)
+            if proc.is_alive():  # pragma: no cover - wedged or unkillable worker
+                proc.kill()
+                proc.join(timeout=1.0)
+
+        def lose(run: deque, kind: str, message: str) -> None:
+            """A worker died or was killed: charge its in-flight shard one
+            attempt and re-offer the rest of its run, uncharged."""
+            shard, attempt = run.popleft()
+            failure = failure_record(
+                kind, label=shard_label(shard), phase="process", attempt=attempt, message=message
+            )
+            settle_failure(shard, attempt, failure)
+            if run:
+                waiting.append(list(run))
+
+        def receive(conn) -> None:
+            proc, run, _ = running[conn]
             try:
                 message = conn.recv()
             except (EOFError, OSError):
-                message = None
-            conn.close()
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - wedged post-report worker
-                proc.terminate()
-                proc.join(timeout=1.0)
-            if message is None:
-                settle_failure(
-                    shard,
-                    attempt,
-                    failure_record(
-                        "WorkerDied",
-                        label=shard_label(shard),
-                        phase="process",
-                        attempt=attempt,
-                        message=f"worker exited with code {proc.exitcode} before reporting",
-                    ),
-                )
-            elif message[0] == "error":
+                retire(conn, proc)
+                lose(run, "WorkerDied", f"worker exited with code {proc.exitcode} before reporting")
+                return
+            shard, attempt = run.popleft()
+            if message[0] == "error":
                 settle_failure(shard, attempt, message[1])
             else:
                 _, records, executions, hits, seconds = message
@@ -568,43 +601,29 @@ class ShardDriver:
                 if self.result_store is not None:
                     self.result_store.put(shard.entry(), results)
                 ready[shard.index] = ShardOutcome(shard.entry(), results, "process", seconds)
+            if run:
+                running[conn] = (proc, run, deadline())  # the next shard's clock starts
+            else:
+                retire(conn, proc)
 
         def kill_expired() -> None:
             now = time.monotonic()
-            for conn, (shard, proc, attempt, deadline) in list(running.items()):
-                if deadline is None or now < deadline:
-                    continue
-                del running[conn]
-                proc.terminate()
-                proc.join(timeout=5.0)
-                if proc.is_alive():  # pragma: no cover - terminate ignored
-                    proc.kill()
-                    proc.join(timeout=1.0)
-                conn.close()
-                settle_failure(
-                    shard,
-                    attempt,
-                    failure_record(
-                        "ShardTimeout",
-                        label=shard_label(shard),
-                        phase="process",
-                        attempt=attempt,
-                        message=f"hung worker killed after {self.shard_timeout:.3g}s",
-                    ),
-                )
+            for conn, (proc, run, expires) in list(running.items()):
+                if expires is not None and now >= expires:
+                    retire(conn, proc, terminate=True)
+                    lose(run, "ShardTimeout", f"hung worker killed after {self.shard_timeout:.3g}s")
 
         def pump_until(index: int) -> None:
             while index not in ready and index not in quarantine:
                 spawn()
-                deadlines = [d for (_, _, _, d) in running.values() if d is not None]
+                deadlines = [d for (_, _, d) in running.values() if d is not None]
                 wait_for = (
                     None
                     if not deadlines
                     else max(0.0, min(deadlines) - time.monotonic())
                 )
                 for conn in mp_connection.wait(list(running), timeout=wait_for):
-                    shard, proc, attempt, _ = running.pop(conn)
-                    reap(conn, shard, proc, attempt)
+                    receive(conn)
                 kill_expired()
 
         indexes = {shard.index for shard in to_execute}

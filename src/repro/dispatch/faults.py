@@ -28,7 +28,9 @@ A fault fires when its ``point`` matches, its ``match`` substring (if any)
 is found in the call-site context string (e.g. the task name — this is how
 one specific shard becomes the poison shard), and its ``times`` budget (if
 any) is not yet spent.  Counting is per-process and thread-safe, so "crash
-the first attempt, succeed on retry" is expressible and reproducible.
+the first attempt, succeed on retry" is expressible and reproducible.  A
+``process``-backend worker evaluates a whole run of shards, so its
+``times`` budget spans that run; a retry's fresh worker starts a new one.
 
 Plans are installed through the API (:func:`install`, :func:`reset`) or the
 ``REPRO_FAULTS`` environment variable — a JSON list such as::

@@ -97,6 +97,29 @@ from repro.models.languages import get_language, language_names
 __all__ = ["main", "build_parser"]
 
 
+def _at_least(kind: type, low, *, exclusive: bool = False):
+    """An argparse ``type=`` that converts to ``kind`` and turns a value
+    below ``low`` (or equal to it, when ``exclusive``) into a usage error."""
+
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not (value > low if exclusive else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if exclusive else '>='} {low}, got {text}"
+            )
+        return value
+
+    return convert
+
+
+_POSITIVE_INT = _at_least(int, 1)
+_NON_NEGATIVE_INT = _at_least(int, 0)
+_POSITIVE_FLOAT = _at_least(float, 0, exclusive=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-hpc-codex",
@@ -207,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="partition the grid, dispatch shards to workers, and merge the stream",
     )
     dispatch.add_argument(
-        "--shards", type=int, default=4, help="contiguous slices per seed (default 4)"
+        "--shards", type=_POSITIVE_INT, default=4, help="contiguous slices per seed (default 4)"
     )
     dispatch.add_argument(
         "--backend",
@@ -228,11 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue", default=None, metavar="DIR", help="queue directory (file-queue backend)"
     )
     dispatch.add_argument(
-        "--workers", type=int, default=None, help="subprocess pool width (process backend)"
+        "--workers",
+        type=_POSITIVE_INT,
+        default=None,
+        help="worker processes of the process backend, each evaluating a contiguous "
+        "run of the shards (default: one per core, at most 8, at most one per shard)",
     )
     dispatch.add_argument(
         "--max-shards",
-        type=int,
+        type=_NON_NEGATIVE_INT,
         default=None,
         metavar="N",
         help="stop after executing N shards (deterministic crash simulation; "
@@ -240,14 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dispatch.add_argument(
         "--max-attempts",
-        type=int,
+        type=_POSITIVE_INT,
         default=None,
         metavar="N",
         help="failed attempts before a shard is quarantined (default 3)",
     )
     dispatch.add_argument(
         "--shard-timeout",
-        type=float,
+        type=_POSITIVE_FLOAT,
         default=None,
         metavar="SECONDS",
         help="kill a process-backend shard exceeding this wall clock and retry it "
@@ -255,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dispatch.add_argument(
         "--heartbeat",
-        type=float,
+        type=_POSITIVE_FLOAT,
         default=None,
         metavar="SECONDS",
         help="file-queue claim-lease renewal interval (default 5; a claim is "

@@ -7,6 +7,9 @@ tests stay fast.
 
 from __future__ import annotations
 
+import multiprocessing
+import types
+
 import numpy as np
 import pytest
 
@@ -51,3 +54,34 @@ def full_results(evaluator: PromptEvaluator) -> ResultSet:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture()
+def started_processes(monkeypatch) -> list:
+    """The run of shards of every worker process the dispatch driver starts.
+
+    Wraps the context :mod:`repro.dispatch.driver` gets from
+    ``multiprocessing.get_context``; each ``Process`` it creates appends
+    the shard indexes handed to that worker.
+    """
+    from repro.dispatch import driver
+
+    started: list[list[int]] = []
+
+    class CountingContext:
+        def __init__(self, context) -> None:
+            self._context = context
+
+        def __getattr__(self, name):
+            return getattr(self._context, name)
+
+        def Process(self, *, target, args):
+            started.append([shard.index for shard in args[1]])
+            return self._context.Process(target=target, args=args)
+
+    monkeypatch.setattr(
+        driver,
+        "multiprocessing",
+        types.SimpleNamespace(get_context=lambda: CountingContext(multiprocessing.get_context())),
+    )
+    return started

@@ -167,6 +167,46 @@ class TestProcessDispatch:
         assert len(resumed.skipped) == 3 and len(resumed.executed) == 1
         assert resumed.result().to_records() == expected_records
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_counts_below_one_are_rejected(self, spec, workers):
+        # With no worker slot the process backend would wait forever.
+        with pytest.raises(ValueError, match=f"max_workers must be >= 1, got {workers}"):
+            ShardDriver(spec, shards=2, backend="process", max_workers=workers)
+
+    @pytest.mark.parametrize(
+        ("shards", "workers", "runs"),
+        [(4, 2, [[0, 1], [2, 3]]), (8, 3, [[0, 1], [2, 3, 4], [5, 6, 7]])],
+    )
+    def test_one_worker_per_slot_owns_a_contiguous_run(
+        self, spec, expected_records, started_processes, shards, workers, runs
+    ):
+        report = ShardDriver(spec, shards=shards, backend="process", max_workers=workers).run()
+        assert report.complete
+        assert report.result().to_records() == expected_records
+        assert [outcome.source for outcome in report.outcomes] == ["process"] * shards
+        assert started_processes == runs
+
+    def test_every_schedule_merges_to_the_serial_records(
+        self, spec, expected_records, started_processes
+    ):
+        for shards in (1, 2, 3, 4, 5, 8):
+            for workers in (1, 2, 3):
+                started_processes.clear()
+                report = ShardDriver(
+                    spec, shards=shards, backend="process", max_workers=workers
+                ).run()
+                assert report.result().to_records() == expected_records, (shards, workers)
+                assert len(started_processes) == min(shards, workers), (shards, workers)
+
+    def test_a_multi_seed_run_is_a_stretch_of_the_plan(self, started_processes):
+        spec = ExperimentSpec(seeds=(1, 2), languages=("julia",), kernels=("axpy", "gemv"))
+        report = ShardDriver(spec, shards=3, backend="process", max_workers=2).run()
+        assert report.complete and started_processes == [[0, 1, 2], [3, 4, 5]]
+        with Session() as session:
+            serial = session.run(spec)
+        for seed in (1, 2):
+            assert report.results[seed].to_records() == serial[seed].to_records()
+
     def test_process_counters_cross_the_boundary(self):
         # Python cells execute in the sandbox inside pool workers; the
         # driver's report must still see those executions.
@@ -354,6 +394,12 @@ class TestSessionDispatch:
             session.dispatch(spec, shards=2, result_store=tmp_path / "store")
         assert cells == spec.cells()
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_session_rejects_worker_counts_below_one(self, workers):
+        # Silently evaluating serially would hide the mistake.
+        with pytest.raises(ValueError, match=f"max_workers must be >= 1, got {workers}"):
+            Session(backend="process", max_workers=workers)
+
     def test_session_verdict_store_reaches_dispatch_workers(self, tmp_path):
         python_spec = ExperimentSpec(
             seeds=(DEFAULT_SEED,), languages=("python",), kernels=("axpy",)
@@ -404,6 +450,28 @@ class TestCliDispatch:
         assert "executed=2 skipped=2" in captured.out
         assert "shard-hits=2" in captured.err
         assert (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize(
+        ("flag", "value"),
+        [
+            ("--shards", "0"),
+            ("--workers", "0"),
+            ("--workers", "-2"),
+            ("--max-attempts", "0"),
+            ("--max-shards", "-1"),
+            ("--shard-timeout", "-1"),
+            ("--shard-timeout", "0"),
+            ("--heartbeat", "0"),
+        ],
+    )
+    def test_out_of_range_dispatch_flags_are_usage_errors(self, flag, value, capsys):
+        from repro.harness.cli import main
+
+        with pytest.raises(SystemExit) as exited:
+            main(["dispatch", "--backend", "process", "--languages", "julia", flag, value])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"argument {flag}: must be" in err
 
     def test_cli_dispatch_worker_drains_queue(self, spec, tmp_path, capsys):
         from repro.harness.cli import main

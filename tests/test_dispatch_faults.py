@@ -212,6 +212,96 @@ class TestProcessFaults:
         assert report.quarantined[0].failure["error"] == "InjectedCrash"
         assert "injected crash" in report.quarantined[0].failure["message"]
 
+    # One worker evaluates a contiguous run of shards ([0, 1] and [2, 3]
+    # here); failures are still charged to one shard at a time.
+    @pytest.mark.parametrize(
+        ("max_attempts", "runs"),
+        [(1, [[0, 1], [2, 3], [1]]), (2, [[0, 1], [2, 3], [0], [1]])],
+    )
+    def test_a_dead_worker_charges_only_its_in_flight_shard(
+        self, spec, expected_records, monkeypatch, started_processes, max_attempts, runs
+    ):
+        monkeypatch.setenv(
+            faults.FAULTS_ENV,
+            '[{"point": "worker.evaluate", "action": "die", "match": "-00000-"}]',
+        )
+        faults.reset()
+        report = ShardDriver(
+            spec, shards=4, backend="process", max_workers=2, max_attempts=max_attempts
+        ).run()
+        assert [dead.entry.index for dead in report.quarantined] == [0]
+        assert report.quarantined[0].failure["error"] == "WorkerDied"
+        assert report.quarantined[0].attempts == max_attempts
+        # Shard 1, unstarted when its worker died, is re-offered uncharged
+        # to a fresh worker (with max_attempts=1 a charge would quarantine
+        # it), and shard 0 is retried alone.
+        assert [outcome.entry.index for outcome in report.outcomes] == [1, 2, 3]
+        assert started_processes == runs
+        partial = report.results[DEFAULT_SEED].to_records()
+        assert partial == surviving_subset(spec, expected_records, {0})
+
+    def test_a_hung_shard_times_out_alone(
+        self, spec, expected_records, monkeypatch, started_processes, tmp_path
+    ):
+        monkeypatch.setenv(
+            faults.FAULTS_ENV,
+            '[{"point": "worker.evaluate", "action": "hang", "arg": 60, "match": "-00000-"}]',
+        )
+        faults.reset()
+        store = ResultStore(tmp_path / "store")
+        stored_at_announce: list[int] = []
+        start = time.monotonic()
+        report = ShardDriver(
+            spec,
+            shards=4,
+            backend="process",
+            max_workers=2,
+            max_attempts=1,
+            shard_timeout=1.0,
+            result_store=store,
+            on_shard=lambda outcome: stored_at_announce.append(len(store)),
+        ).run()
+        assert time.monotonic() - start < 10
+        # Shards 2 and 3 landed while shard 0 hung: they were persisted on
+        # arrival, before shard 1 (re-run after the kill) was announced.
+        assert stored_at_announce == [3, 3, 3]
+        assert [dead.entry.index for dead in report.quarantined] == [0]
+        assert report.quarantined[0].failure["error"] == "ShardTimeout"
+        assert [outcome.entry.index for outcome in report.outcomes] == [1, 2, 3]
+        assert started_processes == [[0, 1], [2, 3], [1]]
+        partial = report.results[DEFAULT_SEED].to_records()
+        assert partial == surviving_subset(spec, expected_records, {0})
+
+    def test_the_shard_timeout_clock_restarts_per_shard(self, spec, monkeypatch):
+        # Every shard hangs 0.5 s, so the one worker's run takes over 2 s,
+        # but no single shard comes near its 1.5 s limit.
+        monkeypatch.setenv(
+            faults.FAULTS_ENV, '[{"point": "worker.evaluate", "action": "hang", "arg": 0.5}]'
+        )
+        faults.reset()
+        report = ShardDriver(
+            spec, shards=4, backend="process", max_workers=1, max_attempts=1, shard_timeout=1.5
+        ).run()
+        assert report.complete and not report.quarantined
+
+    def test_a_crashing_worker_carries_on_with_its_run(
+        self, spec, monkeypatch, started_processes
+    ):
+        monkeypatch.setenv(
+            faults.FAULTS_ENV,
+            '[{"point": "worker.evaluate", "action": "crash", "match": "-00000-"}]',
+        )
+        faults.reset()
+        report = ShardDriver(
+            spec, shards=4, backend="process", max_workers=2, max_attempts=2
+        ).run()
+        assert [dead.entry.index for dead in report.quarantined] == [0]
+        assert report.quarantined[0].attempts == 2
+        assert [outcome.entry.index for outcome in report.outcomes] == [1, 2, 3]
+        # Two workers plus one retry of shard 0, alone: the crashing worker
+        # reported the error and still evaluated shard 1 itself.
+        assert started_processes == [[0, 1], [2, 3], [0]]
+
 
 # ---------------------------------------------------------------------------
 # File queue: leases, retries, dead letters

@@ -10,7 +10,10 @@ one compares the current code against numbers committed in
 * every cell's score at the default seed, so a failure names the cells
   that moved;
 * a sha256 per seed over the suggestion stream: each extended-grid cell's
-  ``(cell_id, suggestions, competence)`` for seeds 0-19, in grid order.
+  ``(cell_id, suggestions, competence)`` for seeds 0-19, in grid order;
+* one sha256 over the verdict payload of every template and mutant in the
+  extended grid's default corpus (the stock snippets included), in corpus
+  order (see :func:`verdict_digest`).
 
 A change that is meant to move any of these regenerates the file with::
 
@@ -29,10 +32,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.analyzer import SuggestionAnalyzer
 from repro.api.session import Session
 from repro.codex.config import DEFAULT_SEED
 from repro.codex.engine import SimulatedCodex
 from repro.codex.prompt import Prompt
+from repro.corpus.store import build_default_corpus
 from repro.extensions import (
     extended_grid_installed,
     install_extended_grid,
@@ -40,6 +45,7 @@ from repro.extensions import (
 )
 from repro.harness.io import save_records_json
 from repro.models.grid import experiment_grid
+from repro.models.programming_models import get_model, models_for_language
 
 GOLDEN = Path(__file__).with_name("golden") / "records.json"
 RUN_SEEDS = (1, 5, 7, DEFAULT_SEED)
@@ -72,6 +78,30 @@ def stream_digest(seed: int) -> str:
     return digest.hexdigest()
 
 
+def verdict_digest() -> str:
+    """sha256 over the verdict payload of every snippet of the installed
+    grid's default corpus (templates and mutants), in corpus order.
+
+    A private-memo analyzer judges each snippet, so no verdict computed
+    earlier in the process is reused.  The requested model is the
+    snippet's ``label_model`` when :func:`get_model` knows it; labels that
+    are not registered programming models (``serial``, ``none``) request
+    the language's first model instead.
+    """
+    analyzer = SuggestionAnalyzer(shared_memo=False)
+    digest = hashlib.sha256()
+    for snippet in build_default_corpus():
+        try:
+            model = get_model(snippet.label_model).uid
+        except KeyError:
+            model = models_for_language(snippet.language)[0].uid
+        verdict = analyzer.analyze(
+            snippet.code, language=snippet.language, kernel=snippet.kernel, requested_model=model
+        )
+        digest.update(json.dumps(verdict.to_payload(), sort_keys=True).encode("utf-8"))
+    return digest.hexdigest()
+
+
 def compute() -> dict:
     """Everything the golden file pins, computed by the current code."""
     was_extended = extended_grid_installed()
@@ -87,6 +117,7 @@ def compute() -> dict:
                         cell_name(record): record["score"] for record in json.loads(payload)
                     }
         golden["stream_sha256"] = {str(seed): stream_digest(seed) for seed in STREAM_SEEDS}
+        golden["verdict_sha256"] = verdict_digest()
     finally:
         (install_extended_grid if was_extended else uninstall_extended_grid)()
     return golden
@@ -126,6 +157,12 @@ def test_suggestion_stream(golden, current):
          if golden["stream_sha256"].get(seed) != current["stream_sha256"].get(seed))
     )
     assert not moved, f"suggestion stream changed at seeds {moved}"
+
+
+def test_verdict_payloads(golden, current):
+    assert current["verdict_sha256"] == golden["verdict_sha256"], (
+        "a corpus snippet's verdict payload changed"
+    )
 
 
 if __name__ == "__main__":
