@@ -4,28 +4,30 @@ Combines model detection, structural checks, kernel-semantics checks and
 (for Python) sandboxed execution into a single :class:`SuggestionVerdict`,
 which is what the proficiency metric in :mod:`repro.core` consumes.
 
-Analysis is pure in ``(code, language, kernel, requested_model)``, and
-only two of its fields — ``uses_requested_model`` and ``uses_other_model`` —
-depend on the requested model; both follow from ``detected_models``.  So
-verdicts are memoized **process-wide** on two levels: a verdict memo keyed on
-the full 4-tuple, and below it a code memo keyed on ``(code, language,
-kernel)`` holding the model-independent verdict.  Identical suggestions (the
-sampler emits near-duplicate completions by design, and the same template
-shows up as an "other model" answer to different prompts) are analyzed —
-and, for Python, sandbox-executed — once per process, whichever model they
-were requested for and however many runners or ablations ask (two threads
-meeting the same new suggestion at once may both compute the same verdict).
-Analyzers configured with a custom execution backend or with
-execution disabled get private memos instead, so their verdicts never leak
-into the shared store.
+Analysis is a pure function of ``(code, language, kernel)``.  Only two
+verdict fields — ``uses_requested_model`` and ``uses_other_model`` — depend
+on the model the prompt requested, and both follow from
+``detected_models``.  So verdicts are memoized on ``(code, language,
+kernel)`` alone, model-independent, in one **process-wide** memo, and every
+verdict handed out is a fresh projection of a memo entry onto the requested
+model.  Identical suggestions (the sampler emits near-duplicate completions
+by design, and the same template shows up as an "other model" answer to
+different prompts) are analyzed — and, for Python, sandbox-executed — once
+per process, whichever model they were requested for and however many
+runners or ablations ask (two threads meeting the same new suggestion at
+once may both compute the same verdict).  Analyzers configured with a
+custom execution backend or with execution disabled get a private memo
+instead, so their verdicts never leak into the shared memo or a store.
 
 Two further layers sit at this seam:
 
 * A persistent :class:`~repro.analysis.store.VerdictStore` can be attached
-  (``SuggestionAnalyzer(store=...)``): memo misses consult the on-disk store
-  before computing, and every verdict the analyzer computes is written back
-  — so verdicts survive the process and are shared across process-backend
-  workers and separate CLI invocations.
+  (``SuggestionAnalyzer(store=...)``).  It is keyed like the memo and holds
+  the same model-independent verdicts: memo misses consult the store before
+  computing, and every verdict the analyzer computes is written back — so
+  verdicts survive the process and are shared across process-backend
+  workers and separate CLI invocations, whatever model they were requested
+  for.
 * :meth:`SuggestionAnalyzer.analyze_batch` resolves a whole suggestion list
   at once.  Cache misses that need sandbox execution are collected and run
   as one batch through
@@ -39,7 +41,6 @@ Two further layers sit at this seam:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -54,14 +55,8 @@ from repro.sandbox.cuda_c.interpreter import shared_parse_scope
 
 __all__ = ["SuggestionAnalyzer", "analyze_suggestion", "clear_verdict_memo"]
 
-#: Memo key: (code, language, kernel, requested model uid).
-VerdictKey = tuple[str, str, str, str]
-
-#: Code memo key: (code, language, kernel).
+#: Memo and store key: (code, language, kernel).
 CodeKey = tuple[str, str, str]
-
-#: Process-wide verdict memo shared by every default-mode analyzer.
-_SHARED_VERDICT_MEMO: dict[VerdictKey, SuggestionVerdict] = {}
 
 #: Process-wide model-independent verdicts (requested-model flags unset),
 #: shared by every default-mode analyzer.
@@ -69,29 +64,29 @@ _SHARED_CODE_MEMO: dict[CodeKey, SuggestionVerdict] = {}
 
 
 def clear_verdict_memo() -> None:
-    """Empty the shared verdict and code memos (test isolation helper)."""
-    _SHARED_VERDICT_MEMO.clear()
+    """Empty the shared verdict memo (test isolation helper)."""
     _SHARED_CODE_MEMO.clear()
 
 
-def _copy_verdict(verdict: SuggestionVerdict) -> SuggestionVerdict:
-    """Defensive copy handed to callers: :class:`SuggestionVerdict` is
-    mutable, and an aliased memo entry would let one caller's mutation
-    poison every later analysis in the process."""
-    return dataclasses.replace(
-        verdict,
-        issues=list(verdict.issues),
-        static_findings=[dict(f) for f in verdict.static_findings],
-    )
-
-
 def _project(verdict: SuggestionVerdict, requested_uid: str) -> SuggestionVerdict:
-    """A copy of a model-independent verdict with the two requested-model
-    flags derived from its ``detected_models``."""
-    projected = _copy_verdict(verdict)
-    projected.uses_requested_model = requested_uid in verdict.detected_models
-    projected.uses_other_model = any(uid != requested_uid for uid in verdict.detected_models)
-    return projected
+    """A fresh copy of a model-independent verdict, with the two
+    requested-model flags derived from its ``detected_models``.
+
+    Every caller gets its own object: :class:`SuggestionVerdict` is mutable,
+    and an aliased memo entry would let one caller's mutation poison every
+    later analysis in the process.
+    """
+    detected = verdict.detected_models
+    return SuggestionVerdict(
+        is_code=verdict.is_code,
+        detected_models=detected,
+        uses_requested_model=requested_uid in detected,
+        uses_other_model=any(uid != requested_uid for uid in detected),
+        math_correct=verdict.math_correct,
+        issues=list(verdict.issues),
+        method=verdict.method,
+        static_findings=[dict(finding) for finding in verdict.static_findings],
+    )
 
 
 #: Signature of the pluggable Python execution backend:
@@ -140,13 +135,11 @@ class SuggestionAnalyzer:
         Pluggable execution backend; defaults to the sandbox in
         :mod:`repro.sandbox`.
     shared_memo:
-        Whether verdicts go into the process-wide memos.  ``None`` (default)
-        shares them exactly when the analyzer is in the default analysis
-        mode (executing, with the default sandbox backend); pass ``False``
-        to force private memos, ``True`` to share the verdict memo
-        regardless.  The code memo stays private outside the default mode
-        even then: its verdicts are written to stores, which hold only
-        default-mode verdicts.
+        Whether a default-mode analyzer (executing, with the default sandbox
+        backend) uses the process-wide memo (``True``, the default) or a
+        private one (``False``).  Analyzers outside the default mode always
+        get a private memo: the memo key carries no analysis mode, so a
+        shared entry would hand their verdicts to default-mode analyzers.
     store:
         Optional persistent :class:`~repro.analysis.store.VerdictStore` (or
         its directory path) layered below the in-memory memo.  Memo hits
@@ -156,18 +149,16 @@ class SuggestionAnalyzer:
 
     execute_python: bool = True
     python_executor: PythonExecutor | None = None
-    shared_memo: bool | None = None
+    shared_memo: bool = True
     store: VerdictStore | str | Path | None = None
-    _cache: dict[VerdictKey, SuggestionVerdict] = field(
-        default=None, repr=False  # type: ignore[assignment]
-    )
-    _code_memo: dict[CodeKey, SuggestionVerdict] = field(
+    _memo: dict[CodeKey, SuggestionVerdict] = field(
         default=None, init=False, repr=False  # type: ignore[assignment]
     )
 
     def __post_init__(self) -> None:
         self.store = VerdictStore.coerce(self.store)
-        if self.store is not None and (not self.execute_python or self.python_executor is not None):
+        default_mode = self.execute_python and self.python_executor is None
+        if self.store is not None and not default_mode:
             # The store key carries no analysis mode: letting a static-only
             # or custom-backend analyzer write it would hand default
             # analyzers mode-dependent verdicts (same reason those modes get
@@ -176,11 +167,7 @@ class SuggestionAnalyzer:
                 "a persistent verdict store only holds default-mode verdicts; it cannot "
                 "be combined with execute_python=False or a custom python_executor"
             )
-        default_mode = self.execute_python and self.python_executor is None
-        share = default_mode if self.shared_memo is None else self.shared_memo
-        if self._cache is None:
-            self._cache = _SHARED_VERDICT_MEMO if share else {}
-        self._code_memo = _SHARED_CODE_MEMO if share and default_mode else {}
+        self._memo = _SHARED_CODE_MEMO if self.shared_memo and default_mode else {}
 
     def analyze(
         self,
@@ -218,47 +205,48 @@ class SuggestionAnalyzer:
         """Analyze a whole suggestion list for one prompt.
 
         Produces exactly the verdicts :meth:`analyze` would produce one by
-        one, but resolves the caches first and then executes every pending
-        Python suggestion as a single sandbox batch (one fake-runtime
-        context, one oracle setup per kernel) — the cache-miss seam is where
-        batches form.  Duplicate suggestions inside the batch, and any
-        suggestion already analyzed for another requested model, are
-        analyzed once.
+        one.  Each distinct code is resolved once, in this order: the memo,
+        then the store (a hit fills the memo), then analysis.  Every pending
+        Python suggestion is executed in a single sandbox batch (one
+        fake-runtime context, one oracle setup per kernel) — the cache-miss
+        seam is where batches form.  Every position gets its own projected
+        verdict.
+
+        Memo hits are never written through to the store, so they stay
+        free.  A memo entry carries no provenance (it may have been read
+        from another store), so only verdicts this analyzer computed are
+        persisted.
         """
         lang = get_language(language)
         requested_uid = get_model(requested_model).uid
-        keys: list[VerdictKey] = [(code, lang.name, kernel, requested_uid) for code in codes]
-        out: list[SuggestionVerdict | None] = [None] * len(keys)
-        pending: dict[VerdictKey, list[int]] = {}
-        for position, key in enumerate(keys):
-            cached = self._lookup(key)
-            if cached is not None:
-                out[position] = _copy_verdict(cached)
+        keys: list[CodeKey] = [(code, lang.name, kernel) for code in codes]
+        resolved: dict[CodeKey, SuggestionVerdict] = {}
+        pending: list[CodeKey] = []
+        for key in dict.fromkeys(keys):
+            verdict = self._memo.get(key)
+            if verdict is None and self.store is not None:
+                verdict = self.store.get(key)
+                if verdict is not None:
+                    self._memo[key] = verdict
+            if verdict is None:
+                pending.append(key)
             else:
-                pending.setdefault(key, []).append(position)
+                resolved[key] = verdict
 
         if pending:
-            # One batch shares language, kernel and requested model, so its
-            # pending keys map one-to-one onto code keys.
-            resolved: dict[CodeKey, SuggestionVerdict] = {}
             to_execute: list[tuple[CodeKey, SuggestionVerdict]] = []
             # One parse scope for the whole batch: the Python checks, the
             # hazard analyzer and the sandbox share each code's and each
             # embedded CUDA source's parse; it is dropped on exit.
             with shared_parse_scope():
                 for key in pending:
-                    code_key = key[:3]
-                    known = self._code_memo.get(code_key)
-                    if known is not None:
-                        resolved[code_key] = known
-                        continue
-                    verdict, needs_execution = self._static_verdict(code_key, lang)
+                    verdict, needs_execution = self._static_verdict(key, lang)
                     if needs_execution:
-                        to_execute.append((code_key, verdict))
+                        to_execute.append((key, verdict))
                     else:
-                        resolved[code_key] = self._code_memo[code_key] = verdict
+                        resolved[key] = verdict
                 if to_execute:
-                    for (code_key, verdict), (passed, exec_issues) in zip(
+                    for (key, verdict), (passed, exec_issues) in zip(
                         to_execute, self._execute_pending(to_execute), strict=True
                     ):
                         issues = list(exec_issues)
@@ -266,40 +254,12 @@ class SuggestionAnalyzer:
                             issues.append("execution did not reproduce the oracle result")
                         verdict.issues.extend(issues)
                         verdict.math_correct = not issues
-                        resolved[code_key] = self._code_memo[code_key] = verdict
-            for key, positions in pending.items():
-                verdict = _project(resolved[key[:3]], requested_uid)
-                self._remember(key, verdict)
-                for position in positions:
-                    out[position] = _copy_verdict(verdict)
-        return out  # type: ignore[return-value]
-
-    # -- cache plumbing -------------------------------------------------------
-    def _lookup(self, key: VerdictKey) -> SuggestionVerdict | None:
-        """Memo first (free), then the persistent store (filling the memo).
-
-        Memo hits are deliberately *not* written through to the store: a
-        memo entry carries no provenance, and a ``shared_memo=True``
-        analyzer in a non-default mode may have put a mode-dependent verdict
-        there.  Only verdicts this analyzer computed itself — directly or by
-        projecting a code-memo entry, which only default-mode analyzers
-        share — or loaded from the store are ever persisted, so the store can
-        never serve a verdict a cold default-mode run would not reproduce.
-        """
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        if self.store is not None:
-            stored = self.store.get(key)
-            if stored is not None:
-                self._cache[key] = stored
-                return stored
-        return None
-
-    def _remember(self, key: VerdictKey, verdict: SuggestionVerdict) -> None:
-        self._cache[key] = verdict
-        if self.store is not None:
-            self.store.put(key, verdict)
+                        resolved[key] = verdict
+            for key in pending:
+                self._memo[key] = resolved[key]
+                if self.store is not None:
+                    self.store.put(key, resolved[key])
+        return [_project(resolved[key], requested_uid) for key in keys]
 
     # -- analysis -------------------------------------------------------------
     def _static_verdict(self, key: CodeKey, lang: Language) -> tuple[SuggestionVerdict, bool]:

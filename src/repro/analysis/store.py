@@ -2,14 +2,16 @@
 
 A :class:`VerdictStore` is an on-disk cache of
 :class:`~repro.analysis.verdict.SuggestionVerdict`s keyed on
-``(code, language, kernel, requested model uid)`` — the exact tuple analysis
-is pure in (see :mod:`repro.analysis.analyzer`) — and on the code that
-computes them.  It is the layer below the process-wide in-memory verdict
-memo: in-memory hits stay free, misses consult the store before paying for
-analysis (and, for Python, sandbox execution), and freshly computed
-verdicts are written back so *other processes* — process-backend workers,
-a later CLI invocation, another machine sharing the directory — never
-re-analyze a suggestion this process already judged.
+``(code, language, kernel)`` — the exact tuple analysis is pure in (see
+:mod:`repro.analysis.analyzer`) — and on the code that computes them.  The
+analyzer stores model-independent verdicts and derives the requested-model
+flags on every read, so one entry serves every prompt the code answers.  It
+is the layer below the process-wide in-memory verdict memo: in-memory hits
+stay free, misses consult the store before paying for analysis (and, for
+Python, sandbox execution), and freshly computed verdicts are written back
+so *other processes* — process-backend workers, a later CLI invocation,
+another machine sharing the directory — never re-analyze a suggestion this
+process already judged.
 
 The store mechanics live in :class:`ContentStore`, which is shared with
 the shard-level :class:`~repro.dispatch.store.ResultStore`:
@@ -45,7 +47,7 @@ Example:
 >>> from repro.analysis.verdict import SuggestionVerdict
 >>> tmp = tempfile.TemporaryDirectory()
 >>> store = VerdictStore(tmp.name)
->>> key = ("def axpy(a, x, y):\\n    return a * x + y\\n", "python", "axpy", "python.numpy")
+>>> key = ("def axpy(a, x, y):\\n    return a * x + y\\n", "python", "axpy")
 >>> store.get(key) is None  # empty store: a miss
 True
 >>> store.put(key, SuggestionVerdict(is_code=True, math_correct=True, method="executed"))
@@ -89,10 +91,11 @@ __all__ = [
 #: in :func:`~repro.analysis.verdict.verdict_digest` of their sources.
 #:
 #: 2: append-only segments, keys derived from the code.
-STORE_SCHEMA = 2
+#: 3: keyed on (code, language, kernel); the payload records no model.
+STORE_SCHEMA = 3
 
-#: Store key: (code, language, kernel, requested model uid).
-StoreKey = tuple[str, str, str, str]
+#: Store key: (code, language, kernel).
+StoreKey = tuple[str, str, str]
 
 
 def default_store_path() -> Path:
@@ -358,8 +361,8 @@ class VerdictStore(ContentStore):
         """Content digest of a key.  It folds in the schema and
         :func:`~repro.analysis.verdict.verdict_digest`, so both format
         changes and edits to the analysis code orphan old entries."""
-        code, language, kernel, model = key
-        head = f"{STORE_SCHEMA}\0{verdict_digest()}\0{language}\0{kernel}\0{model}\0"
+        code, language, kernel = key
+        head = f"{STORE_SCHEMA}\0{verdict_digest()}\0{language}\0{kernel}\0"
         digest = hashlib.sha256(head.encode("utf-8"))
         digest.update(code.encode("utf-8"))
         return digest.hexdigest()
@@ -371,7 +374,7 @@ class VerdictStore(ContentStore):
         def validate(payload: dict) -> SuggestionVerdict:
             if payload["schema"] != STORE_SCHEMA:
                 raise ValueError(f"schema {payload['schema']} != {STORE_SCHEMA}")
-            recorded = (payload["language"], payload["kernel"], payload["model"])
+            recorded = (payload["language"], payload["kernel"])
             if recorded != key[1:] or payload["code_sha"] != self._code_sha(key[0]):
                 raise ValueError("entry does not match the requested key")
             return SuggestionVerdict.from_payload(payload["verdict"])
@@ -385,7 +388,6 @@ class VerdictStore(ContentStore):
             "analysis": verdict_digest(),
             "language": key[1],
             "kernel": key[2],
-            "model": key[3],
             "code_sha": self._code_sha(key[0]),
             "verdict": verdict.to_payload(),
         }

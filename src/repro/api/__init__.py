@@ -65,7 +65,7 @@ from repro.api.spec import (
     merge_shard_payloads,
     shard_payload,
 )
-from repro.api.sweep import CellStatistics, SweepSummary, summarize_sweep
+
 #: Names re-exported lazily from :mod:`repro.dispatch` (PEP 562): the
 #: dispatch layer imports ``repro.api.spec``, so importing it eagerly here
 #: would be circular whenever ``repro.dispatch`` is imported first.
@@ -80,12 +80,20 @@ _DISPATCH_EXPORTS = frozenset(
     }
 )
 
+#: Names re-exported lazily from :mod:`repro.api.sweep`: only sweeps need
+#: them, so a plain run never compiles that module.
+_SWEEP_EXPORTS = frozenset({"CellStatistics", "SweepSummary", "summarize_sweep"})
+
 
 def __getattr__(name: str):
     if name in _DISPATCH_EXPORTS:
         import repro.dispatch
 
         return getattr(repro.dispatch, name)
+    if name in _SWEEP_EXPORTS:
+        import repro.api.sweep
+
+        return getattr(repro.api.sweep, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

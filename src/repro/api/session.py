@@ -2,9 +2,9 @@
 
 A ``Session`` owns:
 
-* the result cache, keyed on ``(seed, language, config fingerprint)`` and
-  LRU-bounded — *session-scoped*, so two sessions never share results and
-  tests get isolation by construction;
+* the result cache, keyed on ``(seed, language, config fingerprint, grid
+  digest)`` and LRU-bounded — *session-scoped*, so two sessions never share
+  results and tests get isolation by construction;
 * the evaluation backend, fixed per session: ``serial`` evaluates in the
   calling thread on pooled :class:`~repro.core.runner.EvaluationRunner`s,
   ``process`` spreads each evaluation over worker processes through the
@@ -152,9 +152,9 @@ class Session:
         self.max_workers = max_workers
         self.progress = progress
         self.verdict_store = VerdictStore.coerce(verdict_store)
-        self._cache: OrderedDict[tuple[int, str, str], ResultSet] = OrderedDict()
+        self._cache: OrderedDict[tuple[int, str, str, str], ResultSet] = OrderedDict()
         self._cache_max = int(cache_size)
-        self._runners: OrderedDict[tuple[int, str], EvaluationRunner] = OrderedDict()
+        self._runners: OrderedDict[tuple[int, str, str], EvaluationRunner] = OrderedDict()
         self._runners_max = int(max_runners)
         #: Work no pooled runner holds: retired runners and worker processes.
         self._sandbox_executions = 0
@@ -210,13 +210,13 @@ class Session:
         self._cache.clear()
 
     # -- cache plumbing -------------------------------------------------------
-    def _cache_get(self, key: tuple[int, str, str]) -> ResultSet | None:
+    def _cache_get(self, key: tuple[int, str, str, str]) -> ResultSet | None:
         result = self._cache.get(key)
         if result is not None:
             self._cache.move_to_end(key)
         return result
 
-    def _cache_put(self, key: tuple[int, str, str], value: ResultSet) -> None:
+    def _cache_put(self, key: tuple[int, str, str, str], value: ResultSet) -> None:
         self._cache[key] = value
         self._cache.move_to_end(key)
         while len(self._cache) > self._cache_max:
@@ -229,9 +229,13 @@ class Session:
         )
 
     def _runner(self, seed: int, config: CodexConfig) -> EvaluationRunner:
-        """The pooled runner for (seed, config), reused across calls."""
+        """The pooled runner for (seed, config), reused across calls.
+
+        The key also holds the grid digest: a runner's engine samples the
+        corpus of the grid installed when it was built.
+        """
         self._check_open()
-        key = (seed, config.fingerprint())
+        key = (seed, config.fingerprint(), ExperimentSpec().grid_digest())
         runner = self._runners.get(key)
         if runner is None:
             runner = EvaluationRunner(
@@ -287,14 +291,19 @@ class Session:
     ) -> dict[str, ResultSet]:
         """The session-cached results of each language, in the given order.
 
-        Every uncached language is evaluated in a single call (one dispatch
-        in process mode), then cached per language.
+        Each language's entry is keyed on the seed, the config fingerprint
+        and the digest of that language's cell enumeration, so a grid grown
+        after caching (``install_extended_grid()``) misses instead of
+        serving the old cells.  Every uncached language is evaluated in a
+        single call (one dispatch in process mode), then cached per
+        language.
         """
         fingerprint = config.fingerprint()
-        found = {
-            name: self._cache_get((seed, name, fingerprint))
+        keys = {
+            name: (seed, name, fingerprint, ExperimentSpec(languages=(name,)).grid_digest())
             for name in (get_language(language).name for language in languages)
         }
+        found = {name: self._cache_get(key) for name, key in keys.items()}
         missing = tuple(name for name, results in found.items() if results is None)
         if missing:
             evaluated = self._evaluate(
@@ -302,7 +311,7 @@ class Session:
             )
             for name in missing:
                 found[name] = evaluated.filter(language=name)
-                self._cache_put((seed, name, fingerprint), found[name])
+                self._cache_put(keys[name], found[name])
         return found
 
     def _combined(self, seed: int, config: CodexConfig, languages: Iterable[str]) -> ResultSet:
@@ -320,7 +329,7 @@ class Session:
         config: CodexConfig | None = None,
     ) -> ResultSet:
         """Evaluate all cells of one language's table, session-cached per
-        (seed, language, config fingerprint).
+        (seed, language, config fingerprint, grid digest).
 
         The returned :class:`ResultSet` is the shared cache entry — treat it
         as read-only and copy its results into a fresh set before adding to

@@ -45,13 +45,28 @@ class TestSessionCaching:
             assert first is not second
             assert first.to_records() == second.to_records()
 
+    def test_cache_follows_a_grid_grown_after_caching(self):
+        from repro.extensions import install_extended_grid, uninstall_extended_grid
+
+        with Session(seed=5) as session:
+            stock = session.language_results("python")
+            install_extended_grid()
+            try:
+                grown = session.language_results("python")
+                with Session(seed=5) as fresh:
+                    assert grown.to_records() == fresh.language_results("python").to_records()
+            finally:
+                uninstall_extended_grid()
+            assert len(grown) > len(stock)
+            assert session.language_results("python").to_records() == stock.to_records()
+
     def test_cache_is_lru_bounded(self):
         with Session(cache_size=4) as session:
             for i in range(6):
-                session._cache_put((i, "x", "f"), ResultSet(seed=i))
+                session._cache_put((i, "x", "f", "g"), ResultSet(seed=i))
             assert len(session._cache) == 4
-            assert (0, "x", "f") not in session._cache
-            assert (5, "x", "f") in session._cache
+            assert (0, "x", "f", "g") not in session._cache
+            assert (5, "x", "f", "g") in session._cache
 
 
 class TestSessionLifecycle:

@@ -54,8 +54,8 @@ def _verdict() -> SuggestionVerdict:
     )
 
 
-def _key(code: str = "def axpy(a, x, y):\n    return a * x + y\n") -> tuple[str, str, str, str]:
-    return (code, "python", "axpy", "python.numpy")
+def _key(code: str = "def axpy(a, x, y):\n    return a * x + y\n") -> tuple[str, str, str]:
+    return (code, "python", "axpy")
 
 
 @pytest.fixture()

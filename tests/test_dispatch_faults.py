@@ -526,7 +526,7 @@ class TestAtomicWrites:
         shard = spec.partition(1)[0]
         store = VerdictStore(tmp_path / "verdicts")
         store.put(
-            ("code", "python", "axpy", "python.numpy"),
+            ("code", "python", "axpy"),
             SuggestionVerdict(is_code=True, math_correct=True, method="executed"),
         )
         with Session(seed=DEFAULT_SEED) as session:

@@ -215,7 +215,7 @@ class TestVerdictMemo:
         clear_verdict_memo()
         try:
             first, second = SuggestionAnalyzer(), SuggestionAnalyzer()
-            assert first._cache is second._cache
+            assert first._memo is second._memo
             kwargs = dict(language="python", kernel="gemv", requested_model="python.numpy")
             first.analyze(code, **kwargs)
             second.analyze(code, **kwargs)
@@ -238,8 +238,8 @@ class TestVerdictMemo:
         stubbed = SuggestionAnalyzer(python_executor=lambda code, kernel: (True, []))
         static = SuggestionAnalyzer(execute_python=False)
         default = SuggestionAnalyzer()
-        assert stubbed._cache is not default._cache
-        assert static._cache is not default._cache
+        assert stubbed._memo is not default._memo
+        assert static._memo is not default._memo
 
     @pytest.mark.parametrize(
         "language, model, other_model, kernel",
@@ -446,7 +446,6 @@ class TestVerdictMemo:
         assert analyzer_module._SHARED_CODE_MEMO
         clear_verdict_memo()
         assert not analyzer_module._SHARED_CODE_MEMO
-        assert not analyzer_module._SHARED_VERDICT_MEMO
 
     def test_private_memo_analyzers_never_touch_the_shared_code_memo(self, corpus):
         from repro.analysis.verdict import SuggestionVerdict
@@ -463,15 +462,38 @@ class TestVerdictMemo:
                 SuggestionAnalyzer(shared_memo=False),
                 SuggestionAnalyzer(execute_python=False),
                 SuggestionAnalyzer(python_executor=lambda code, kernel: (True, [])),
-                # Forced-shared non-default analyzers share the verdict memo
-                # only: the code memo feeds stores.
+                # shared_memo=True shares only in the default mode.
                 SuggestionAnalyzer(execute_python=False, shared_memo=True),
             ):
                 assert "poisoned" not in private.analyze(code, **kwargs).issues
-                analyzer_module._SHARED_VERDICT_MEMO.clear()
             assert analyzer_module._SHARED_CODE_MEMO == {(code, "python", "axpy"): poisoned}
             # Non-vacuity: a default analyzer does read the shared entry.
             assert "poisoned" in SuggestionAnalyzer().analyze(code, **kwargs).issues
+        finally:
+            clear_verdict_memo()
+
+    def test_non_default_analyzers_never_write_the_shared_memo(self, corpus):
+        # Whatever shared_memo says, a static-only or custom-backend verdict
+        # must never reach the shared memo, where a default analyzer would
+        # serve it instead of executing the code.
+        code = corpus.template("python", "python.numpy", "axpy").code
+        kwargs = dict(language="python", kernel="axpy", requested_model="python.numpy")
+        stub = lambda code, kernel: (False, ["stubbed"])
+        clear_verdict_memo()
+        try:
+            for analyzer in (
+                SuggestionAnalyzer(execute_python=False),
+                SuggestionAnalyzer(execute_python=False, shared_memo=True),
+            ):
+                assert analyzer.analyze(code, **kwargs).method == "static"
+            for analyzer in (
+                SuggestionAnalyzer(python_executor=stub),
+                SuggestionAnalyzer(python_executor=stub, shared_memo=True),
+            ):
+                assert "stubbed" in analyzer.analyze(code, **kwargs).issues
+            assert not analyzer_module._SHARED_CODE_MEMO
+            verdict = SuggestionAnalyzer().analyze(code, **kwargs)
+            assert verdict.method == "executed" and verdict.is_correct
         finally:
             clear_verdict_memo()
 
@@ -524,10 +546,10 @@ class TestCacheLayers:
         with Session() as session:
             bound = session._cache_max
             for i in range(bound + 5):
-                session._cache_put((i, "x", "f"), ResultSet(seed=i))
+                session._cache_put((i, "x", "f", "g"), ResultSet(seed=i))
             assert len(session._cache) == bound
-            assert (0, "x", "f") not in session._cache
-            assert (bound + 4, "x", "f") in session._cache
+            assert (0, "x", "f", "g") not in session._cache
+            assert (bound + 4, "x", "f", "g") in session._cache
 
     def test_run_everything_evaluates_each_cell_once_per_fingerprint(self, monkeypatch):
         evaluated: list[tuple[str, str]] = []

@@ -47,8 +47,8 @@ def _verdict(n: int = 0) -> SuggestionVerdict:
     )
 
 
-def _key(n: int = 0) -> tuple[str, str, str, str]:
-    return (f"def axpy(a, x, y):\n    return a * x + y  # {n}\n", "python", "axpy", "python.numpy")
+def _key(n: int = 0) -> tuple[str, str, str]:
+    return (f"def axpy(a, x, y):\n    return a * x + y  # {n}\n", "python", "axpy")
 
 
 def _frames(segment) -> list[tuple[str, int]]:

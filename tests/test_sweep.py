@@ -13,8 +13,14 @@ The contract under test (docs/api.md, "Statistical sweeps"):
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.api import Session, SweepSummary, summarize_sweep
 from repro.core.runner import RecordResult, ResultSet
 
@@ -165,3 +171,29 @@ class TestSessionSweepSeeds:
             stats = summary.cell(cell.model, cell.kernel, use_postfix=cell.use_postfix)
             assert stats.mean == result.score
             assert stats.ci_low == stats.ci_high == result.score
+
+
+class TestLazyImport:
+    def test_plain_runs_never_load_the_sweep_module(self, tmp_path):
+        """Only sweeps need :mod:`repro.api.sweep`: importing ``repro.api``
+        and a ``run --json`` must not compile it, while its names stay
+        importable from ``repro.api``."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+        probe = (
+            "import sys, repro.api\n"
+            "loaded = ['repro.api.sweep' in sys.modules]\n"
+            "from repro.harness.cli import main\n"
+            f"assert main(['run', '--json', {str(tmp_path / 'run.json')!r}]) == 0\n"
+            "loaded.append('repro.api.sweep' in sys.modules)\n"
+            "from repro.api import SweepSummary\n"
+            "loaded.append('repro.api.sweep' in sys.modules)\n"
+            "print('loaded', loaded)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            check=True, timeout=120,
+        ).stdout
+        assert out.splitlines()[-1] == "loaded [False, False, True]"

@@ -7,7 +7,9 @@ Covers the tentpole guarantees:
   corruption, schema bumps, code edits, racing writers) to recompute —
   never to a wrong verdict;
 * the analyzer layers the store under the process-wide memo (memo hits stay
-  free and are written through; store hits fill the memo);
+  free and are never written through; store hits fill the memo), and one
+  model-independent entry per ``(code, language, kernel)`` serves every
+  requested model;
 * batched sandbox execution produces byte-identical outcomes to the serial
   path while counting every module execution;
 * warm-store runs — serial and process backend — reproduce cold records
@@ -16,6 +18,7 @@ Covers the tentpole guarantees:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 
@@ -46,8 +49,8 @@ def _verdict() -> SuggestionVerdict:
     )
 
 
-def _key(code: str = "def axpy(a, x, y):\n    return a * x + y\n") -> tuple[str, str, str, str]:
-    return (code, "python", "axpy", "python.numpy")
+def _key(code: str = "def axpy(a, x, y):\n    return a * x + y\n") -> tuple[str, str, str]:
+    return (code, "python", "axpy")
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +78,15 @@ class TestVerdictStoreRoundTrip:
         store = VerdictStore(tmp_path)
         store.put(_key(), _verdict())
         for other in (
-            ("other code", "python", "axpy", "python.numpy"),
-            (_key()[0], "julia", "axpy", "python.numpy"),
-            (_key()[0], "python", "gemv", "python.numpy"),
-            (_key()[0], "python", "axpy", "python.numba"),
+            ("other code", "python", "axpy"),
+            (_key()[0], "julia", "axpy"),
+            (_key()[0], "python", "gemv"),
         ):
             assert store.get(other) is None, other
+        # The requested model is not part of the key: one entry serves the
+        # python.numpy and python.numba prompts for this code alike.
+        assert store.get(_key()) == _verdict()
+        assert len(store) == 1
 
     def test_put_is_idempotent_across_instances(self, tmp_path):
         VerdictStore(tmp_path).put(_key(), _verdict())
@@ -281,9 +287,9 @@ class TestAnalyzerStoreIntegration:
         assert fresh_store.hits == 1
 
     def test_memo_hits_are_not_written_through(self, corpus, tmp_path):
-        # A memo entry carries no provenance (a forced-shared non-default
-        # analyzer may have put it there), so memo hits must never be
-        # persisted — only self-computed or store-loaded verdicts are.
+        # A memo entry carries no provenance (it may have been read from
+        # another store), so memo hits must never be persisted — only
+        # verdicts this analyzer computed are.
         code = corpus.template("julia", "julia.threads", "gemv").code
         kwargs = dict(language="julia", kernel="gemv", requested_model="julia.threads")
         clear_verdict_memo()
@@ -295,7 +301,11 @@ class TestAnalyzerStoreIntegration:
             clear_verdict_memo()
             verdict = SuggestionAnalyzer(store=store).analyze(code, **kwargs)  # computed
             assert len(store) == 1
-            assert VerdictStore(tmp_path).get((code, "julia", "gemv", "julia.threads")) == verdict
+            # The store holds the model-independent verdict; the
+            # requested-model flags are projected on every read.
+            assert VerdictStore(tmp_path).get((code, "julia", "gemv")) == dataclasses.replace(
+                verdict, uses_requested_model=False, uses_other_model=False
+            )
         finally:
             clear_verdict_memo()
 
@@ -307,9 +317,39 @@ class TestAnalyzerStoreIntegration:
         with pytest.raises(ValueError):
             SuggestionAnalyzer(python_executor=lambda code, kernel: (True, []), store=tmp_path)
 
+    def test_one_entry_serves_every_requested_model(self, corpus, tmp_path):
+        # The python.numba gemv template answers its own prompt and, as an
+        # "other model" answer, the python.numpy one: one stored entry must
+        # serve both, projected exactly like a fresh analysis.
+        code = corpus.template("python", "python.numba", "gemv").code
+        models = ("python.numba", "python.numpy")
+        kwargs = dict(language="python", kernel="gemv")
+        SuggestionAnalyzer(store=tmp_path, shared_memo=False).analyze(
+            code, requested_model=models[0], **kwargs
+        )
+        served = []
+        before = sandbox_execution_count()
+        for model in models:
+            store = VerdictStore(tmp_path)
+            served.append(
+                SuggestionAnalyzer(store=store, shared_memo=False).analyze(
+                    code, requested_model=model, **kwargs
+                )
+            )
+            assert store.hits == 1, model
+        assert sandbox_execution_count() == before
+        assert len(VerdictStore(tmp_path)) == 1
+        fresh = [
+            SuggestionAnalyzer(shared_memo=False).analyze(code, requested_model=model, **kwargs)
+            for model in models
+        ]
+        assert served == fresh
+        assert served[0].is_correct and not served[1].is_correct
+        assert served[1].uses_other_model
+
     def test_store_hit_fills_the_memo(self, corpus, tmp_path):
         code = corpus.template("fortran", "fortran.openmp", "axpy").code
-        key = (code, "fortran", "axpy", "fortran.openmp")
+        key = (code, "fortran", "axpy")
         store = VerdictStore(tmp_path)
         store.put(key, _verdict())
         analyzer = SuggestionAnalyzer(store=store, shared_memo=False)
@@ -451,9 +491,9 @@ class TestWarmStoreRuns:
             clear_verdict_memo()
 
     def test_store_filled_one_key_at_a_time_warms_with_zero_executions(self, tmp_path):
-        # Without the code memo every (code, language, kernel, model) key was
-        # analyzed on its own.  Keys and payloads are unchanged, so a store
-        # written that way must still serve a whole warm run.
+        # Private-memo analyzers filling the store one suggestion at a time
+        # write the same entries a whole run does, so such a store must
+        # still serve a whole warm run.
         from repro.codex.engine import SimulatedCodex
         from repro.codex.prompt import Prompt
         from repro.models.grid import experiment_grid
@@ -475,6 +515,51 @@ class TestWarmStoreRuns:
                 assert warm.language_results("python").to_records() == cold_records
                 assert warm.sandbox_executions == 0
                 assert warm.store_hits > 0
+        finally:
+            clear_verdict_memo()
+
+    def test_cold_and_warm_runs_touch_each_code_key_once(self, tmp_path, monkeypatch):
+        # A populating run writes exactly one entry per distinct
+        # (code, language, kernel) it analyzed, and a warm run reads each
+        # of them with exactly one store lookup.
+        from repro.models.languages import get_language
+
+        analyzed: set[tuple[str, str, str]] = set()
+        looked_up: list[tuple[str, str, str]] = []
+        analyze_batch = SuggestionAnalyzer.analyze_batch
+        get = VerdictStore.get
+
+        def recording_analyze_batch(self, codes, *, language, kernel, requested_model):
+            name = get_language(language).name
+            analyzed.update((code, name, kernel) for code in codes)
+            return analyze_batch(
+                self, codes, language=language, kernel=kernel, requested_model=requested_model
+            )
+
+        def recording_get(self, key):
+            looked_up.append(key)
+            return get(self, key)
+
+        monkeypatch.setattr(SuggestionAnalyzer, "analyze_batch", recording_analyze_batch)
+        monkeypatch.setattr(VerdictStore, "get", recording_get)
+        store_dir = tmp_path / "store"
+        languages = ("python", "cpp")
+        clear_verdict_memo()
+        try:
+            with Session(seed=DEFAULT_SEED, verdict_store=store_dir) as cold:
+                cold_records = [cold.language_results(name).to_records() for name in languages]
+                cold_writes = cold.verdict_store.writes
+            store = VerdictStore(store_dir)
+            assert len(store) == cold_writes == len(analyzed)
+            looked_up.clear()
+            clear_verdict_memo()
+            with Session(seed=DEFAULT_SEED, verdict_store=store_dir) as warm:
+                warm_records = [warm.language_results(name).to_records() for name in languages]
+                assert warm.sandbox_executions == 0
+                assert warm.store_hits == len(analyzed)
+            assert warm_records == cold_records
+            assert sorted(looked_up) == sorted(analyzed)  # each key read exactly once
+            assert len(VerdictStore(store_dir)) == len(analyzed)  # the warm run wrote nothing
         finally:
             clear_verdict_memo()
 
