@@ -4,8 +4,8 @@ Parallel Programming Models Kernel Generation* (ICPP-W 2023).
 The package is organised as a set of substrates plus the paper's core
 methodology:
 
-* :mod:`repro.kernels` — the six HPC numerical kernels (AXPY, GEMV, GEMM,
-  SpMV, Jacobi, CG) with problem generators and numerical oracles.
+* :mod:`repro.kernels` — the specs of the six HPC numerical kernels (AXPY,
+  GEMV, GEMM, SpMV, Jacobi, CG): name, complexity class and languages.
 * :mod:`repro.models` — languages, programming models and the Table 1
   experiment grid.
 * :mod:`repro.popularity` — synthetic popularity / maturity priors (GitHut,

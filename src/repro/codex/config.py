@@ -117,15 +117,20 @@ class CodexConfig:
         frozen but its dict-valued fields are not, so memoizing here would
         hand a mutated config its pre-mutation digest."""
 
+        def text(value) -> str:
+            # str() of an IntEnum member is its integer on Python 3.11+ but
+            # "Class.MEMBER" on 3.10; spell it as the integer on every version.
+            return str(int(value)) if isinstance(value, enum.IntEnum) else str(value)
+
         def encode(value):
             if dataclasses.is_dataclass(value) and not isinstance(value, type):
                 return {f.name: encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
             if isinstance(value, dict):
-                return sorted((str(k), encode(v)) for k, v in value.items())
+                return sorted((text(k), encode(v)) for k, v in value.items())
             if isinstance(value, (list, tuple)):
                 return [encode(v) for v in value]
             if isinstance(value, enum.Enum):
-                return str(value)
+                return text(value)
             return value
 
         payload = json.dumps(encode(self), sort_keys=True, default=str)
@@ -139,7 +144,7 @@ class CodexConfig:
     def prompt_clarity(self, prompt: Prompt) -> float:
         """How well the prompt text pins down what is being asked for."""
         lang = prompt.language.name
-        complexity = get_kernel(prompt.kernel).spec.complexity
+        complexity = get_kernel(prompt.kernel).complexity
         if not prompt.uses_keyword:
             table = (
                 self.bare_prompt_factor_trivial
@@ -155,7 +160,7 @@ class CodexConfig:
         return 1.0
 
     def complexity_factor(self, kernel: str) -> float:
-        return self.complexity_discount[get_kernel(kernel).spec.complexity]
+        return self.complexity_discount[get_kernel(kernel).complexity]
 
     def competence(self, prompt: Prompt) -> float:
         """Overall competence of the simulated model for this prompt, in [0, 1]."""

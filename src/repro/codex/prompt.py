@@ -40,7 +40,7 @@ class Prompt:
 
     @property
     def kernel_display(self) -> str:
-        return get_kernel(self.kernel).spec.display_name
+        return get_kernel(self.kernel).display_name
 
     @property
     def filename(self) -> str:

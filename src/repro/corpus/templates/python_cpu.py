@@ -4,7 +4,7 @@ The numpy templates are vectorised, idiomatic scientific-Python code; the
 Numba templates use ``@njit(parallel=True)`` with explicit ``prange`` loops,
 which is the style the Numba performance documentation recommends.  Both are
 *executable*: the evaluation sandbox runs them (Numba through a no-op JIT
-shim) against the numerical oracles in :mod:`repro.kernels`.
+shim) against the numerical oracles in :mod:`repro.sandbox.tasks`.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ The stock registries reproduce the paper's grid exactly as imported — 19
 models x 6 kernels across four languages.  This module grows that grid
 *without* perturbing it: :func:`install_extended_grid` registers
 
-* the two extension kernel families (``scan``, ``histogram`` — Python-only,
-  see :mod:`repro.kernels.scan` / :mod:`repro.kernels.histogram`),
+* the two extension kernel families (``scan``, ``histogram`` — Python-only
+  kernel specs whose oracles are their sandbox tasks in
+  :mod:`repro.sandbox.tasks`),
 * the ``python.kokkos`` programming model (executed by the
   :mod:`repro.sandbox.fake_kokkos` runtime),
 * the correct templates for every new cell
@@ -32,9 +33,8 @@ from __future__ import annotations
 from repro.corpus.store import clear_default_corpus_cache
 from repro.corpus.templates import register_templates, unregister_templates
 from repro.corpus.templates.python_extended import TEMPLATES as _EXTENDED_TEMPLATES
-from repro.kernels.histogram import HistogramKernel
+from repro.kernels.base import KernelComplexity, KernelSpec
 from repro.kernels.registry import register_kernel, unregister_kernel
-from repro.kernels.scan import ScanKernel
 from repro.models import grid
 from repro.models.programming_models import (
     ExecutionTarget,
@@ -54,6 +54,14 @@ __all__ = [
 
 #: Kernel families this installer adds.
 EXTENSION_KERNELS: tuple[str, ...] = ("scan", "histogram")
+
+#: Inclusive prefix sum, ``out[i] = sum(x[0..i])``: the canonical
+#: parallel-reduction pattern, target of the ``reduction_order`` mutation.
+_SCAN = KernelSpec("scan", "Scan", KernelComplexity.SIMPLE, languages=("python",))
+#: Per-bin counts from precomputed bin indices, ``hist[bins[i]] += 1``: a
+#: duplicate scatter whose GPU form needs ``atomicAdd`` (the ``drop_atomic``
+#: mutation removes it).
+_HISTOGRAM = KernelSpec("histogram", "Histogram", KernelComplexity.IRREGULAR, languages=("python",))
 
 #: The fourth Python programming-model column.
 EXTENSION_MODEL_UID = "python.kokkos"
@@ -97,8 +105,8 @@ def install_extended_grid() -> None:
     keyword variants); the other languages are untouched, as is every stock
     cell's random stream.
     """
-    register_kernel(ScanKernel())
-    register_kernel(HistogramKernel())
+    register_kernel(_SCAN)
+    register_kernel(_HISTOGRAM)
     register_model(_KOKKOS_MODEL)
     MODEL_MATURITY.setdefault(EXTENSION_MODEL_UID, _KOKKOS_MATURITY)
     register_templates("python", _EXTENDED_TEMPLATES)

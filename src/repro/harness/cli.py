@@ -779,7 +779,9 @@ def _cmd_cache(args: argparse.Namespace, session) -> int:
                 f"cache {args.action} requires --verdict-store (pass 'auto' to "
                 f"target the default store at {default_store_path()})"
             )
-        store = session.verdict_store or VerdictStore(default_store_path())
+        store = session.verdict_store
+        if store is None:
+            store = VerdictStore(default_store_path())
         label = "verdict store"
     if args.action == "stats":
         _print_store_stats(label, store.stats())

@@ -77,7 +77,7 @@ def render_language_table(
     ``include_findings`` each row gains a static-hazard count column.
     """
     lang = get_language(language)
-    headers = ["Prompt"] + [get_kernel(k).spec.display_name for k in kernel_names(lang.name)]
+    headers = ["Prompt"] + [get_kernel(k).display_name for k in kernel_names(lang.name)]
     if include_findings:
         headers.append("Hazards")
     blocks: list[str] = []

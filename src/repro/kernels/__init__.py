@@ -1,73 +1,41 @@
-"""Numerical kernel substrate.
+"""The evaluated kernels, as data.
 
-This sub-package implements, from scratch and in vectorised numpy, the six
-kernels evaluated by the paper together with their problem generators and
-numerical oracles:
+Each kernel is a :class:`~repro.kernels.base.KernelSpec` in the registry
+(:mod:`repro.kernels.registry`): the paper's six, in its table order —
 
-* :class:`~repro.kernels.axpy.AxpyKernel` — ``y = a * x + y``
-* :class:`~repro.kernels.gemv.GemvKernel` — ``y = alpha * A @ x + beta * y``
-* :class:`~repro.kernels.gemm.GemmKernel` — ``C = alpha * A @ B + beta * C``
-* :class:`~repro.kernels.spmv.SpmvKernel` — CSR sparse matrix-vector product
-* :class:`~repro.kernels.jacobi.JacobiKernel` — 3D 7-point Jacobi stencil
-* :class:`~repro.kernels.cg.CgKernel` — conjugate gradients on an SPD system
+* ``axpy`` — ``y = a * x + y``
+* ``gemv`` — ``y = A @ x``
+* ``gemm`` — ``C = A @ B``
+* ``spmv`` — ``y = A @ x`` for a CSR sparse matrix
+* ``jacobi`` — one 3-D 7-point Jacobi stencil sweep
+* ``cg`` — conjugate gradients on an SPD system
 
-Each kernel exposes a :class:`~repro.kernels.base.KernelSpec` describing its
-name, complexity class and arithmetic intensity; the complexity ordering
-(AXPY < GEMV < GEMM < SpMV < Jacobi < CG) is the one the paper uses when it
-argues that "the more complex the kernel, the fewer quality results are
-obtained".
+— followed by any extension families (:mod:`repro.extensions`).  The
+complexity ordering (AXPY < GEMV < GEMM < SpMV < Jacobi < CG) is the one
+the paper uses when it argues that "the more complex the kernel, the fewer
+quality results are obtained".  The numerical oracle a suggestion must
+reproduce is each kernel's sandbox task in :mod:`repro.sandbox.tasks`.
 """
 
 from __future__ import annotations
 
-from repro.kernels.base import (
-    Kernel,
-    KernelComplexity,
-    KernelSpec,
-    Problem,
-    ValidationResult,
-)
-from repro.kernels.axpy import AxpyKernel, axpy
-from repro.kernels.gemv import GemvKernel, gemv
-from repro.kernels.gemm import GemmKernel, gemm
-from repro.kernels.spmv import SpmvKernel, spmv
-from repro.kernels.jacobi import JacobiKernel, jacobi3d_step, jacobi3d_solve
-from repro.kernels.cg import CgKernel, conjugate_gradient, CgResult
-from repro.kernels.sparse import CsrMatrix, CooMatrix
+from repro.kernels.base import KernelComplexity, KernelSpec
 from repro.kernels.registry import (
     KERNEL_NAMES,
-    all_kernels,
+    STOCK_KERNEL_NAMES,
     get_kernel,
-    kernel_complexity_order,
+    kernel_names,
+    register_kernel,
+    unregister_kernel,
 )
-from repro.kernels.validation import allclose, relative_error
 
 __all__ = [
-    "Kernel",
     "KernelComplexity",
     "KernelSpec",
-    "Problem",
-    "ValidationResult",
-    "AxpyKernel",
-    "GemvKernel",
-    "GemmKernel",
-    "SpmvKernel",
-    "JacobiKernel",
-    "CgKernel",
-    "CgResult",
-    "CsrMatrix",
-    "CooMatrix",
-    "axpy",
-    "gemv",
-    "gemm",
-    "spmv",
-    "jacobi3d_step",
-    "jacobi3d_solve",
-    "conjugate_gradient",
     "KERNEL_NAMES",
-    "all_kernels",
+    "STOCK_KERNEL_NAMES",
     "get_kernel",
-    "kernel_complexity_order",
-    "allclose",
-    "relative_error",
+    "kernel_names",
+    "register_kernel",
+    "unregister_kernel",
 ]

@@ -1,13 +1,11 @@
-"""Base abstractions for the HPC kernel substrate.
+"""Kernel specs: the static description of each evaluated kernel.
 
-The paper evaluates six numerical kernels of increasing complexity.  Every
-kernel in :mod:`repro.kernels` implements the :class:`Kernel` interface:
-
-* a :class:`KernelSpec` describing the kernel (name, complexity class,
-  mathematical statement, number of constituent loops / sub-kernels), and
-* methods to generate random but well-conditioned problem instances, compute
-  a reference solution with vectorised numpy, and validate a candidate
-  output against that reference.
+The paper evaluates six numerical kernels of increasing complexity.  A
+:class:`KernelSpec` is everything the pipeline reads about one: its name,
+its table heading, its complexity class and the languages whose grids
+include it.  What a correct suggestion must compute is fixed by the
+kernel's sandbox task (:mod:`repro.sandbox.tasks`), the one numerical
+oracle.
 
 The complexity taxonomy mirrors the ordering used throughout the paper's
 discussion (Section 4.5): AXPY is the simplest single-loop kernel, CG is a
@@ -16,20 +14,10 @@ discussion (Section 4.5): AXPY is the simplest single-loop kernel, CG is a
 
 from __future__ import annotations
 
-import abc
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = [
-    "KernelComplexity",
-    "KernelSpec",
-    "Problem",
-    "ValidationResult",
-    "Kernel",
-]
+__all__ = ["KernelComplexity", "KernelSpec"]
 
 
 class KernelComplexity(enum.IntEnum):
@@ -69,19 +57,6 @@ class KernelSpec:
         Name as printed in the paper's tables (``"AXPY"``, ``"Jacobi"``...).
     complexity:
         Complexity class; drives both reporting order and generator priors.
-    statement:
-        One-line mathematical statement of the kernel.
-    num_subkernels:
-        Number of distinct computational primitives a full implementation
-        requires (1 for AXPY, 4+ for CG).  Used by the prior model: the paper
-        observes that "multistep or multikernel codes (e.g. CG)" are the
-        hardest to generate.
-    flops_per_element:
-        Approximate floating point operations per output element, used by the
-        benchmark harness to report achieved FLOP rates.
-    synonyms:
-        Alternative names that may appear in prompts or corpus snippets
-        (e.g. ``"daxpy"``, ``"matvec"``, ``"conjugate gradient"``).
     languages:
         Languages whose experiment grids include this kernel; ``None``
         (the default, and the value for every paper kernel) means all
@@ -92,123 +67,8 @@ class KernelSpec:
     name: str
     display_name: str
     complexity: KernelComplexity
-    statement: str
-    num_subkernels: int = 1
-    flops_per_element: float = 2.0
-    synonyms: tuple[str, ...] = ()
     languages: tuple[str, ...] | None = None
 
     def supports_language(self, language: str) -> bool:
         """True when this kernel belongs to ``language``'s grid."""
         return self.languages is None or language in self.languages
-
-    def matches_token(self, token: str) -> bool:
-        """Return True when ``token`` names this kernel (case-insensitive)."""
-        t = token.strip().lower()
-        if not t:
-            return False
-        if t == self.name or t == self.display_name.lower():
-            return True
-        return any(t == s.lower() for s in self.synonyms)
-
-
-@dataclass
-class Problem:
-    """A concrete problem instance for a kernel.
-
-    ``inputs`` maps argument names to numpy arrays or scalars; ``expected``
-    holds the oracle output computed by the reference implementation;
-    ``size`` is the characteristic problem size (vector length, matrix order,
-    grid edge ...) used by benchmarks for reporting.
-    """
-
-    kernel: str
-    size: int
-    inputs: dict[str, Any] = field(default_factory=dict)
-    expected: Any = None
-    metadata: dict[str, Any] = field(default_factory=dict)
-
-    def copy_inputs(self) -> dict[str, Any]:
-        """Return a deep copy of the inputs safe to hand to untrusted code.
-
-        Arrays are copied so that an (incorrect) candidate implementation
-        mutating its arguments cannot corrupt the oracle data.
-        """
-        out: dict[str, Any] = {}
-        for key, value in self.inputs.items():
-            if isinstance(value, np.ndarray):
-                out[key] = value.copy()
-            else:
-                out[key] = value
-        return out
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    """Outcome of validating a candidate output against the oracle."""
-
-    passed: bool
-    max_abs_error: float
-    max_rel_error: float
-    message: str = ""
-
-    def __bool__(self) -> bool:  # pragma: no cover - trivial
-        return self.passed
-
-
-class Kernel(abc.ABC):
-    """Abstract base class for the evaluated kernels."""
-
-    #: Subclasses must provide their static spec.
-    spec: KernelSpec
-
-    #: Default relative tolerance for validation.  Iterative kernels override
-    #: this with a looser value.
-    rtol: float = 1e-10
-    #: Default absolute tolerance for validation.
-    atol: float = 1e-12
-
-    # -- problem generation -------------------------------------------------
-    @abc.abstractmethod
-    def generate_problem(self, size: int, *, rng: np.random.Generator | None = None) -> Problem:
-        """Generate a random, well-conditioned problem of characteristic ``size``."""
-
-    # -- reference implementation ------------------------------------------
-    @abc.abstractmethod
-    def reference(self, inputs: Mapping[str, Any]) -> Any:
-        """Compute the oracle output for ``inputs`` using vectorised numpy."""
-
-    # -- validation ---------------------------------------------------------
-    def validate(self, candidate: Any, problem: Problem) -> ValidationResult:
-        """Compare ``candidate`` against the problem's expected output."""
-        from repro.kernels.validation import compare_outputs
-
-        return compare_outputs(candidate, problem.expected, rtol=self.rtol, atol=self.atol)
-
-    # -- convenience --------------------------------------------------------
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
-    def complexity(self) -> KernelComplexity:
-        return self.spec.complexity
-
-    def make_problem_with_expected(
-        self, size: int, *, rng: np.random.Generator | None = None
-    ) -> Problem:
-        """Generate a problem and fill in its oracle output."""
-        problem = self.generate_problem(size, rng=rng)
-        if problem.expected is None:
-            problem.expected = self.reference(problem.inputs)
-        return problem
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.spec.name!r} complexity={self.spec.complexity.name}>"
-
-
-def default_rng(rng: np.random.Generator | None, seed: int = 0) -> np.random.Generator:
-    """Return ``rng`` or a fresh deterministic generator seeded with ``seed``."""
-    if rng is None:
-        return np.random.default_rng(seed)
-    return rng

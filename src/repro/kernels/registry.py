@@ -4,56 +4,43 @@ The registry fixes the canonical kernel order used by every table and figure
 in the paper: AXPY, GEMV, GEMM, SpMV, Jacobi, CG (increasing complexity).
 
 The registry is extensible: :func:`register_kernel` appends an extension
-family after the paper's six (see :mod:`repro.extensions` and
+family's spec after the paper's six (see :mod:`repro.extensions` and
 ``docs/extending.md``).  The paper kernels always come first and keep their
 order, so the stock grid enumeration — and with it every stock cell's random
 stream — is unaffected by registration.  Dynamic consumers should call
-:func:`kernel_names` / :func:`kernels_for_language` rather than importing
-:data:`KERNEL_NAMES` by value; the module-level tuple is rebound on every
-(un)registration for interactive use, but by-value importers (the
-paper-reference modules, intentionally) keep the stock six.
+:func:`kernel_names` rather than importing :data:`KERNEL_NAMES` by value;
+the module-level tuple is rebound on every (un)registration for interactive
+use, but by-value importers (the paper-reference modules, intentionally)
+keep the stock six.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
-from repro.kernels.axpy import AxpyKernel
-from repro.kernels.base import Kernel
-from repro.kernels.cg import CgKernel
-from repro.kernels.gemm import GemmKernel
-from repro.kernels.gemv import GemvKernel
-from repro.kernels.jacobi import JacobiKernel
-from repro.kernels.spmv import SpmvKernel
+from repro.kernels.base import KernelComplexity, KernelSpec
 
 __all__ = [
     "KERNEL_NAMES",
     "STOCK_KERNEL_NAMES",
-    "all_kernels",
     "get_kernel",
-    "kernel_complexity_order",
-    "find_kernel",
     "kernel_names",
-    "kernels_for_language",
     "register_kernel",
     "unregister_kernel",
 ]
 
-_KERNEL_CLASSES = (
-    AxpyKernel,
-    GemvKernel,
-    GemmKernel,
-    SpmvKernel,
-    JacobiKernel,
-    CgKernel,
-)
-
-_REGISTRY: "OrderedDict[str, Kernel]" = OrderedDict(
-    (cls.spec.name, cls()) for cls in _KERNEL_CLASSES
-)
+_REGISTRY: dict[str, KernelSpec] = {
+    spec.name: spec
+    for spec in (
+        KernelSpec("axpy", "AXPY", KernelComplexity.TRIVIAL),  # y = a*x + y
+        KernelSpec("gemv", "GEMV", KernelComplexity.SIMPLE),  # y = A @ x
+        KernelSpec("gemm", "GEMM", KernelComplexity.MODERATE),  # C = A @ B
+        KernelSpec("spmv", "SpMV", KernelComplexity.IRREGULAR),  # y = A @ x, A in CSR
+        KernelSpec("jacobi", "Jacobi", KernelComplexity.STENCIL),  # 3-D 7-point sweep
+        KernelSpec("cg", "CG", KernelComplexity.MULTIKERNEL),  # solve A x = b, A SPD
+    )
+}
 
 #: The paper's six kernels, frozen — never affected by registration.
-STOCK_KERNEL_NAMES: tuple[str, ...] = tuple(_REGISTRY.keys())
+STOCK_KERNEL_NAMES: tuple[str, ...] = tuple(_REGISTRY)
 
 #: Canonical kernel order (matches the columns of the paper's tables).
 #: Rebound when extension kernels are (un)registered; prefer
@@ -70,35 +57,25 @@ def kernel_names(language: str | None = None) -> tuple[str, ...]:
     python-only extension families out of the C++/Fortran/Julia grids.
     """
     if language is None:
-        return tuple(_REGISTRY.keys())
-    return tuple(
-        name for name, kernel in _REGISTRY.items() if kernel.spec.supports_language(language)
-    )
+        return tuple(_REGISTRY)
+    return tuple(name for name, spec in _REGISTRY.items() if spec.supports_language(language))
 
 
-def kernels_for_language(language: str) -> tuple[Kernel, ...]:
-    """Kernel singletons in canonical order for one language's grid."""
-    return tuple(
-        kernel for kernel in _REGISTRY.values() if kernel.spec.supports_language(language)
-    )
-
-
-def register_kernel(kernel: Kernel) -> None:
-    """Append an extension kernel to the registry (idempotent).
+def register_kernel(spec: KernelSpec) -> None:
+    """Append an extension kernel's spec to the registry (idempotent).
 
     Re-registering the same name with a different spec is an error —
     silently replacing a kernel would re-key every cache built on kernel
     identity.  Stock kernels cannot be replaced.
     """
     global KERNEL_NAMES
-    name = kernel.spec.name
-    existing = _REGISTRY.get(name)
+    existing = _REGISTRY.get(spec.name)
     if existing is not None:
-        if existing.spec == kernel.spec:
+        if existing == spec:
             return
-        raise ValueError(f"kernel {name!r} is already registered with a different spec")
-    _REGISTRY[name] = kernel
-    KERNEL_NAMES = tuple(_REGISTRY.keys())
+        raise ValueError(f"kernel {spec.name!r} is already registered with a different spec")
+    _REGISTRY[spec.name] = spec
+    KERNEL_NAMES = tuple(_REGISTRY)
 
 
 def unregister_kernel(name: str) -> None:
@@ -107,16 +84,11 @@ def unregister_kernel(name: str) -> None:
     if name in STOCK_KERNEL_NAMES:
         raise ValueError(f"cannot unregister stock kernel {name!r}")
     _REGISTRY.pop(name, None)
-    KERNEL_NAMES = tuple(_REGISTRY.keys())
+    KERNEL_NAMES = tuple(_REGISTRY)
 
 
-def all_kernels() -> tuple[Kernel, ...]:
-    """Return all kernel singletons in canonical (complexity) order."""
-    return tuple(_REGISTRY.values())
-
-
-def get_kernel(name: str) -> Kernel:
-    """Look up a kernel by canonical name (case-insensitive)."""
+def get_kernel(name: str) -> KernelSpec:
+    """Look up a kernel's spec by canonical name (case-insensitive)."""
     key = name.strip().lower()
     try:
         return _REGISTRY[key]
@@ -124,21 +96,3 @@ def get_kernel(name: str) -> Kernel:
         raise KeyError(
             f"unknown kernel {name!r}; known kernels: {', '.join(_REGISTRY)}"
         ) from None
-
-
-def find_kernel(token: str) -> Kernel | None:
-    """Find a kernel by name or synonym; return None when nothing matches."""
-    token = token.strip().lower()
-    if token in _REGISTRY:
-        return _REGISTRY[token]
-    for kernel in _REGISTRY.values():
-        if kernel.spec.matches_token(token):
-            return kernel
-    return None
-
-
-def kernel_complexity_order() -> tuple[str, ...]:
-    """Kernel names sorted by increasing complexity class."""
-    return tuple(
-        k.spec.name for k in sorted(_REGISTRY.values(), key=lambda k: int(k.spec.complexity))
-    )

@@ -1,8 +1,9 @@
 """Execution sandbox for Python suggestions.
 
 The paper's authors judged GPU-targeting Python suggestions (cuPy, pyCUDA,
-Numba) by reading them; we go further and *execute* them against the
-numerical oracles, replacing the unavailable GPU stack with:
+Numba) by reading them; we go further and *execute* them against each
+kernel's numerical oracle (its :mod:`repro.sandbox.tasks` task), replacing
+the unavailable GPU stack with:
 
 * :mod:`repro.sandbox.fake_numba` — a no-op JIT (``@njit``/``@jit`` return
   the undecorated function, ``prange`` is ``range``),

@@ -30,7 +30,6 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from repro.analysis.pythonlang import parse_suggestion
-from repro.kernels.validation import compare_outputs
 from repro.sandbox.tasks import SandboxTask, get_task
 
 __all__ = [
@@ -194,11 +193,11 @@ def _compare_against_oracle(result: ExecutionResult, task: SandboxTask) -> Execu
             output = output.get()
         except Exception:  # pragma: no cover - defensive
             pass
-    comparison = compare_outputs(output, task.expected, rtol=task.rtol, atol=task.atol)
-    result.passed = comparison.passed
+    mismatch = task.mismatch(output)
     result.output = output
-    if not comparison.passed:
-        result.issues.append(f"numerical mismatch: {comparison.message}")
+    if mismatch is not None:
+        result.passed = False
+        result.issues.append(f"numerical mismatch: {mismatch}")
     return result
 
 

@@ -10,17 +10,17 @@ templates and real Copilot suggestions produce.
 Problem sizes are deliberately small: the evaluation measures correctness,
 not throughput, and the pyCUDA/cuPy suggestions run on an interpreted
 simulated device.
+
+A task is the kernel's only numerical oracle: :meth:`SandboxTask.mismatch`
+is the comparison every executed suggestion's output goes through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
-
-from repro.kernels.jacobi import jacobi3d_step
-from repro.kernels.sparse import poisson_2d
 
 __all__ = ["SandboxTask", "get_task", "register_task_builder", "TASK_SEED"]
 
@@ -48,6 +48,50 @@ class SandboxTask:
         for arg in self.args:
             out.append(arg.copy() if isinstance(arg, np.ndarray) else arg)
         return tuple(out)
+
+    def mismatch(self, output: Any) -> str | None:
+        """Why ``output`` fails this task's oracle, or None when it passes.
+
+        The comparison is defensive: a non-numeric output, a shape mismatch
+        that squeezing unit axes does not fix, NaN/Inf contamination or a
+        tolerance violation yields a human-readable message rather than an
+        exception.  Only a malformed oracle raises (``ValueError``).
+        """
+        exp = _as_float_array(self.expected)
+        if exp is None:
+            raise ValueError("expected output is not numeric; oracle is malformed")
+        cand = _as_float_array(output)
+        if cand is None:
+            return f"candidate output is not numeric (type {type(output).__name__})"
+        if cand.shape != exp.shape:
+            # Allow (n,) vs (n,1) style trivial mismatches only when squeezing fixes it.
+            if cand.squeeze().shape != exp.squeeze().shape:
+                return f"shape mismatch: candidate {cand.shape} vs expected {exp.shape}"
+            cand, exp = cand.squeeze(), exp.squeeze()
+        if not np.all(np.isfinite(cand)):
+            return "candidate output contains NaN or Inf"
+        if np.allclose(cand, exp, rtol=self.rtol, atol=self.atol):
+            return None
+        # Equal shapes and a failed allclose: neither array is empty.
+        abs_err = float(np.max(np.abs(cand - exp)))
+        tol = self.atol + self.rtol * float(np.max(np.abs(exp)))
+        return f"max abs error {abs_err:.3e} exceeds tolerance {tol:.3e}"
+
+
+def _as_float_array(value: Any) -> np.ndarray | None:
+    """``value`` as a float64 array, or None when it is not numeric.
+
+    Arrays (except object arrays), numbers and lists/tuples convert; a
+    string, ``None``, a ragged container or anything else does not.
+    """
+    if isinstance(value, np.ndarray) and value.dtype == object:
+        return None
+    if not isinstance(value, (np.ndarray, int, float, complex, np.generic, list, tuple)):
+        return None
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        return None
 
 
 def _rng(kernel: str) -> np.random.Generator:
@@ -93,25 +137,59 @@ def _gemm_task() -> SandboxTask:
     return SandboxTask(kernel="gemm", args=(a, b), expected=a @ b)
 
 
+def _poisson_2d(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices, data)`` of the 5-point 2-D Poisson operator.
+
+    Row ``r = i * n + j`` of the ``n*n`` x ``n*n`` operator holds 4 on the
+    diagonal and -1 for each neighbour on the ``n`` x ``n`` grid, columns
+    ascending within the row.
+    """
+    indptr, indices, data = [0], [], []
+    for i in range(n):
+        for j in range(n):
+            r = i * n + j
+            for col, inside in (
+                (r - n, i > 0),
+                (r - 1, j > 0),
+                (r, True),
+                (r + 1, j < n - 1),
+                (r + n, i < n - 1),
+            ):
+                if inside:
+                    indices.append(col)
+                    data.append(4.0 if col == r else -1.0)
+            indptr.append(len(indices))
+    return (
+        np.array(indptr, dtype=np.int64),
+        np.array(indices, dtype=np.int64),
+        np.array(data, dtype=np.float64),
+    )
+
+
 @_register("spmv")
 def _spmv_task() -> SandboxTask:
     rng = _rng("spmv")
-    matrix = poisson_2d(4)  # 16 x 16, 64 non-zeros
-    x = rng.standard_normal(matrix.n_cols)
-    expected = matrix.matvec(x)
-    return SandboxTask(
-        kernel="spmv",
-        args=(matrix.indptr.copy(), matrix.indices.copy(), matrix.data.copy(), x),
-        expected=expected,
-    )
+    indptr, indices, data = _poisson_2d(4)  # 16 x 16, 64 non-zeros
+    x = rng.standard_normal(indptr.size - 1)
+    expected = np.add.reduceat(data * x[indices], indptr[:-1])
+    return SandboxTask(kernel="spmv", args=(indptr, indices, data, x), expected=expected)
 
 
 @_register("jacobi")
 def _jacobi_task() -> SandboxTask:
+    # One 7-point sweep with a zero right-hand side; the boundary is copied.
     rng = _rng("jacobi")
     n = 6
     u = rng.standard_normal((n, n, n))
-    expected = jacobi3d_step(u, None, 1.0)
+    expected = u.copy()
+    expected[1:-1, 1:-1, 1:-1] = (
+        u[:-2, 1:-1, 1:-1]
+        + u[2:, 1:-1, 1:-1]
+        + u[1:-1, :-2, 1:-1]
+        + u[1:-1, 2:, 1:-1]
+        + u[1:-1, 1:-1, :-2]
+        + u[1:-1, 1:-1, 2:]
+    ) / 6.0
     return SandboxTask(kernel="jacobi", args=(u,), expected=expected)
 
 

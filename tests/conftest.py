@@ -56,6 +56,25 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
+@pytest.fixture(scope="session")
+def call_template():
+    """``call_template(model, kernel, *args)`` runs the corpus's
+    ``python.<model>`` template for ``kernel`` in the sandbox, calling its
+    entry function on ``args``, and returns the
+    :class:`~repro.sandbox.executor.ExecutionResult` (not compared with any
+    oracle).  The templates are the executable implementations of each
+    kernel that the kernel tests exercise on inputs of their own."""
+    from repro.corpus.templates import get_template
+    from repro.sandbox.executor import run_python_suggestion
+    from repro.sandbox.tasks import SandboxTask
+
+    def call(model: str, kernel: str, *args):
+        task = SandboxTask(kernel=kernel, args=args, expected=np.zeros(0))
+        return run_python_suggestion(get_template("python", model, kernel), kernel, task)
+
+    return call
+
+
 @pytest.fixture()
 def started_processes(monkeypatch) -> list:
     """The run of shards of every worker process the dispatch driver starts.

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +115,24 @@ class TestCodexConfig:
         easy = self.config.expected_score(Prompt(kernel="axpy", model_uid="cpp.openmp", postfix="function"))
         assert easy > hard
         assert 0.0 <= hard <= easy <= 0.75
+
+    def test_fingerprint_does_not_depend_on_the_intenum_str(self):
+        # Python 3.10's str() of an IntEnum member is "Class.MEMBER", 3.11's
+        # is the integer; the complexity_discount keys are IntEnum members.
+        class Complexity310(enum.IntEnum):
+            TRIVIAL = 1
+            SIMPLE = 2
+            MODERATE = 3
+            IRREGULAR = 4
+            STENCIL = 5
+            MULTIKERNEL = 6
+
+            __str__ = enum.Enum.__str__
+
+        assert str(Complexity310.TRIVIAL) == "Complexity310.TRIVIAL"
+        discount = {Complexity310(int(k)): v for k, v in self.config.complexity_discount.items()}
+        legacy = dataclasses.replace(self.config, complexity_discount=discount)
+        assert legacy.fingerprint() == self.config.fingerprint() == "99936806d3010042"
 
     @given(c=st.floats(0.0, 1.0))
     @settings(max_examples=40, deadline=None)

@@ -13,7 +13,10 @@ one compares the current code against numbers committed in
   ``(cell_id, suggestions, competence)`` for seeds 0-19, in grid order;
 * one sha256 over the verdict payload of every template and mutant in the
   extended grid's default corpus (the stock snippets included), in corpus
-  order (see :func:`verdict_digest`).
+  order (see :func:`verdict_digest`);
+* one sha256 over every kernel's sandbox task: its arguments, its oracle
+  output and its tolerances (see :func:`task_digest`).  A last-bit change
+  in an oracle array flips no verdict, so only this key catches it.
 
 A change that is meant to move any of these regenerates the file with::
 
@@ -30,6 +33,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.analysis.analyzer import SuggestionAnalyzer
@@ -46,11 +50,14 @@ from repro.extensions import (
 from repro.harness.io import save_records_json
 from repro.models.grid import experiment_grid
 from repro.models.programming_models import get_model, models_for_language
+from repro.sandbox.tasks import get_task
 
 GOLDEN = Path(__file__).with_name("golden") / "records.json"
 RUN_SEEDS = (1, 5, 7, DEFAULT_SEED)
 STREAM_SEEDS = range(20)
 GRIDS = ("stock", "extended")
+#: Every kernel with a sandbox task, stock and extension families alike.
+TASK_KERNELS = ("axpy", "gemv", "gemm", "spmv", "jacobi", "cg", "scan", "histogram")
 
 
 def cell_name(record: dict) -> str:
@@ -102,6 +109,27 @@ def verdict_digest() -> str:
     return digest.hexdigest()
 
 
+def task_digest() -> str:
+    """sha256 over every sandbox task in :data:`TASK_KERNELS` order.
+
+    Each argument and the oracle output contribute their dtype, shape and
+    bytes when they are arrays and their ``repr`` when they are scalars;
+    the task's ``(rtol, atol)`` closes each kernel's entry.
+    """
+    digest = hashlib.sha256()
+    for kernel in TASK_KERNELS:
+        task = get_task(kernel)
+        digest.update(kernel.encode("utf-8"))
+        for value in (*task.args, task.expected):
+            if isinstance(value, np.ndarray):
+                digest.update(repr((value.dtype.str, value.shape)).encode("utf-8"))
+                digest.update(np.ascontiguousarray(value).tobytes())
+            else:
+                digest.update(repr(value).encode("utf-8"))
+        digest.update(repr((task.rtol, task.atol)).encode("utf-8"))
+    return digest.hexdigest()
+
+
 def compute() -> dict:
     """Everything the golden file pins, computed by the current code."""
     was_extended = extended_grid_installed()
@@ -118,6 +146,7 @@ def compute() -> dict:
                     }
         golden["stream_sha256"] = {str(seed): stream_digest(seed) for seed in STREAM_SEEDS}
         golden["verdict_sha256"] = verdict_digest()
+        golden["task_sha256"] = task_digest()
     finally:
         (install_extended_grid if was_extended else uninstall_extended_grid)()
     return golden
@@ -162,6 +191,12 @@ def test_suggestion_stream(golden, current):
 def test_verdict_payloads(golden, current):
     assert current["verdict_sha256"] == golden["verdict_sha256"], (
         "a corpus snippet's verdict payload changed"
+    )
+
+
+def test_sandbox_tasks(golden, current):
+    assert current["task_sha256"] == golden["task_sha256"], (
+        "a sandbox task's arguments, oracle output or tolerances changed"
     )
 
 

@@ -1,4 +1,10 @@
-"""Tests for the Jacobi stencil and the CG solver."""
+"""Tests for the Jacobi stencil and the CG solver.
+
+Each kernel is its spec, its sandbox task (the oracle) and the corpus's
+executable Python templates.  The sweep and solver tests call the CPU
+templates (numpy and Numba) in the sandbox on inputs of their own; the
+kernel tests run every Python model's template against the kernel's task.
+"""
 
 from __future__ import annotations
 
@@ -7,184 +13,303 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.corpus.templates import get_template
 from repro.kernels.base import KernelComplexity
-from repro.kernels.cg import CgKernel, conjugate_gradient
-from repro.kernels.jacobi import JacobiKernel, jacobi2d_step, jacobi3d_solve, jacobi3d_step
-from repro.kernels.sparse import poisson_2d
+from repro.kernels.registry import get_kernel
+from repro.sandbox.executor import evaluate_python_suggestion, run_python_suggestion
+from repro.sandbox.tasks import SandboxTask, get_task
+
+#: The templates that run on the host, called on arbitrary inputs.
+CPU_MODELS = ("numpy", "numba")
+#: Every stock Python model; each template must pass its kernel's task.
+PYTHON_MODELS = ("numpy", "numba", "cupy", "pycuda")
+
+_JACOBI_2D = '''def jacobi(u):
+    u_new = u.copy()
+    u_new[1:-1, 1:-1, :] = (
+        u[:-2, 1:-1, :] + u[2:, 1:-1, :] + u[1:-1, :-2, :] + u[1:-1, 2:, :]
+    ) / 4.0
+    return u_new
+'''
+
+_JACOBI_2D_ONLY = '''def jacobi(u):
+    n, m = u.shape
+    u_new = u.copy()
+    for i in range(1, n - 1):
+        for j in range(1, m - 1):
+            u_new[i, j] = (u[i - 1, j] + u[i + 1, j] + u[i, j - 1] + u[i, j + 1]) / 4.0
+    return u_new
+'''
+
+
+def _output(result):
+    assert result.passed, result.issues
+    return result.output
+
+
+def _raised(result) -> str:
+    assert not result.passed
+    (issue,) = result.issues
+    return issue
+
+
+def _poisson_2d_dense() -> np.ndarray:
+    """The spmv task's CSR operator (the 16 x 16 2-D Poisson matrix), dense."""
+    indptr, indices, data, _ = get_task("spmv").args
+    dense = np.zeros((indptr.size - 1, indptr.size - 1))
+    for row in range(indptr.size - 1):
+        dense[row, indices[indptr[row] : indptr[row + 1]]] = data[indptr[row] : indptr[row + 1]]
+    return dense
+
+
+def _sweeps(call_template, u: np.ndarray, count: int) -> tuple[np.ndarray, float]:
+    """``count`` numpy-template sweeps of ``u``; returns the grid and the last update's norm."""
+    norm = 0.0
+    for _ in range(count):
+        swept = _output(call_template("numpy", "jacobi", u))
+        norm = float(np.linalg.norm(swept - u))
+        u = swept
+    return u, norm
 
 
 class TestJacobiStep:
-    def test_interior_update_formula(self):
+    def test_interior_update_formula(self, call_template):
         u = np.zeros((3, 3, 3))
         u[0, 1, 1] = 6.0  # single neighbour contributes 6/6 = 1 to the centre
-        result = jacobi3d_step(u)
-        assert result[1, 1, 1] == pytest.approx(1.0)
+        for model in CPU_MODELS:
+            assert _output(call_template(model, "jacobi", u))[1, 1, 1] == pytest.approx(1.0)
 
-    def test_boundary_preserved(self, rng):
+    def test_jacobi_expected_is_one_7_point_sweep_with_the_boundary_copied(self):
+        task = get_task("jacobi")
+        (u,) = task.args
+        n = u.shape[0]
+        swept = u.copy()
+        for i in range(1, n - 1):
+            for j in range(1, n - 1):
+                for k in range(1, n - 1):
+                    swept[i, j, k] = (
+                        u[i - 1, j, k] + u[i + 1, j, k]
+                        + u[i, j - 1, k] + u[i, j + 1, k]
+                        + u[i, j, k - 1] + u[i, j, k + 1]
+                    ) / 6.0
+        np.testing.assert_array_equal(task.expected, swept)
+        assert not np.array_equal(task.expected, u)
+
+    def test_boundary_preserved(self, rng, call_template):
         u = rng.standard_normal((5, 5, 5))
-        result = jacobi3d_step(u)
-        np.testing.assert_array_equal(result[0], u[0])
-        np.testing.assert_array_equal(result[-1], u[-1])
-        np.testing.assert_array_equal(result[:, 0, :], u[:, 0, :])
+        for model in CPU_MODELS:
+            result = _output(call_template(model, "jacobi", u))
+            np.testing.assert_array_equal(result[0], u[0])
+            np.testing.assert_array_equal(result[-1], u[-1])
+            np.testing.assert_array_equal(result[:, 0, :], u[:, 0, :])
+            np.testing.assert_array_equal(result[:, :, -1], u[:, :, -1])
 
     def test_rhs_term(self):
-        u = np.zeros((3, 3, 3))
-        f = np.zeros((3, 3, 3))
-        f[1, 1, 1] = 6.0
-        result = jacobi3d_step(u, f, h=1.0)
-        assert result[1, 1, 1] == pytest.approx(1.0)
+        """The task's sweep is ``(neighbours + h*h*f) / 6`` with ``f = 0``."""
+        task = get_task("jacobi")
+        (u,) = task.args
+        f = np.zeros_like(u)
+        h = 1.0 / (u.shape[0] - 1)
+        swept = u.copy()
+        swept[1:-1, 1:-1, 1:-1] = (
+            u[:-2, 1:-1, 1:-1]
+            + u[2:, 1:-1, 1:-1]
+            + u[1:-1, :-2, 1:-1]
+            + u[1:-1, 2:, 1:-1]
+            + u[1:-1, 1:-1, :-2]
+            + u[1:-1, 1:-1, 2:]
+            + h * h * f[1:-1, 1:-1, 1:-1]
+        ) / 6.0
+        np.testing.assert_array_equal(task.expected, swept)
 
     def test_small_grid_returns_copy(self):
         u = np.ones((2, 2, 2))
-        result = jacobi3d_step(u)
-        np.testing.assert_array_equal(result, u)
-        assert result is not u
+        task = SandboxTask(kernel="jacobi", args=(u,), expected=u)
+        for model in CPU_MODELS:
+            code = get_template("python", model, "jacobi")
+            result = _output(run_python_suggestion(code, "jacobi", task))
+            np.testing.assert_array_equal(result, u)
+            assert result is not u
 
-    def test_requires_3d(self):
-        with pytest.raises(ValueError):
-            jacobi3d_step(np.zeros((3, 3)))
+    def test_requires_3d(self, call_template):
+        for model in CPU_MODELS:
+            issue = _raised(call_template(model, "jacobi", np.zeros((3, 3))))
+            assert issue.startswith("calling jacobi() raised IndexError: too many indices")
 
     def test_rhs_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            jacobi3d_step(np.zeros((3, 3, 3)), np.zeros((4, 4, 4)))
+        assert get_task("jacobi").mismatch(np.zeros((4, 4, 4))) == (
+            "shape mismatch: candidate (4, 4, 4) vs expected (6, 6, 6)"
+        )
 
-    def test_constant_field_is_fixed_point(self):
+    def test_constant_field_is_fixed_point(self, call_template):
         u = np.full((5, 5, 5), 3.25)
-        np.testing.assert_allclose(jacobi3d_step(u), u)
+        for model in CPU_MODELS:
+            np.testing.assert_allclose(_output(call_template(model, "jacobi", u)), u)
 
     def test_2d_variant(self):
-        u = np.zeros((3, 3))
-        u[0, 1] = 4.0
-        result = jacobi2d_step(u)
-        assert result[1, 1] == pytest.approx(1.0)
+        """A 5-point sweep over the first two axes is not the task's 7-point sweep."""
+        assert _raised(evaluate_python_suggestion(_JACOBI_2D, "jacobi")).startswith(
+            "numerical mismatch: max abs error"
+        )
 
     def test_2d_requires_2d(self):
-        with pytest.raises(ValueError):
-            jacobi2d_step(np.zeros((3, 3, 3)))
+        """The task's grid is 3-D, so code written for 2-D grids raises."""
+        assert get_task("jacobi").args[0].ndim == 3
+        assert _raised(evaluate_python_suggestion(_JACOBI_2D_ONLY, "jacobi")).startswith(
+            "calling jacobi() raised ValueError: too many values to unpack"
+        )
 
     @given(n=st.integers(3, 7))
     @settings(max_examples=15, deadline=None)
-    def test_property_max_principle(self, n):
+    def test_property_max_principle(self, call_template, n):
         """A Jacobi sweep never creates new extrema in the interior."""
         rng = np.random.default_rng(n)
         u = rng.standard_normal((n, n, n))
-        result = jacobi3d_step(u)
-        assert result[1:-1, 1:-1, 1:-1].max() <= u.max() + 1e-12
-        assert result[1:-1, 1:-1, 1:-1].min() >= u.min() - 1e-12
+        for model in CPU_MODELS:
+            result = _output(call_template(model, "jacobi", u))
+            assert result[1:-1, 1:-1, 1:-1].max() <= u.max() + 1e-12
+            assert result[1:-1, 1:-1, 1:-1].min() >= u.min() - 1e-12
 
 
 class TestJacobiSolve:
-    def test_smoothing_reduces_update_norm(self, rng):
+    """Repeated sweeps of the numpy template."""
+
+    def test_smoothing_reduces_update_norm(self, rng, call_template):
         u = rng.standard_normal((8, 8, 8))
-        _, iterations, norm = jacobi3d_solve(u, max_iterations=50, tol=0.0)
-        assert iterations == 50
-        _, _, early_norm = jacobi3d_solve(u, max_iterations=5, tol=0.0)
+        _, norm = _sweeps(call_template, u, 50)
+        _, early_norm = _sweeps(call_template, u, 5)
         assert norm <= early_norm
 
-    def test_tolerance_stops_early(self):
-        u = np.zeros((6, 6, 6))
-        _, iterations, norm = jacobi3d_solve(u, max_iterations=100, tol=1e-12)
-        assert iterations == 1
+    def test_tolerance_stops_early(self, call_template):
+        _, norm = _sweeps(call_template, np.zeros((6, 6, 6)), 1)
         assert norm == 0.0
 
     def test_kernel_class_roundtrip(self):
-        kernel = JacobiKernel()
-        assert kernel.spec.complexity is KernelComplexity.STENCIL
-        problem = kernel.make_problem_with_expected(5)
-        assert kernel.validate(kernel.reference(problem.inputs), problem).passed
+        assert get_kernel("jacobi").complexity is KernelComplexity.STENCIL
+        for model in PYTHON_MODELS:
+            result = evaluate_python_suggestion(get_template("python", model, "jacobi"), "jacobi")
+            assert result.passed, (model, result.issues)
 
     def test_kernel_minimum_size(self):
-        with pytest.raises(ValueError):
-            JacobiKernel().generate_problem(2)
+        """The task's grid has an interior, and the sweep changes all of it."""
+        task = get_task("jacobi")
+        (u,) = task.args
+        assert u.shape == (6, 6, 6)
+        interior = np.zeros(u.shape, dtype=bool)
+        interior[1:-1, 1:-1, 1:-1] = True
+        assert np.all(task.expected[interior] != u[interior])
+        np.testing.assert_array_equal(task.expected[~interior], u[~interior])
 
 
 class TestConjugateGradient:
-    def test_solves_dense_spd_system(self, rng):
+    def test_solves_dense_spd_system(self, rng, call_template):
         n = 12
         m = rng.standard_normal((n, n))
         a = m @ m.T + n * np.eye(n)
         x_true = rng.standard_normal(n)
-        result = conjugate_gradient(a, a @ x_true, tol=1e-12)
-        assert result.converged
-        np.testing.assert_allclose(result.x, x_true, rtol=1e-6)
+        for model in CPU_MODELS:
+            x = _output(call_template(model, "cg", a, a @ x_true, 1e-12))
+            np.testing.assert_allclose(x, x_true, rtol=1e-6)
 
-    def test_solves_csr_poisson_system(self, rng):
-        matrix = poisson_2d(5)
-        x_true = rng.standard_normal(25)
-        b = matrix.to_dense() @ x_true
-        result = conjugate_gradient(matrix, b, tol=1e-12)
-        assert result.converged
-        np.testing.assert_allclose(result.x, x_true, rtol=1e-6)
+    def test_solves_csr_poisson_system(self, rng, call_template):
+        a = _poisson_2d_dense()
+        x_true = rng.standard_normal(16)
+        for model in CPU_MODELS:
+            x = _output(call_template(model, "cg", a, a @ x_true, 1e-12))
+            np.testing.assert_allclose(x, x_true, rtol=1e-6)
 
-    def test_accepts_matvec_callable(self, rng):
-        a = np.diag(np.arange(1.0, 6.0))
-        result = conjugate_gradient(lambda v: a @ v, np.ones(5), tol=1e-12)
-        np.testing.assert_allclose(result.x, 1.0 / np.arange(1.0, 6.0), rtol=1e-8)
+    def test_accepts_matvec_callable(self, call_template):
+        """The numpy template only applies ``A @ v``, so any operator will do."""
 
-    def test_residual_history_is_recorded_and_decreases(self, rng):
-        matrix = poisson_2d(4)
+        class Diagonal:
+            def __init__(self, d: np.ndarray) -> None:
+                self.d = d
+
+            def __matmul__(self, v: np.ndarray) -> np.ndarray:
+                return self.d * v
+
+        d = np.arange(1.0, 6.0)
+        x = _output(call_template("numpy", "cg", Diagonal(d), np.ones(5), 1e-12))
+        np.testing.assert_allclose(x, 1.0 / d, rtol=1e-8)
+
+    def test_residual_history_is_recorded_and_decreases(self, rng, call_template):
+        a = _poisson_2d_dense()
         b = rng.standard_normal(16)
-        result = conjugate_gradient(matrix, b, tol=1e-12, record_history=True)
-        assert len(result.residual_history) == result.iterations + 1
-        assert result.residual_history[-1] < result.residual_history[0]
+        history = [
+            float(np.linalg.norm(b - a @ _output(call_template("numpy", "cg", a, b, 1e-12, k))))
+            for k in range(1, 17)
+        ]
+        assert history[-1] < history[0]
+        assert history[-1] < 1e-8 * np.linalg.norm(b)
 
-    def test_iteration_cap(self, rng):
-        matrix = poisson_2d(5)
-        b = rng.standard_normal(25)
-        result = conjugate_gradient(matrix, b, tol=1e-16, max_iterations=3)
-        assert result.iterations == 3
-        assert not result.converged
+    def test_iteration_cap(self, rng, call_template):
+        a = _poisson_2d_dense()
+        b = rng.standard_normal(16)
+        for model in CPU_MODELS:
+            x = _output(call_template(model, "cg", a, b, 1e-16, 3))
+            assert np.linalg.norm(b - a @ x) > 1e-6 * np.linalg.norm(b)
 
-    def test_zero_rhs_converges_immediately(self):
-        result = conjugate_gradient(np.eye(4), np.zeros(4))
-        assert result.converged
-        assert result.iterations == 0
-        np.testing.assert_array_equal(result.x, np.zeros(4))
+    def test_non_spd_operator_stops_gracefully(self, call_template):
+        """On an indefinite operator CG breaks down (``p . Ap = 0``): the
+        call returns or raises, and either way the sandbox reports it."""
+        a = np.diag([1.0, -1.0])
+        task = SandboxTask(kernel="cg", args=(a, np.ones(2)), expected=np.ones(2))
+        for model in CPU_MODELS:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x = _output(call_template(model, "cg", *task.args))
+            assert task.mismatch(x) == "candidate output contains NaN or Inf"
+            with np.errstate(divide="raise"):
+                issue = _raised(call_template(model, "cg", *task.args))
+            assert issue == (
+                "calling cg() raised FloatingPointError: "
+                "divide by zero encountered in scalar divide"
+            )
 
-    def test_non_spd_operator_stops_gracefully(self):
-        a = -np.eye(3)
-        result = conjugate_gradient(a, np.ones(3), max_iterations=10)
-        assert not result.converged
+    def test_rejects_bad_inputs(self, call_template):
+        for model in CPU_MODELS:
+            issue = _raised(call_template(model, "cg", np.eye(3), np.ones(4)))
+            assert issue.startswith("calling cg() raised ValueError")
+        issue = _raised(call_template("numpy", "cg", np.ones((3, 2)), np.ones(3)))
+        assert issue.startswith("calling cg() raised ValueError")
 
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            conjugate_gradient(np.eye(3), np.ones((3, 1)))
-        with pytest.raises(ValueError):
-            conjugate_gradient(np.ones((3, 2)), np.ones(3))
-        with pytest.raises(ValueError):
-            conjugate_gradient(np.eye(3), np.ones(3), x0=np.ones(4))
-
-    def test_initial_guess_is_used(self, rng):
+    def test_initial_guess_is_used(self, call_template):
+        """The templates start from ``x = 0``, so one step gives
+        ``(b . b) / (b . A b) * b``."""
         a = np.diag([1.0, 2.0, 3.0])
         b = np.array([1.0, 4.0, 9.0])
-        exact = np.array([1.0, 2.0, 3.0])
-        result = conjugate_gradient(a, b, x0=exact.copy(), tol=1e-12)
-        assert result.iterations == 0
-        np.testing.assert_allclose(result.x, exact)
+        for model in CPU_MODELS:
+            x = _output(call_template(model, "cg", a, b, 1e-12, 1))
+            np.testing.assert_allclose(x, (b @ b) / (b @ a @ b) * b)
 
     def test_kernel_class_roundtrip_square(self):
-        kernel = CgKernel()
-        problem = kernel.make_problem_with_expected(16)
-        assert problem.metadata["structure"] == "poisson2d"
-        assert kernel.validate(kernel.reference(problem.inputs), problem).passed
+        """The task's system is square SPD and its oracle solves it."""
+        task = get_task("cg")
+        a, b = task.args
+        assert a.shape == (10, 10)
+        np.testing.assert_array_equal(a, a.T)
+        assert np.all(np.linalg.eigvalsh(a) > 0)
+        np.testing.assert_allclose(a @ task.expected, b, rtol=1e-12, atol=1e-12)
 
     def test_kernel_class_roundtrip_random(self):
-        kernel = CgKernel()
-        problem = kernel.make_problem_with_expected(7)
-        assert problem.metadata["structure"] == "random_spd"
-        assert kernel.validate(kernel.reference(problem.inputs), problem).passed
+        assert get_kernel("cg").complexity is KernelComplexity.MULTIKERNEL
+        for model in PYTHON_MODELS:
+            result = evaluate_python_suggestion(get_template("python", model, "cg"), "cg")
+            assert result.passed, (model, result.issues)
 
     def test_kernel_minimum_size(self):
-        with pytest.raises(ValueError):
-            CgKernel().generate_problem(1)
+        """The task's system is too large for one CG step to solve."""
+        one_step = get_template("python", "numpy", "cg").replace("max_iter=1000", "max_iter=1")
+        assert _raised(evaluate_python_suggestion(one_step, "cg")).startswith(
+            "numerical mismatch: max abs error"
+        )
 
     @given(n=st.integers(2, 10))
     @settings(max_examples=20, deadline=None)
-    def test_property_converges_on_diagonally_dominant_systems(self, n):
+    def test_property_converges_on_diagonally_dominant_systems(self, call_template, n):
         rng = np.random.default_rng(n * 7)
         m = rng.standard_normal((n, n))
         a = m @ m.T + n * np.eye(n)
         x_true = rng.standard_normal(n)
-        result = conjugate_gradient(a, a @ x_true, tol=1e-10)
-        assert result.converged
-        np.testing.assert_allclose(result.x, x_true, rtol=1e-5, atol=1e-7)
+        for model in CPU_MODELS:
+            x = _output(call_template(model, "cg", a, a @ x_true))
+            np.testing.assert_allclose(x, x_true, rtol=1e-5, atol=1e-7)

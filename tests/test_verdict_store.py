@@ -596,6 +596,23 @@ class TestCliCache:
         assert main(["--verdict-store", "auto", "cache", "stats"]) == 0
         assert str(tmp_path / "auto-store") in capsys.readouterr().out
 
+    def test_an_empty_explicit_store_is_the_store_acted_on(self, tmp_path, monkeypatch, capsys):
+        # An empty store is falsy (it has a __len__); the default store must
+        # still stay out of reach when --verdict-store names another one.
+        from repro.harness.cli import main
+
+        default_dir, empty_dir = tmp_path / "default-store", tmp_path / "empty-store"
+        monkeypatch.setenv("REPRO_VERDICT_STORE", str(default_dir))
+        VerdictStore(default_dir).put(_key(), _verdict())
+        assert main(["--verdict-store", str(empty_dir), "cache", "stats"]) == 0
+        out = capsys.readouterr().out
+        assert f"verdict store {empty_dir}" in out and str(default_dir) not in out
+        assert main(["--verdict-store", str(empty_dir), "cache", "compact"]) == 0
+        assert capsys.readouterr().out.startswith(f"compacted {empty_dir}: ")
+        assert main(["--verdict-store", str(empty_dir), "cache", "clear"]) == 0
+        assert capsys.readouterr().out == f"cleared 0 entries from {empty_dir}\n"
+        assert len(VerdictStore(default_dir)) == 1
+
     def test_cache_clear_requires_an_explicit_store(self, tmp_path, monkeypatch):
         from repro.harness.cli import main
 
