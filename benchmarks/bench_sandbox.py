@@ -20,7 +20,7 @@ from pathlib import Path
 from repro.analysis.analyzer import SuggestionAnalyzer, clear_verdict_memo
 from repro.corpus.templates import get_template
 from repro.sandbox import evaluate_python_suggestion, evaluate_python_suggestions
-from repro.sandbox.cuda_c import CudaModule, execution_mode, lockstep_stats, static_elision
+from repro.sandbox.cuda_c import CudaModule, execution_mode, lockstep_stats
 import numpy as np
 
 #: Where the perf record lands (the repo root's BENCH_* trajectory).
@@ -262,93 +262,6 @@ def test_lockstep_interpreter_beats_scalar():
     assert record["lockstep_speedup_e2e"] is not None
 
 
-# ---------------------------------------------------------------------------
-# CUDA interpreter: static-analysis-driven hazard-tracking elision
-# ---------------------------------------------------------------------------
-
-def _static_elision_cases() -> list[tuple[str, str, tuple, tuple, tuple]]:
-    """Store-heavy launch cases where per-store hazard tracking dominates.
-
-    The stock corpus kernels store once per lane, so elision barely shows;
-    these variants store in every loop iteration (a common suggestion idiom:
-    accumulate directly into the output element), which is where dropping
-    the writer/duplicate/foreign-reader bookkeeping pays.
-    """
-    rng = np.random.default_rng(20230414)
-    m, n = 48, 64
-    return [
-        ("gemv_acc", """__global__ void gemv_acc(const int m, const int n, const double *A,
-                     const double *x, double *y)
-{ int i = blockIdx.x * blockDim.x + threadIdx.x;
-  if (i < m) { y[i] = 0.0;
-    for (int j = 0; j < n; j++) { y[i] = y[i] + A[i * n + j] * x[j]; } } }""",
-         (1,), (64,), (m, n, rng.standard_normal(m * n), rng.standard_normal(n), np.zeros(m))),
-        ("axpy_iter", """extern "C" __global__
-void axpy_iter(const int n, const int iters, const double a, const double *x, double *y)
-{ int i = blockIdx.x * blockDim.x + threadIdx.x;
-  if (i < n) { for (int t = 0; t < iters; t++) { y[i] = a * x[i] + y[i]; } } }""",
-         (1,), (256,), (256, 32, 1.0009, rng.standard_normal(256), rng.standard_normal(256))),
-    ]
-
-
-def collect_static_record(repeats: int = REPEATS) -> dict:
-    """Paired lockstep wall-clock with hazard-tracking elision on vs off.
-
-    Both passes run the vectorized engine; the only difference is whether
-    the static analyzer's race-SAFE proofs drop the per-access runtime
-    bookkeeping.  Asserts byte-identical buffers between the two settings
-    and that every elided launch stays fallback-free.
-    """
-    cases = [
-        (name, CudaModule(src).get_kernel(name), grid, block, args)
-        for name, src, grid, block, args in _static_elision_cases()
-    ]
-    before = lockstep_stats()
-    # Correctness gate (and warm-up): elision must not change a single byte.
-    for name, kern, grid, block, args in cases:
-        buffers = {}
-        for enabled in (True, False):
-            copies = tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args)
-            with static_elision(enabled):
-                kern.launch(grid, block, copies)
-            buffers[enabled] = b"".join(
-                a.tobytes() for a in copies if isinstance(a, np.ndarray)
-            )
-        assert buffers[True] == buffers[False], f"{name}: elision changed results"
-    delta = lockstep_stats()
-    fallbacks = delta.get("launches_scalar_fallback", 0) - before.get("launches_scalar_fallback", 0)
-    assert fallbacks == 0, "elision cases must run fully vectorized"
-    elided = delta.get("launches_static_elided", 0) - before.get("launches_static_elided", 0)
-    assert elided >= len(cases), "static analyzer failed to prove the cases race-safe"
-
-    best = {True: [float("inf")] * len(cases), False: [float("inf")] * len(cases)}
-    for _ in range(repeats):
-        for index, (name, kern, grid, block, args) in enumerate(cases):
-            for enabled in (True, False):
-                copies = tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args)
-                with static_elision(enabled):
-                    start = time.perf_counter()
-                    kern.launch(grid, block, copies)
-                    elapsed = time.perf_counter() - start
-                best[enabled][index] = min(best[enabled][index], elapsed)
-    elided_time = sum(best[True])
-    tracked_time = sum(best[False])
-    n_launches = len(cases)
-    return {
-        "experiments": {
-            f"cuda[tracked launches x{n_launches}]": round(tracked_time, 4),
-            f"cuda[static-elided launches x{n_launches}]": round(elided_time, 4),
-        },
-        "lockstep_static_speedup": round(tracked_time / elided_time, 3) if elided_time else None,
-    }
-
-
-def test_static_elision_speeds_up_lockstep():
-    record = collect_static_record(repeats=1)
-    assert record["lockstep_static_speedup"] is not None
-    assert record["lockstep_static_speedup"] > 1.0
-
-
 def main() -> None:
     """Merge the batched-vs-serial and scalar-vs-lockstep datapoints into
     BENCH_perf.json."""
@@ -361,14 +274,9 @@ def main() -> None:
     record["experiments"].update(interpreter["experiments"])
     record["lockstep_speedup"] = interpreter["lockstep_speedup"]
     record["lockstep_speedup_e2e"] = interpreter["lockstep_speedup_e2e"]
-    static = collect_static_record()
-    record["experiments"].update(static["experiments"])
-    record["lockstep_static_speedup"] = static["lockstep_static_speedup"]
     BENCH_PATH.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {BENCH_PATH}")
-    for key, seconds in sorted(
-        {**sandbox["experiments"], **interpreter["experiments"], **static["experiments"]}.items()
-    ):
+    for key, seconds in sorted({**sandbox["experiments"], **interpreter["experiments"]}.items()):
         print(f"  {key:32s} {seconds:8.4f}s")
     print(
         f"  batched speedup x{sandbox['batched_speedup']} "
@@ -378,10 +286,6 @@ def main() -> None:
         f"  lockstep speedup x{interpreter['lockstep_speedup']} on the "
         f"interpreter-bound stratum (gpu batches end-to-end "
         f"x{interpreter['lockstep_speedup_e2e']})"
-    )
-    print(
-        f"  static elision speedup x{static['lockstep_static_speedup']} on "
-        "store-heavy lockstep launches"
     )
 
 

@@ -38,7 +38,6 @@ from pathlib import Path
 SPEEDUP_KEYS = (
     "lockstep_speedup",
     "lockstep_speedup_e2e",
-    "lockstep_static_speedup",
     "warm_store_speedup",
     "dispatch_resume_speedup",
     "batched_speedup",

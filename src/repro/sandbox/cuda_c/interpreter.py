@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.sandbox.cuda_c import ast_nodes as ast
 from repro.sandbox.cuda_c import lockstep as _lockstep
-from repro.sandbox.cuda_c import static as _static
 from repro.sandbox.cuda_c.parser import CudaSyntaxError, parse_cuda_source
 
 __all__ = [
@@ -287,23 +286,6 @@ class CudaKernel:
         #: kernel uses constructs the vectorized engine does not model (it
         #: then always takes the scalar sweep).
         self.lockstep = _lockstep.try_compile(definition)
-
-    @property
-    def static_report(self):
-        """Compile-time :class:`~repro.sandbox.cuda_c.static.StaticReport`.
-
-        Computed symbolically (no launch geometry), so out-of-bounds
-        verdicts stay UNKNOWN; re-run :func:`analyze_kernel` with geometry
-        and buffer sizes for launch-specific verdicts.  ``None`` for
-        scalar-only kernels or when the analysis errored out.
-        """
-        program = self.lockstep
-        if program is not None:
-            return program.static_report
-        try:
-            return _static.analyze_kernel(self.definition)
-        except Exception:
-            return None
 
     # -- launching ----------------------------------------------------------
     def launch(self, grid: Any, block: Any, args: tuple) -> None:

@@ -28,7 +28,9 @@ exhaustion — restores the pre-launch buffer snapshots and raises
 :class:`LockstepHazard`, upon which the caller replays the launch through the
 scalar interpreter.  A hazard therefore costs speed, never correctness: the
 scalar path remains the single source of truth for every observable effect
-(buffer bytes, error type, error message, partial-mutation state).
+(buffer bytes, error type, error message, partial-mutation state).  The
+runtime checks are always on: the engine consults no static analysis, so no
+launch skips the writer/reader lane tracking on the strength of a proof.
 
 The module keeps process-wide counters (:func:`lockstep_stats`) so benchmarks
 and CI can assert that the stock kernel corpus runs fully vectorized with
@@ -37,16 +39,13 @@ zero silent fallbacks.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 import threading
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.sandbox.cuda_c import ast_nodes as ast
-from repro.sandbox.cuda_c.static import active_race_safe, analyze_kernel
 
 __all__ = [
     "LockstepHazard",
@@ -55,8 +54,6 @@ __all__ = [
     "try_compile",
     "lockstep_stats",
     "reset_lockstep_stats",
-    "static_elision",
-    "static_elision_enabled",
 ]
 
 _INT64_MIN = -(2 ** 63)
@@ -107,9 +104,8 @@ def lockstep_stats() -> dict[str, int]:
     outcomes; ``launches_lockstep`` / ``launches_scalar_fallback`` (runtime
     hazard replays) / ``launches_scalar_only`` (compile-rejected kernels) /
     ``launches_scalar_forced`` (scalar mode requested) count execution
-    outcomes; ``launches_static_elided`` counts launches where at least one
-    buffer ran with statically-elided hazard tracking; per-reason
-    ``fallback[<reason>]`` and ``unsupported[<reason>]`` keys explain why.
+    outcomes; per-reason ``fallback[<reason>]`` and ``unsupported[<reason>]``
+    keys explain why.
     """
     with _STATS_LOCK:
         return dict(_STATS)
@@ -119,38 +115,6 @@ def reset_lockstep_stats() -> None:
     """Zero the counters (benchmark / CI-smoke isolation helper)."""
     with _STATS_LOCK:
         _STATS.clear()
-
-
-# ---------------------------------------------------------------------------
-# static-analysis elision toggle
-# ---------------------------------------------------------------------------
-# Buffers the static pass (:mod:`.static`) proves race-free skip the runtime
-# reader/writer lane tracking.  The toggle exists so the soundness harness
-# can run with tracking fully on and use the runtime hazards as the oracle
-# for the analyzer's SAFE verdicts.
-
-_ELISION_ENABLED = os.environ.get("REPRO_CUDA_STATIC_ELISION", "1") != "0"
-
-
-def static_elision_enabled() -> bool:
-    """Is static-analysis-based hazard-tracking elision currently on?"""
-    return _ELISION_ENABLED
-
-
-@contextlib.contextmanager
-def static_elision(enabled: bool):
-    """Temporarily force hazard-tracking elision on or off.
-
-    Compiled programs are unaffected — the elision decision is made per
-    launch — so flipping this mid-process is safe.
-    """
-    global _ELISION_ENABLED
-    previous = _ELISION_ENABLED
-    _ELISION_ENABLED = enabled
-    try:
-        yield
-    finally:
-        _ELISION_ENABLED = previous
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +166,7 @@ class _Ctx:
         "tix", "tiy", "tiz", "bix", "biy", "biz",
         "bdx", "bdy", "bdz", "gdx", "gdy", "gdz",
         "env", "partial", "buffers", "lane_mats",
-        "writers", "readers", "snapshots", "safe_buffers",
+        "writers", "readers", "snapshots",
         "ret", "brk", "cnt", "flow_clean",
         "budget",
     )
@@ -507,18 +471,6 @@ def _prepare_write(ctx: _Ctx, arr: np.ndarray) -> np.ndarray:
     return writers
 
 
-def _snapshot_only(ctx: _Ctx, arr: np.ndarray) -> None:
-    """Snapshot a statically race-safe buffer without writer tracking.
-
-    The snapshot stays mandatory even for proven-safe buffers: an unrelated
-    hazard elsewhere in the launch restores *every* mutated buffer before the
-    scalar replay, and a replay starting from half-written state would
-    corrupt read-modify-write kernels."""
-    key = id(arr)
-    if key not in ctx.snapshots:
-        ctx.snapshots[key] = (arr, arr.copy())
-
-
 def _check_write_clean(writers: np.ndarray, sel: np.ndarray, lanes: np.ndarray) -> None:
     w = writers[sel]
     if np.any((w != -1) & (w != lanes)):
@@ -692,12 +644,8 @@ def _is_int_decl(type_name: str) -> bool:
 class _Compiler:
     """One-shot AST -> closure-tree compiler for a single kernel."""
 
-    def __init__(self, definition: ast.KernelDef, safe_candidates: frozenset = frozenset()):
+    def __init__(self, definition: ast.KernelDef):
         self.definition = definition
-        #: Buffers the static pass proved race-free (subject to the launch
-        #: honoring their lane-coordinate requirements, checked per launch):
-        #: their scatters/gathers compile with an elided-tracking fast path.
-        self.safe_candidates = safe_candidates
         self.pointer_params = {p.name for p in definition.params if p.is_pointer}
         self.scalar_params = [p for p in definition.params if not p.is_pointer]
         self.local_arrays: set[str] = set()
@@ -955,30 +903,20 @@ class _Compiler:
         name = target.base.name
         idx_fn = self._compile_expr(target.index)
         if name in self.pointer_params:
-            safe_candidate = name in self.safe_candidates
 
-            def run_scatter(ctx, mask, _name=name, _op=op, _value=value_fn, _idx=idx_fn,
-                            _safe=safe_candidate):
+            def run_scatter(ctx, mask, _name=name, _op=op, _value=value_fn, _idx=idx_fn):
                 m = _enter(ctx, mask)
                 if m is None:
                     return
                 value = _value(ctx, m)  # scalar evaluates value before the index
                 arr = ctx.buffers[_name]
                 sel = _compressed_indices(_idx(ctx, m), m, arr.size)
-                if _safe and _name in ctx.safe_buffers:
-                    # Statically proven race-free under this launch: skip the
-                    # writer/reader lane tracking, keep the snapshot and the
-                    # bounds/range checks (OOB and store-range hazards are
-                    # verdicts the static pass does not cover here).
-                    _snapshot_only(ctx, arr)
-                    writers = None
-                else:
-                    writers = _prepare_write(ctx, arr)
-                    lanes = ctx.lane_ids[m]
-                    _check_write_clean(writers, sel, lanes)
-                    if _has_duplicates(sel):
-                        raise LockstepHazard("duplicate-scatter")
-                    _check_no_foreign_readers(ctx, arr, sel, lanes)
+                writers = _prepare_write(ctx, arr)
+                lanes = ctx.lane_ids[m]
+                _check_write_clean(writers, sel, lanes)
+                if _has_duplicates(sel):
+                    raise LockstepHazard("duplicate-scatter")
+                _check_no_foreign_readers(ctx, arr, sel, lanes)
                 vals = value[m] if isinstance(value, np.ndarray) else value
                 try:
                     if _op == "=":
@@ -990,8 +928,7 @@ class _Compiler:
                         arr[sel] = updated
                 except (OverflowError, ValueError) as exc:
                     raise LockstepHazard("bad-store") from exc
-                if writers is not None:
-                    writers[sel] = lanes
+                writers[sel] = lanes
 
             return run_scatter
         if name in self.local_arrays:
@@ -1207,14 +1144,11 @@ class _Compiler:
         idx_fn = self._compile_expr(node.index)
         if name in self.pointer_params:
             track_readers = name in self.written_params
-            safe_candidate = name in self.safe_candidates
 
-            def run_gather(ctx, m, _name=name, _idx=idx_fn, _track=track_readers,
-                           _safe=safe_candidate):
+            def run_gather(ctx, m, _name=name, _idx=idx_fn, _track=track_readers):
                 ctx.budget -= 1
                 arr = ctx.buffers[_name]
                 idx = _idx(ctx, m)
-                track = _track and not (_safe and _name in ctx.safe_buffers)
                 if not isinstance(idx, np.ndarray):
                     try:
                         i = int(idx)
@@ -1227,12 +1161,12 @@ class _Compiler:
                         w = writers[i]
                         if w != -1 and not bool(np.all(ctx.lane_ids[m] == w)):
                             raise LockstepHazard("cross-lane-read")
-                    if track:
+                    if _track:
                         _record_readers(ctx, arr, m, i)
                     return arr[i].item()  # matches the scalar .item() promotion
                 sel = _compressed_indices(idx, m, arr.size)
                 _check_read_clean(ctx, arr, sel, m)
-                if track:
+                if _track:
                     _record_readers(ctx, arr, m, sel)
                 out = np.zeros(ctx.n, dtype=_gather_dtype(arr))
                 out[m] = arr[sel]
@@ -1632,29 +1566,10 @@ _VECTOR_MATH: dict[str, Callable[[list, np.ndarray], Any]] = {
 class LockstepProgram:
     """A kernel body compiled to lockstep closures, ready to launch."""
 
-    def __init__(self, definition: ast.KernelDef, body: tuple, static_report=None):
+    def __init__(self, definition: ast.KernelDef, body: tuple):
         self._definition = definition
         self._body = body
         self._pointer_names = tuple(p.name for p in definition.params if p.is_pointer)
-        #: :class:`repro.sandbox.cuda_c.static.StaticReport` computed at
-        #: compile time, or ``None`` if the analysis errored out.
-        self.static_report = static_report
-        self._safe_cache: dict[tuple, frozenset] = {}
-
-    def _safe_buffers_for(self, grid, block) -> frozenset:
-        """Race-safe buffers whose proof holds for this launch geometry."""
-        if self.static_report is None or not _ELISION_ENABLED:
-            return frozenset()
-        key = (grid.x, grid.y, grid.z, block.x, block.y, block.z)
-        cached = self._safe_cache.get(key)
-        if cached is None:
-            cached = active_race_safe(
-                self.static_report,
-                (grid.x, grid.y, grid.z),
-                (block.x, block.y, block.z),
-            )
-            self._safe_cache[key] = cached
-        return cached
 
     def run(self, grid, block, bound: dict, budget: int) -> None:
         """Execute one launch over pre-coerced arguments ``bound``.
@@ -1692,9 +1607,6 @@ class LockstepProgram:
         ctx.writers = {}
         ctx.readers = {}
         ctx.snapshots = {}
-        ctx.safe_buffers = self._safe_buffers_for(grid, block)
-        if ctx.safe_buffers:
-            _note("launches_static_elided")
         ctx.ret = _zeros_mask(ctx)
         ctx.brk = _zeros_mask(ctx)
         ctx.cnt = _zeros_mask(ctx)
@@ -1716,17 +1628,10 @@ class LockstepProgram:
 def try_compile(definition: ast.KernelDef) -> LockstepProgram | None:
     """Compile a kernel for lockstep execution, or ``None`` (scalar only)."""
     try:
-        report = analyze_kernel(definition)
-    except Exception:
-        # The static pass is advisory: an analysis bug must never take down
-        # compilation, it only costs the elision fast path.
-        report = None
-    candidates = frozenset(report.race_safe) if report is not None else frozenset()
-    try:
-        compiler = _Compiler(definition, safe_candidates=candidates)
+        compiler = _Compiler(definition)
     except LockstepUnsupported as exc:
         _note("kernels_scalar_only")
         _note(f"unsupported[{exc}]")
         return None
     _note("kernels_lockstep")
-    return LockstepProgram(definition, compiler.body, static_report=report)
+    return LockstepProgram(definition, compiler.body)

@@ -24,12 +24,17 @@ Every finding carries a verdict from the three-point lattice
     ``SAFE``  <  ``UNKNOWN``  <  ``HAZARD``
 
 with the **soundness rule**: ``SAFE`` is only emitted when the access
-pattern is *proven* clean for every launch the report's lane-coordinate
-requirements admit — the lockstep engine (:mod:`.lockstep`) relies on this
-to drop its runtime reader/writer lane tracking for statically-safe
-buffers.  ``HAZARD`` is best-effort ("there is a plausible launch where
+pattern is *proven* clean.  Given the launch geometry, the proof covers that
+launch; without it, a race-class ``SAFE`` covers every launch whose lane
+coordinates that the store index ignores have extent 1 (a 1-D index under a
+1-D launch).  ``HAZARD`` is best-effort ("there is a plausible launch where
 this goes wrong") and ``UNKNOWN`` is the honest default whenever an index
 is not affine, a loop bound is data-dependent, or geometry is missing.
+
+The findings are informational: the analysis layer
+(:mod:`repro.analysis.hazards`) reports them, and no execution engine reads
+them.  The soundness gate (``benchmarks/bench_static_soundness.py``) checks
+``SAFE`` claims against the lockstep engine's always-on runtime tracking.
 
 The affine machinery is symbolic: coefficients are polynomials over the
 scalar integer parameters (``n``, ``m``, …) and the launch-dimension
@@ -55,7 +60,6 @@ __all__ = [
     "Finding",
     "StaticReport",
     "analyze_kernel",
-    "active_race_safe",
 ]
 
 SAFE = "SAFE"
@@ -325,16 +329,17 @@ class Finding:
 
 @dataclass
 class StaticReport:
-    """Everything the static pass derived for one kernel definition."""
+    """Everything the static pass derived for one kernel definition.
+
+    Each written buffer has one finding per race class
+    (``write-write-race``, ``duplicate-scatter``, ``cross-lane-read``); the
+    buffer is race-free when all three are ``SAFE``.  Under a concrete
+    launch that holds for that launch; under a symbolic one it assumes the
+    lane coordinates the store index ignores have extent 1.
+    """
 
     kernel: str
     findings: tuple[Finding, ...] = ()
-    #: Buffers whose write/read pattern is proven race-free, mapped to the
-    #: lane coordinates their indices actually use.  The proof only covers
-    #: launches where every *unused* coordinate has extent 1 — callers must
-    #: check that with :func:`active_race_safe` before acting on it.
-    race_safe: dict = field(default_factory=dict)
-    written: tuple[str, ...] = ()
 
     def verdict(self, kind: str) -> str:
         """The lattice join of every finding of ``kind`` (SAFE if none)."""
@@ -359,29 +364,6 @@ class StaticReport:
 
     def to_payload(self) -> list[dict]:
         return [f.to_payload() for f in self.findings]
-
-
-def active_race_safe(report: StaticReport, grid: tuple, block: tuple) -> frozenset:
-    """Race-safe buffers whose proof requirements hold for this launch.
-
-    A buffer proven safe over, say, ``{tid.x, ctaid.x}`` is only safe when
-    the launch does not vary lanes along the other coordinates — two lanes
-    differing only in ``threadIdx.y`` would collide on an x-indexed store.
-    """
-    extents = {"grid": tuple(grid) + (1, 1, 1), "block": tuple(block) + (1, 1, 1)}
-    active = set()
-    for name, used in report.race_safe.items():
-        ok = True
-        for coord in LANE_COORDS:
-            if coord in used:
-                continue
-            which, axis = _COORD_EXTENT[coord]
-            if int(extents[which][axis]) != 1:
-                ok = False
-                break
-        if ok:
-            active.add(name)
-    return frozenset(active)
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +434,14 @@ class _Analysis:
         self.ever_assigned = set()
         self._collect_assigned(definition.body)
         self._lane_syms = {}
+        #: Each lane coordinate's extent under the given launch, or None
+        #: where the geometry is symbolic.
+        self._extents: dict[str, int | None] = {}
         for coord in LANE_COORDS:
             which, axis = _COORD_EXTENT[coord]
-            extent = None
-            if which == "grid" and self.grid is not None:
-                extent = int(self.grid[axis])
-            if which == "block" and self.block is not None:
-                extent = int(self.block[axis])
+            concrete = self.grid if which == "grid" else self.block
+            extent = int(concrete[axis]) if concrete is not None else None
+            self._extents[coord] = extent
             if extent is not None:
                 hi = _pconst(extent - 1)
             else:
@@ -1197,7 +1180,7 @@ class _Analysis:
 
     # -- buffer classification ----------------------------------------------
     def _classify_store(self, access: _Access):
-        """``(verdict, used_coords, key, detail)`` for one store site.
+        """``(verdict, key, detail)`` for one store site.
 
         Classification replays the guard refinements that were live at the
         store site (branch joins deliberately drop them from the flowing
@@ -1206,29 +1189,46 @@ class _Analysis:
         state = _State(env={}, refine=access.refine, defined=set(), uniform="uniform")
         idx = access.idx
         if idx.lin is None:
-            return (UNKNOWN, frozenset(), None, "store index is not affine")
+            return (UNKNOWN, None, "store index is not affine")
         ok, coords, injective, _contig, _ = self._lane_check(idx.lin, state)
         if not ok:
-            return (UNKNOWN, frozenset(), None, "store index uses an unresolved value")
+            return (UNKNOWN, None, "store index uses an unresolved value")
         has_loop = any(
             self.symbols[sym].kind == "loop" for sym in idx.lin.term_map()
         )
         if not coords:
             if access.pinned:
-                return (SAFE, access.pinned, idx.lin,
-                        "lane-invariant store pinned to a single lane by a guard")
+                return self._launch_checked(
+                    access.pinned, idx.lin,
+                    "lane-invariant store pinned to a single lane by a guard",
+                )
             if has_loop:
-                return (UNKNOWN, frozenset(), None,
-                        "loop-carried store index with no lane term")
-            return (HAZARD, frozenset(), None,
-                    "every lane stores to the same element")
+                return (UNKNOWN, None, "loop-carried store index with no lane term")
+            return (HAZARD, None, "every lane stores to the same element")
         if injective:
-            return (SAFE, coords, idx.lin, "affine store index, injective across lanes")
-        return (UNKNOWN, coords, None, "lane-dependent store index not proven injective")
+            return self._launch_checked(
+                coords | access.pinned, idx.lin, "affine store index, injective across lanes"
+            )
+        return (UNKNOWN, None, "lane-dependent store index not proven injective")
 
-    def _buffer_findings(self) -> tuple[list, dict]:
+    def _launch_checked(self, used: frozenset, key: _Lin, detail: str):
+        """Classify a store site proven collision-free across the lane
+        coordinates in ``used`` (its index's and any a guard pins): ``SAFE``,
+        unless the launch spreads lanes along another coordinate.  Lanes
+        differing only there store to the same element unless some guard
+        keeps them apart, so the site is ``UNKNOWN``.  A symbolic extent
+        counts as 1."""
+        spread = [
+            f"{coord} (extent {self._extents[coord]})"
+            for coord in LANE_COORDS
+            if coord not in used and (self._extents[coord] or 1) > 1
+        ]
+        if spread:
+            return (UNKNOWN, None, f"store index ignores {', '.join(spread)} under this launch")
+        return (SAFE, key, detail)
+
+    def _buffer_findings(self) -> list[Finding]:
         findings: list[Finding] = []
-        race_safe: dict = {}
         written = sorted(set(self.stores) | self.atomic_targets)
         for buffer in written:
             stores = self.stores.get(buffer, [])
@@ -1250,13 +1250,11 @@ class _Analysis:
             classified = [self._classify_store(s) for s in stores]
             ww = SAFE
             dup = SAFE
-            used: frozenset = frozenset()
             keys = []
             detail = "affine store index, injective across lanes"
-            for (verdict, coords, key, det), store in zip(classified, stores):
+            for (verdict, key, det), store in zip(classified, stores):
                 dup = _join_verdict(dup, verdict)
                 ww = _join_verdict(ww, verdict)
-                used |= coords
                 keys.append(key)
                 if verdict != SAFE:
                     detail = det
@@ -1297,9 +1295,7 @@ class _Analysis:
                 kind="cross-lane-read", verdict=read_verdict, buffer=buffer,
                 detail=read_detail, line=read_line,
             ))
-            if ww == SAFE and dup == SAFE and read_verdict == SAFE:
-                race_safe[buffer] = used
-        return findings, race_safe
+        return findings
 
     def _oob_findings(self) -> list[Finding]:
         findings: list[Finding] = []
@@ -1343,18 +1339,11 @@ class _Analysis:
     def run(self) -> StaticReport:
         state = self._initial_state()
         self._walk_block(self.definition.body, state)
-        findings, race_safe = self._buffer_findings()
+        findings = self._buffer_findings()
         findings.extend(self._oob_findings())
         findings.extend(self.barrier_findings)
         findings.extend(self.uninit[name] for name in sorted(self.uninit))
-        for name in self.poisoned:
-            race_safe.pop(name, None)
-        return StaticReport(
-            kernel=self.definition.name,
-            findings=tuple(findings),
-            race_safe=race_safe,
-            written=tuple(sorted(set(self.stores) | self.atomic_targets)),
-        )
+        return StaticReport(kernel=self.definition.name, findings=tuple(findings))
 
 
 def analyze_kernel(definition, *, grid=None, block=None,
@@ -1364,8 +1353,12 @@ def analyze_kernel(definition, *, grid=None, block=None,
     ``grid``/``block`` (3-tuples), ``buffer_sizes`` (pointer-param name →
     element count) and ``scalar_args`` (int-param name → value) are all
     optional; without them the race classes still resolve symbolically but
-    out-of-bounds verdicts stay ``UNKNOWN``.  The pass never executes the
-    kernel and is deterministic for a given input.
+    out-of-bounds verdicts stay ``UNKNOWN``.  A race-class ``SAFE`` given
+    ``grid`` and ``block`` holds for that launch: a store whose index
+    ignores a lane coordinate the launch spreads over (extent > 1) is
+    ``UNKNOWN``.  A symbolic ``SAFE`` assumes every ignored coordinate has
+    extent 1.  The pass never executes the kernel and is deterministic for
+    a given input.
     """
     try:
         return _Analysis(definition, grid, block, buffer_sizes, scalar_args).run()

@@ -1,37 +1,46 @@
-"""Tests for the CUDA-C static hazard analyzer and its three consumers.
+"""Tests for the CUDA-C static hazard analyzer and its consumers.
 
 Covers the verdict lattice over adversarial kernels (races, out-of-bounds,
 barrier divergence, uninitialized reads), the affine normalizer's edge
 expressions (ternary indices, nested loop counters, int-overflow bounds),
-the per-launch ``active_race_safe`` coord requirements, the lockstep elision
-toggle, and the analysis-layer integration (``static_findings`` on verdicts,
-the hazards extraction module, the ``race_injection`` mutation operator).
+race verdicts under concrete launch geometry (checked against the lockstep
+engine's runtime hazard tracking), and the analysis-layer integration
+(``static_findings`` on verdicts, the hazards extraction module, the
+``race_injection`` mutation operator).  Execution never consults the
+analyzer: each CUDA kernel is analyzed once per suggestion batch.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.analysis.analyzer import SuggestionAnalyzer
 from repro.analysis.hazards import extract_cuda_sources, static_findings_for
 from repro.analysis.verdict import SuggestionVerdict
 from repro.corpus.mutations import apply_mutation
 from repro.corpus.snippets import SnippetOrigin
 from repro.corpus.store import default_corpus
-from repro.sandbox.cuda_c import (
-    CudaModule,
-    lockstep_stats,
-    parse_cuda_source,
-    static_elision,
-    static_elision_enabled,
-)
+from repro.corpus.templates import get_template
+from repro.sandbox.cuda_c import CudaModule, parse_cuda_source
+from repro.sandbox.cuda_c import static
 from repro.sandbox.cuda_c.static import (
     HAZARD,
     SAFE,
     UNKNOWN,
     StaticReport,
-    active_race_safe,
     analyze_kernel,
+)
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+
+from bench_static_soundness import (  # noqa: E402  (path set up above)
+    GEOMETRY_CASES,
+    RACE_KINDS,
+    check_geometry_case,
 )
 
 
@@ -39,6 +48,14 @@ def _analyze(source: str, **profile) -> StaticReport:
     definitions = parse_cuda_source(source)
     ((_, definition),) = definitions.items()
     return analyze_kernel(definition, **profile)
+
+
+def _race_verdicts(report: StaticReport, buffer: str) -> set[str]:
+    """The verdicts of ``buffer``'s race-class findings; the buffer is
+    race-free when this is ``{SAFE}``."""
+    race = [f for f in report.findings if f.buffer == buffer and f.kind in RACE_KINDS]
+    assert len(race) == len(RACE_KINDS), race
+    return {f.verdict for f in race}
 
 
 AXPY_PROFILE = dict(
@@ -62,7 +79,7 @@ class TestVerdictLattice:
         assert report.verdict("out-of-bounds") == SAFE
         assert report.verdict("barrier-divergence") == SAFE
         assert report.overall == SAFE
-        assert "y" in report.race_safe
+        assert _race_verdicts(report, "y") == {SAFE}
 
     def test_fixed_index_store_is_race_hazard(self):
         report = _analyze(
@@ -74,7 +91,7 @@ class TestVerdictLattice:
             """
         )
         assert report.verdict("write-write-race") == HAZARD
-        assert "y" not in report.race_safe
+        assert SAFE not in _race_verdicts(report, "y")
 
     def test_off_by_one_guard_is_oob_hazard_but_race_safe(self):
         report = _analyze(
@@ -242,10 +259,12 @@ class TestAffineEdgeExpressions:
             """
         )
         assert report.verdict("write-write-race") == SAFE
-        assert "C" in report.race_safe
+        assert _race_verdicts(report, "C") == {SAFE}
 
 
 class TestActiveRaceSafe:
+    """Race verdicts under a concrete launch hold for that launch."""
+
     SOURCE = """
         __global__ void axpy(int n, double a, double* x, double* y) {
             int i = blockIdx.x * blockDim.x + threadIdx.x;
@@ -254,14 +273,64 @@ class TestActiveRaceSafe:
     """
 
     def test_active_for_one_dimensional_launch(self):
-        report = _analyze(self.SOURCE)
-        assert active_race_safe(report, (4, 1, 1), (64, 1, 1)) == {"y"}
+        report = _analyze(self.SOURCE, grid=(4, 1, 1), block=(64, 1, 1))
+        assert _race_verdicts(report, "y") == {SAFE}
 
     def test_inactive_when_unused_coord_has_extent(self):
         # Two lanes differing only in threadIdx.y map to the same y[i]:
-        # the 1D injectivity proof does not cover this launch.
-        report = _analyze(self.SOURCE)
-        assert active_race_safe(report, (4, 1, 1), (64, 2, 1)) == frozenset()
+        # the 1D injectivity proof does not cover this launch.  A guard
+        # could still keep such lanes apart, so the verdict is UNKNOWN.
+        report = _analyze(self.SOURCE, grid=(4, 1, 1), block=(64, 2, 1))
+        assert _race_verdicts(report, "y") == {UNKNOWN}
+        (race,) = [f for f in report.findings if f.kind == "write-write-race"]
+        assert "tid.y (extent 2)" in race.detail
+
+
+@pytest.mark.parametrize(
+    "source, grid, block, expect_safe",
+    [case[1:] for case in GEOMETRY_CASES],
+    ids=[case[0] for case in GEOMETRY_CASES],
+)
+def test_race_verdicts_hold_for_the_launch_geometry(source, grid, block, expect_safe):
+    """No SAFE verdict may coincide with a class-matching runtime fallback
+    when the kernel is analyzed with the geometry it is launched with."""
+    outcome = check_geometry_case(source, grid, block)
+    assert outcome["violations"] == []
+    race = {kind: finding["verdict"] for kind, finding in outcome["race"].items()}
+    assert set(race) == set(RACE_KINDS)
+    if expect_safe:
+        assert set(race.values()) == {SAFE}
+        assert outcome["fallbacks"] == {}
+    else:
+        assert SAFE not in race.values()
+        assert outcome["fallbacks"], "the ignored coordinate never collided"
+
+
+class TestAnalyzedOnce:
+    """Execution never analyzes kernels: ``static_findings_for`` is the
+    analyzer's only caller, so a batch analyzes each kernel once."""
+
+    @pytest.mark.parametrize("model, kernel", [
+        ("pycuda", "axpy"),
+        ("cupy", "axpy"),
+        ("pycuda", "cg"),
+    ])
+    def test_each_kernel_is_analyzed_once(self, monkeypatch, model, kernel):
+        code = get_template("python", model, kernel)
+        kernels_in_source = sum(
+            len(parse_cuda_source(source)) for source in extract_cuda_sources(code)
+        )
+        assert kernels_in_source >= 1
+        runs = []
+        original = static._Analysis.run
+        monkeypatch.setattr(
+            static._Analysis, "run", lambda self: runs.append(self) or original(self)
+        )
+        analyzer = SuggestionAnalyzer(shared_memo=False)
+        (verdict,) = analyzer.analyze_batch([code], language="python", kernel=kernel,
+                                            requested_model=f"python.{model}")
+        assert verdict.is_correct
+        assert len(runs) == kernels_in_source
 
 
 class TestReportPayload:
@@ -282,6 +351,8 @@ class TestReportPayload:
 
 
 class TestLockstepElision:
+    """A compiled kernel keeps its parsed definition for the analyzer."""
+
     SOURCE = """
         __global__ void scale(int n, double a, double* y) {
             int i = blockIdx.x * blockDim.x + threadIdx.x;
@@ -289,37 +360,11 @@ class TestLockstepElision:
         }
     """
 
-    def test_toggle_restores_previous_state(self):
-        initial = static_elision_enabled()
-        with static_elision(not initial):
-            assert static_elision_enabled() is (not initial)
-        assert static_elision_enabled() is initial
-
-    def test_elided_launch_matches_tracked_launch(self):
-        kernel = CudaModule(self.SOURCE).get_kernel("scale")
-        rng = np.random.default_rng(7)
-        base = rng.standard_normal(64)
-        outputs = {}
-        for enabled in (True, False):
-            y = base.copy()
-            with static_elision(enabled):
-                kernel.launch((1,), (64,), (64, 1.001, y))
-            outputs[enabled] = y.tobytes()
-        assert outputs[True] == outputs[False]
-
-    def test_elided_launches_are_counted(self):
-        kernel = CudaModule(self.SOURCE).get_kernel("scale")
-        before = lockstep_stats().get("launches_static_elided", 0)
-        with static_elision(True):
-            kernel.launch((1,), (64,), (64, 1.001, np.ones(64)))
-        after = lockstep_stats().get("launches_static_elided", 0)
-        assert after == before + 1
-
     def test_static_report_property(self):
         kernel = CudaModule(self.SOURCE).get_kernel("scale")
-        report = kernel.static_report
-        assert report is not None
-        assert "y" in report.race_safe
+        report = analyze_kernel(kernel.definition)
+        assert report.kernel == "scale"
+        assert _race_verdicts(report, "y") == {SAFE}
 
 
 class TestAnalysisIntegration:

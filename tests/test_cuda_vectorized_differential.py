@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.analyzer import SuggestionAnalyzer
-from repro.sandbox.cuda_c import CudaModule, execution_mode, lockstep_stats, static_elision
+from repro.sandbox.cuda_c import CudaModule, execution_mode, lockstep_stats
 from repro.sandbox.cuda_c import interpreter as interp
 from repro.sandbox.executor import evaluate_python_suggestions
 from repro.corpus.store import CorpusStore
@@ -767,13 +767,11 @@ class TestTernaryScalarSemantics:
 
 
 class TestStaticElisionSoundness:
-    """Static-analysis-driven hazard-tracking elision must be unobservable.
+    """A hazard restores every buffer the launch wrote, not just its own.
 
-    A buffer the analyzer proved race-safe skips the runtime writer/
-    duplicate/foreign-reader bookkeeping — but its snapshot stays, because
-    an *unrelated* hazard later in the launch still restores every buffer
-    and replays through the scalar sweep.  These tests pin both halves of
-    that contract, plus the corpus-wide observational equivalence.
+    The lockstep engine snapshots each buffer before its first write.  A
+    hazard on one buffer restores all of them before the scalar replay, so
+    a read-modify-write of another buffer is not applied twice.
     """
 
     MIXED_SRC = """
@@ -786,59 +784,24 @@ class TestStaticElisionSoundness:
     }
     """
 
-    def test_every_cuda_suggestion_matches_with_elision_on_and_off(self, corpus):
-        batch = [(s.code, s.kernel) for s in _cuda_snippets(corpus)]
-        signatures = {}
-        for enabled in (True, False):
-            with static_elision(enabled):
-                signatures[enabled] = _result_signature(evaluate_python_suggestions(batch))
-        assert signatures[True] == signatures[False]
-
-    def test_elision_engages_on_stock_corpus(self, corpus):
-        snippets = [s for s in _cuda_snippets(corpus) if s.origin.value == "template"]
-        batch = [(s.code, s.kernel) for s in snippets]
-        before = lockstep_stats()
-        with static_elision(True):
-            results = evaluate_python_suggestions(batch)
-        delta = _lockstep_delta(before, lockstep_stats())
-        assert all(r.passed for r in results)
-        assert delta.get("launches_static_elided", 0) > 0
-        assert delta.get("launches_scalar_fallback", 0) == 0
-
     def test_unrelated_hazard_restores_elided_buffer(self):
-        # y is proven race-safe and elided; z's duplicate scatter trips the
-        # runtime hazard, so the launch must restore y from its snapshot and
-        # replay through the scalar sweep — byte-identically.
+        # y's store is clean; z's duplicate scatter trips the runtime hazard
+        # after y was written, so the launch must restore y from its
+        # snapshot and replay through the scalar sweep byte-identically.
         kern = CudaModule(self.MIXED_SRC).get_kernel("k")
-        assert "y" in kern.static_report.race_safe
         idx = np.zeros(32, dtype=np.int32)
         outputs = {}
-        for mode, elide in (("auto", True), ("auto", False), ("scalar", False)):
+        for mode in ("auto", "scalar"):
             y = np.arange(32, dtype=np.float64)
             z = np.zeros(8)
             before = lockstep_stats()
-            with execution_mode(mode), static_elision(elide):
+            with execution_mode(mode):
                 kern.launch((1,), (32,), (32, y, z, idx))
             delta = _lockstep_delta(before, lockstep_stats())
             if mode == "auto":
                 assert delta.get("fallback[duplicate-scatter]", 0) == 1
-            if elide:
-                assert delta.get("launches_static_elided", 0) == 1
-            outputs[(mode, elide)] = (y.tobytes(), z.tobytes())
-        assert outputs[("auto", True)] == outputs[("auto", False)] == outputs[("scalar", False)]
-
-    def test_race_hazard_kernel_never_elides_its_buffer(self):
-        src = """
-        __global__ void k(int n, double* y) {
-            int i = blockIdx.x * blockDim.x + threadIdx.x;
-            if (i < n) { y[0] = y[0] + 1.0; }
-        }
-        """
-        kern = CudaModule(src).get_kernel("k")
-        assert "y" not in (kern.static_report.race_safe if kern.static_report else {})
-        y = np.zeros(4)
-        before = lockstep_stats()
-        with static_elision(True):
-            kern.launch((1,), (32,), (4, y))
-        delta = _lockstep_delta(before, lockstep_stats())
-        assert delta.get("launches_static_elided", 0) == 0
+            outputs[mode] = (y.tobytes(), z.tobytes())
+        assert outputs["auto"] == outputs["scalar"]
+        np.testing.assert_array_equal(
+            np.frombuffer(outputs["auto"][0]), np.arange(32, dtype=np.float64) + 1.0
+        )
