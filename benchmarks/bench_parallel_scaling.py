@@ -63,7 +63,9 @@ def _time_full_grid(backend: str, cores: int) -> tuple[float, list[dict]]:
     it copy-on-write), and every repeat starts from a fresh session and a
     cleared verdict memo, so both backends pay identical cold-analysis cost.
     The process backend dispatches one shard per worker through the
-    dispatch driver, which starts fresh worker processes for every call:
+    dispatch driver, whose workers each own whole languages or contiguous
+    runs of one; it starts
+    fresh worker processes for every call:
     process start-up, IPC and the merge are all inside the timed region.
     """
     _cold_caches()

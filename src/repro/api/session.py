@@ -103,8 +103,9 @@ class Session:
         overrides with the same names.
     backend:
         ``"serial"`` (default) or ``"process"``, fixed for the session.
-        Process mode evaluates through :meth:`dispatch` with one shard per
-        worker; records are byte-identical to serial mode.
+        Process mode evaluates each call's uncached seeds and languages in
+        one :meth:`dispatch`, whose workers each own whole languages or
+        contiguous runs of one; records are byte-identical to serial mode.
     max_workers:
         Worker count of process mode and the default of :meth:`dispatch`'s
         ``max_workers`` (default: one per core, at most 8; at least 1).  A
@@ -264,61 +265,81 @@ class Session:
         return self._runner(*self._resolve(seed, config))
 
     # -- core evaluation ------------------------------------------------------
-    def _evaluate(self, spec: ExperimentSpec) -> ResultSet:
-        """Evaluate a single-seed spec on this session's backend.
+    def _evaluate(self, spec: ExperimentSpec) -> dict[int, ResultSet]:
+        """Evaluate a spec on this session's backend, ``{seed: ResultSet}``.
 
-        Process mode dispatches one shard per worker and raises, naming the
-        shards, if any shard ends quarantined.  A pool that resolves to one
-        worker evaluates in-process: one worker process is serial
-        evaluation plus fork and IPC overhead.
+        Process mode dispatches every seed at once, one shard per worker
+        and seed, and raises, naming the shards, if any shard ends
+        quarantined.  A pool that resolves to one worker evaluates
+        in-process: one worker process is serial evaluation plus fork and
+        IPC overhead.
         """
         cells = spec.cells()
         workers = 1
         if self.backend == "process":
             workers = min(self.max_workers or min(8, os.cpu_count() or 1), len(cells))
         if workers <= 1:
-            return self._runner(spec.seed, spec.config).run_cells(cells)
+            return {seed: self._runner(seed, spec.config).run_cells(cells) for seed in spec.seeds}
         report = self.dispatch(spec, shards=workers, backend="process", max_workers=workers)
         if report.quarantined:
             raise RuntimeError(
                 "process evaluation failed; quarantined: "
                 + "; ".join(quarantine.describe() for quarantine in report.quarantined)
             )
-        return report.result()
+        return {seed: report.results[seed] for seed in spec.seeds}
 
     def _cached_languages(
-        self, seed: int, config: CodexConfig, languages: Iterable[str]
-    ) -> dict[str, ResultSet]:
-        """The session-cached results of each language, in the given order.
+        self, seeds: tuple[int, ...], config: CodexConfig, languages: Iterable[str]
+    ) -> dict[int, dict[str, ResultSet]]:
+        """The session-cached results of each seed and language, in the
+        given orders.
 
-        Each language's entry is keyed on the seed, the config fingerprint
-        and the digest of that language's cell enumeration, so a grid grown
-        after caching (``install_extended_grid()``) misses instead of
-        serving the old cells.  Every uncached language is evaluated in a
-        single call (one dispatch in process mode), then cached per
-        language.
+        Each (seed, language) entry is keyed on the seed, the config
+        fingerprint and the digest of that language's cell enumeration, so
+        a grid grown after caching (``install_extended_grid()``) misses
+        instead of serving the old cells.  Uncached languages are evaluated
+        together, then cached per language: in serial mode one call per
+        seed; in process mode one dispatch over the seeds missing any
+        language and every language one of them misses.
         """
         fingerprint = config.fingerprint()
-        keys = {
-            name: (seed, name, fingerprint, ExperimentSpec(languages=(name,)).grid_digest())
-            for name in (get_language(language).name for language in languages)
+        names = tuple(get_language(language).name for language in languages)
+        digests = {name: ExperimentSpec(languages=(name,)).grid_digest() for name in names}
+        found = {
+            seed: {
+                name: self._cache_get((seed, name, fingerprint, digests[name])) for name in names
+            }
+            for seed in seeds
         }
-        found = {name: self._cache_get(key) for name, key in keys.items()}
-        missing = tuple(name for name, results in found.items() if results is None)
-        if missing:
+        missing = {
+            seed: tuple(name for name, results in per_language.items() if results is None)
+            for seed, per_language in found.items()
+        }
+        if self.backend == "process":
+            todo = tuple(seed for seed in seeds if missing[seed])
+            union = tuple(name for name in names if any(name in missing[seed] for seed in todo))
+            batches = [(todo, union)] if todo else []
+        else:
+            batches = [((seed,), missing[seed]) for seed in seeds if missing[seed]]
+        for batch_seeds, batch_languages in batches:
             evaluated = self._evaluate(
-                ExperimentSpec(seeds=(seed,), languages=missing, config=config)
+                ExperimentSpec(seeds=batch_seeds, languages=batch_languages, config=config)
             )
-            for name in missing:
-                found[name] = evaluated.filter(language=name)
-                self._cache_put(keys[name], found[name])
+            for seed in batch_seeds:
+                for name in missing[seed]:
+                    found[seed][name] = evaluated[seed].filter(language=name)
+                    self._cache_put((seed, name, fingerprint, digests[name]), found[seed][name])
         return found
 
-    def _combined(self, seed: int, config: CodexConfig, languages: Iterable[str]) -> ResultSet:
-        combined = ResultSet(seed=seed)
-        for results in self._cached_languages(seed, config, languages).values():
-            for result in results:
-                combined.add(result)
+    def _combined(
+        self, seeds: tuple[int, ...], config: CodexConfig, languages: Iterable[str]
+    ) -> dict[int, ResultSet]:
+        combined: dict[int, ResultSet] = {}
+        for seed, per_language in self._cached_languages(seeds, config, languages).items():
+            combined[seed] = ResultSet(seed=seed)
+            for results in per_language.values():
+                for result in results:
+                    combined[seed].add(result)
         return combined
 
     def language_results(
@@ -336,7 +357,7 @@ class Session:
         it (as :meth:`full_results` does).
         """
         seed, config = self._resolve(seed, config)
-        (results,) = self._cached_languages(seed, config, (language,)).values()
+        (results,) = self._cached_languages((seed,), config, (language,))[seed].values()
         return results
 
     def full_results(
@@ -348,7 +369,7 @@ class Session:
         """Evaluate the full grid (all four languages), reusing cached
         languages; the missing ones are evaluated in a single call."""
         seed, config = self._resolve(seed, config)
-        return self._combined(seed, config, language_names())
+        return self._combined((seed,), config, language_names())[seed]
 
     def run(self, spec: ExperimentSpec | Shard) -> ResultSet | dict[int, ResultSet]:
         """Evaluate a declarative spec or one shard of it.
@@ -363,16 +384,14 @@ class Session:
         """
         if isinstance(spec, Shard):
             return self._runner(spec.seed, spec.spec.config).run_cells(spec.cells())
-        per_seed = {seed: self._run_spec_at_seed(spec, seed) for seed in spec.seeds}
+        if spec.models is None and spec.kernels is None:
+            # Whole-language grids resolve through the session cache.
+            per_seed = self._combined(spec.seeds, spec.config, spec.languages)
+        else:
+            per_seed = self._evaluate(spec)
         if len(spec.seeds) == 1:
             return per_seed[spec.seeds[0]]
         return per_seed
-
-    def _run_spec_at_seed(self, spec: ExperimentSpec, seed: int) -> ResultSet:
-        if spec.models is None and spec.kernels is None:
-            # Whole-language grids resolve through the session cache.
-            return self._combined(seed, spec.config, spec.languages)
-        return self._evaluate(dataclasses.replace(spec, seeds=(seed,)))
 
     def dispatch(
         self,
@@ -406,8 +425,10 @@ class Session:
         Failures are contained, not fatal: a shard whose evaluation raises
         is retried up to ``max_attempts`` times and then *quarantined*
         (listed in ``report.quarantined``, never merged).
-        ``shard_timeout`` bounds each ``process``-backend shard's wall
-        clock (a hung worker is killed and the shard retried), and
+        ``shard_timeout`` bounds the wall clock of each piece a
+        ``process``-backend worker evaluates (one shard's cells of one
+        language, the clock restarting for each piece; a hung worker is
+        killed and the piece's shard retried whole), and
         ``heartbeat_interval`` tunes the file queue's claim-lease renewal
         cadence.
 

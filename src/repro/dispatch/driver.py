@@ -10,10 +10,13 @@ A :class:`ShardDriver` turns a declarative
    so a driver killed mid-run re-executes nothing it already finished.
 3. **Dispatch** — misses go to one of three pluggable worker backends:
    ``inline`` (evaluate in this process), ``process`` (one worker process
-   per pool slot, each evaluating a contiguous run of the shards so that
-   its later shards find the memos warm), or ``file-queue`` (a shared
-   directory any host can drain with ``repro-hpc-codex dispatch-worker`` —
-   see :mod:`repro.dispatch.queue`).
+   per pool slot, each owning whole languages or contiguous runs of one:
+   the shards are cut at language boundaries into *pieces*, and a language
+   is divided among workers only when its cost share of the pool rounds
+   to more than one worker and dividing it balances the pool, because
+   memos and sampling plans never cross a language boundary), or
+   ``file-queue`` (a shared directory any host can drain with
+   ``repro-hpc-codex dispatch-worker`` — see :mod:`repro.dispatch.queue`).
 4. **Stream** — shard payloads are folded into an
    :class:`~repro.api.spec.IncrementalMerge` the moment they complete, and
    ``progress`` / ``on_shard`` callbacks fire in **submission order** — the
@@ -31,22 +34,26 @@ failure record, never a dead driver), failed shards are retried up to
 **quarantined** — reported as a :class:`ShardQuarantine` (and, on the file
 queue, dead-lettered to ``failed/``) so one poison shard can never livelock
 a dispatch.  Failure accounting stays per shard on the ``process``
-backend too: an optional ``shard_timeout`` bounds each shard, a worker
-that dies or is killed charges one attempt to its in-flight shard only
-and the rest of its run is re-offered, uncharged, to a fresh worker, and a
-failed shard is retried alone.  File-queue claims are heartbeat-renewed
+backend too: an optional ``shard_timeout`` bounds each piece, a piece
+that raises or times out charges its shard one attempt (once per attempt,
+however many of the shard's pieces fail), a worker that dies or is killed
+charges its in-flight piece's shard only and the rest of its run is
+re-offered, uncharged, to a fresh worker, and a failed shard is retried
+whole and alone.  File-queue claims are heartbeat-renewed
 leases (see :class:`~repro.dispatch.queue.HeartbeatLease`), so a
 long-running shard with a live worker is never double-executed while a
 dead worker's shard is reclaimed after a few missed beats.  The end state
 of a dispatch is always *byte-identical merge or explicit quarantine* —
 never wrong records.
 
-Every executed shard is written back to the store before its callbacks
-fire, so the crash window never loses more than the shard in flight.
+Every executed shard is written back to the store once, before its
+callbacks fire, so the crash window never loses more than the shard in
+flight.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 import sys
@@ -54,6 +61,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, Union
 
@@ -88,6 +96,18 @@ __all__ = [
 
 #: Worker backends understood by :class:`ShardDriver`.
 DISPATCH_BACKENDS: tuple[str, ...] = ("inline", "process", "file-queue")
+
+#: Relative cost of evaluating one cell of each language, C++ = 1.0: only
+#: the Python prompts run against numerical oracles in the sandbox.  The
+#: ``process`` backend weighs languages with it when it deals them to
+#: workers; a language missing here weighs 1.0.  Re-measure it with
+#: ``python benchmarks/measure_language_costs.py``.
+_LANGUAGE_COSTS: dict[str, float] = {
+    "cpp": 1.0,
+    "fortran": 1.23,
+    "python": 3.97,
+    "julia": 1.81,
+}
 
 
 @dataclass(frozen=True)
@@ -218,43 +238,147 @@ def _extended_grid_installed() -> bool:
     return extensions is not None and extensions.extended_grid_installed()
 
 
-def _process_shard_worker(conn, run: list[Shard], store_path, extended_grid: bool) -> None:
-    """Process-backend worker: evaluate a run of shards in order.
+@dataclass(frozen=True)
+class _Piece:
+    """Cells ``[start, stop)`` of one shard, at one attempt: the shard's
+    cells of one language, or the whole shard when it is retried."""
 
-    Sends one message per shard, in run order: ``("ok", records, sandbox
+    shard: Shard
+    start: int
+    stop: int
+    #: The spec's cell enumeration, built once and shared by every piece.
+    grid: list = field(repr=False, compare=False)
+    attempt: int = 1
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def cells(self) -> list:
+        return self.grid[self.start : self.stop]
+
+    @property
+    def label(self) -> str:
+        """The shard's label, suffixed with the piece's cells when it
+        covers only part of the shard (the fault-plan context)."""
+        label = shard_label(self.shard)
+        if (self.start, self.stop) != (self.shard.start, self.shard.stop):
+            label += f"/{self.start:05d}-{self.stop:05d}"
+        return label
+
+
+def _language_runs(shards: list[Shard], workers: int) -> list[list[_Piece]]:
+    """Cut ``shards`` into one-language pieces and deal them into at most
+    ``workers`` runs, each in plan order; runs are returned in plan order.
+
+    Each language starts as one part, and parts are dealt largest first,
+    weighed by :data:`_LANGUAGE_COSTS`, to the least-loaded run.  The
+    costliest part's language is divided into one more part while that
+    leaves the slowest run no slower, into at most one part per piece and
+    per worker its share of the work fills, rounded.  A part is a
+    contiguous run of the language's pieces, lengths differing by at most
+    one, so a one-language spec gets the equal-count runs of its shards.
+    Empty shards have no pieces.
+    """
+    cells = shards[0].spec.cells()
+    by_language: dict[str, list[_Piece]] = {}
+    for shard in shards:
+        start = shard.start
+        for language, group in itertools.groupby(
+            cells[shard.start : shard.stop], key=lambda cell: cell.language
+        ):
+            stop = start + sum(1 for _ in group)
+            by_language.setdefault(language, []).append(_Piece(shard, start, stop, cells))
+            start = stop
+    if not by_language:
+        return []
+    weight = {language: _LANGUAGE_COSTS.get(language, 1.0) for language in by_language}
+
+    def deal(counts: dict[str, int]) -> tuple[float, str, list[list[_Piece]]]:
+        """The slowest run's load, the costliest part's language, the runs."""
+        parts = []
+        for language, pieces in by_language.items():
+            count = counts[language]
+            for j in range(count):
+                run = pieces[j * len(pieces) // count : (j + 1) * len(pieces) // count]
+                parts.append((weight[language] * sum(len(piece) for piece in run), language, run))
+        loads = [0.0] * workers
+        runs: list[list[_Piece]] = [[] for _ in range(workers)]
+        for cost, _, run in sorted(parts, key=itemgetter(0), reverse=True):
+            slot = loads.index(min(loads))
+            loads[slot] += cost
+            runs[slot].extend(run)
+        return max(loads), max(parts, key=itemgetter(0))[1], runs
+
+    cost = {
+        language: weight[language] * sum(len(piece) for piece in pieces)
+        for language, pieces in by_language.items()
+    }
+    total = sum(cost.values())
+    # A worker that takes over part of a language pays its warm-up again,
+    # which the per-cell costs leave out: at 2 workers, dividing Python's
+    # cells measured slower than keeping them whole even where the costs
+    # predicted a gain.  So a language is divided no further than its share
+    # of the work, rounded to whole workers.
+    most = {
+        language: min(len(pieces), int(cost[language] * workers / total + 0.5))
+        for language, pieces in by_language.items()
+    }
+    counts = dict.fromkeys(by_language, 1)
+    slowest, costliest, runs = deal(counts)
+    while counts[costliest] < most[costliest]:
+        divided = {**counts, costliest: counts[costliest] + 1}
+        divided_slowest, divided_costliest, divided_runs = deal(divided)
+        if divided_slowest > slowest:
+            break
+        counts, slowest, costliest, runs = divided, divided_slowest, divided_costliest, divided_runs
+
+    def plan_order(piece: _Piece) -> tuple[int, int]:
+        return piece.shard.index, piece.start
+
+    runs = [sorted(run, key=plan_order) for run in runs if run]
+    return sorted(runs, key=lambda run: plan_order(run[0]))
+
+
+def _process_shard_worker(conn, run: list[_Piece], store_path, extended_grid: bool) -> None:
+    """Process-backend worker: evaluate a run of shard pieces in order.
+
+    Sends one message per piece, in run order: ``("ok", records, sandbox
     executions, verdict-store hits, seconds)`` — the counter deltas let the
     parent driver aggregate across the pool, and the worker-measured
-    seconds are the shard's own evaluation cost (the parent cannot separate
+    seconds are the piece's own evaluation cost (the parent cannot separate
     queueing from computing) — or ``("error", failure record)`` when the
-    shard's evaluation or the worker's setup raises, after which the worker
-    carries on with the next shard.  A worker that dies without reporting
+    piece's evaluation or the worker's setup raises, after which the worker
+    carries on with the next piece.  A worker that dies without reporting
     (hard crash, injected ``die``, kill on timeout) is detected by the
     parent through the closed pipe.
 
-    The run is a contiguous stretch of the plan, and neighbouring cells
-    share suggestion code: every shard after the first finds the
-    process-wide code memo and sampling plans warm.  The verdict store is
-    opened once per worker.  The grid registries are process state that
-    only a forked worker inherits, so a worker started by ``spawn`` or
-    ``forkserver`` installs the extended grid itself when the parent had it
-    installed (``extended_grid``) before it builds any shard's cells.
+    The run holds whole languages or contiguous runs of one (see
+    :func:`_language_runs`), and the process-wide code memo, sampling
+    plans and mutant tables never cross a language boundary: every piece
+    after a language's first finds them warm.  The verdict store is opened
+    once per worker, and one runner per ``(seed, config fingerprint)``
+    serves all of the worker's pieces.  The grid registries are process
+    state that only a forked worker inherits, so a worker started by
+    ``spawn`` or ``forkserver`` installs the extended grid itself when the
+    parent had it installed (``extended_grid``) before it builds any
+    piece's cells.
     """
-    store = None
+    runners = None
     try:
-        for shard in run:
+        for piece in run:
             try:
-                if extended_grid:
-                    from repro.extensions import extended_grid_installed, install_extended_grid
+                if runners is None:
+                    if extended_grid:
+                        from repro.extensions import extended_grid_installed, install_extended_grid
 
-                    if not extended_grid_installed():  # a forked worker keeps its warm corpus
-                        install_extended_grid()
-                if store is None and store_path is not None:
-                    store = VerdictStore(store_path)
-                runner = EvaluationRunner(
-                    config=shard.spec.config, seed=shard.seed, verdict_store=store
-                )
+                        if not extended_grid_installed():  # a forked worker keeps its warm corpus
+                            install_extended_grid()
+                    store = None if store_path is None else VerdictStore(store_path)
+                    runners = RunnerPool(verdict_store=store)
+                runner = runners.runner(piece.shard.seed, piece.shard.spec.config)
+                executions, hits = runner.sandbox_executions, runner.store_hits
                 results, failure, seconds = run_shard_contained(
-                    runner, shard, label=shard_label(shard)
+                    runner, piece, label=piece.label, attempt=piece.attempt
                 )
                 if failure is not None:
                     message = ("error", failure)
@@ -262,14 +386,14 @@ def _process_shard_worker(conn, run: list[Shard], store_path, extended_grid: boo
                     message = (
                         "ok",
                         results.to_records(),
-                        runner.sandbox_executions,
-                        runner.store_hits,
+                        runner.sandbox_executions - executions,
+                        runner.store_hits - hits,
                         seconds,
                     )
             except Exception as exc:  # containment of setup errors, not just evaluation
                 message = (
                     "error",
-                    failure_record(exc, label=f"shard-{shard.index}", phase="worker"),
+                    failure_record(exc, label=piece.label, phase="worker", attempt=piece.attempt),
                 )
             conn.send(message)
     finally:
@@ -298,8 +422,14 @@ class ShardDriver:
     max_workers:
         Pool width of the ``process`` backend (default: one per core, at
         most 8), capped by the number of shards to execute; at least 1.
-        Each slot's worker process evaluates a contiguous run of the
-        shards, in plan order.
+        The shards are cut at language boundaries into pieces, and each
+        slot's worker process owns whole languages, or contiguous runs of
+        one: languages are dealt largest first (weighed by
+        :data:`_LANGUAGE_COSTS`) to the least-loaded worker, and the
+        costliest is divided while that leaves the slowest worker no
+        slower, into at most as many runs as its share of the work fills
+        workers, rounded.  A worker evaluates its pieces in plan order;
+        the driver merges a shard's pieces and stores the shard once.
     queue:
         Queue directory (or :class:`~repro.dispatch.queue.FileQueue`) for
         the ``file-queue`` backend.
@@ -320,11 +450,11 @@ class ShardDriver:
         queue's policy for the file-queue backend, otherwise
         :data:`~repro.dispatch.queue.DEFAULT_MAX_ATTEMPTS`).
     shard_timeout:
-        Per-shard wall-clock limit for the ``process`` backend, restarting
-        when the worker's previous shard lands: a worker exceeding it is
-        killed, its in-flight shard is retried (counting as one failed
-        attempt) and the rest of its run re-offered.  ``None`` (default)
-        disables the limit.
+        Per-piece wall-clock limit for the ``process`` backend, restarting
+        when the worker's previous piece lands: a worker exceeding it is
+        killed, its in-flight piece's shard is retried whole (counting as
+        one failed attempt) and the rest of its run re-offered.  ``None``
+        (default) disables the limit.
     heartbeat_interval, lease_beats:
         Lease policy forwarded to the :class:`FileQueue` the driver
         creates from a ``queue`` path (ignored when an existing
@@ -437,8 +567,11 @@ class ShardDriver:
     def _complete_shard(
         self, outcome: ShardOutcome, merge: IncrementalMerge, report: DispatchReport
     ) -> None:
-        """Persist, merge and announce one completed shard (in order)."""
-        if self.result_store is not None and not outcome.cached:
+        """Persist, merge and announce one completed shard (in order).
+
+        Process-backend shards were persisted when their last piece landed.
+        """
+        if self.result_store is not None and outcome.source not in ("store", "process"):
             self.result_store.put(outcome.entry, outcome.results)
         merge.add(outcome.entry, outcome.results)
         if self.progress is not None and outcome.source not in ("inline", "file-queue"):
@@ -513,21 +646,24 @@ class ShardDriver:
         extended_grid = _extended_grid_installed()
         # Same hardware-based sizing policy as Session's process backend,
         # capped by the actual shard count.
-        count = len(to_execute)
-        workers = min(self.max_workers or min(8, os.cpu_count() or 1), count)
+        workers = min(self.max_workers or min(8, os.cpu_count() or 1), len(to_execute))
         ctx = multiprocessing.get_context()
-        # One worker per slot, each owning a contiguous run of the plan
-        # (lengths differ by at most one) so its later shards hit the memos
-        # its earlier shards warmed; no work stealing, which would hand a
-        # worker a cold shard from elsewhere in the grid.  A run is a list
-        # of (shard, attempt).
-        waiting: deque[list[tuple[Shard, int]]] = deque(
-            [(shard, 1) for shard in to_execute[j * count // workers : (j + 1) * count // workers]]
-            for j in range(workers)
-        )
-        #: pipe -> (process, shards still owed a message, in-flight first,
-        #: deadline of the in-flight shard)
+        # One worker per run, each run owning whole languages (or runs of
+        # one) so its later pieces hit the memos its earlier pieces warmed;
+        # no work stealing, which would hand a worker another language's
+        # cold piece.
+        waiting: deque[list[_Piece]] = deque(_language_runs(to_execute, workers))
+        #: pipe -> (process, pieces still owed a message, in-flight first,
+        #: deadline of the in-flight piece)
         running: dict = {}
+        #: Each unsettled shard's live attempt, the (start, records,
+        #: seconds) of that attempt's landed pieces, and its pieces owed.
+        attempts = {shard.index: 1 for shard in to_execute}
+        landed: dict[int, list[tuple[int, list, float]]] = {shard.index: [] for shard in to_execute}
+        owed = dict.fromkeys(attempts, 0)
+        for run in waiting:
+            for piece in run:
+                owed[piece.shard.index] += 1
         ready: dict[int, ShardOutcome] = {}
         quarantine: dict[int, ShardQuarantine] = {}
         failures: dict[int, list[dict]] = {}
@@ -535,27 +671,66 @@ class ShardDriver:
         def deadline() -> float | None:
             return None if self.shard_timeout is None else time.monotonic() + self.shard_timeout
 
+        def live(piece: _Piece) -> bool:
+            """Whether the piece belongs to its shard's live attempt."""
+            return attempts.get(piece.shard.index) == piece.attempt
+
         def spawn() -> None:
             while waiting and len(running) < workers:
-                run = waiting.popleft()
+                run = [piece for piece in waiting.popleft() if live(piece)]
+                if not run:
+                    continue
                 parent_end, child_end = ctx.Pipe(duplex=False)
                 proc = ctx.Process(
                     target=_process_shard_worker,
-                    args=(child_end, [shard for shard, _ in run], store_path, extended_grid),
+                    args=(child_end, run, store_path, extended_grid),
                 )
                 proc.start()
                 child_end.close()
                 running[parent_end] = (proc, deque(run), deadline())
 
-        def settle_failure(shard: Shard, attempt: int, failure: dict) -> None:
+        def finish(shard: Shard) -> None:
+            """Merge the shard's pieces in cell order and persist it the
+            moment its last piece lands — while the driver waits on an early
+            slow shard, later finished shards are already crash-safe on
+            disk.  Only the submission-order yield below (and therefore
+            callbacks and the merge) waits."""
+            parts = sorted(landed.pop(shard.index), key=itemgetter(0))
+            del attempts[shard.index], owed[shard.index]
+            results = ResultSet.from_payload(
+                [record for _, records, _ in parts for record in records], seed=shard.seed
+            )
+            entry = shard.entry()
+            if self.result_store is not None:
+                self.result_store.put(entry, results)
+            cost = sum(seconds for _, _, seconds in parts)
+            ready[shard.index] = ShardOutcome(entry, results, "process", cost)
+
+        def land(piece: _Piece, records: list, seconds: float) -> None:
+            if not live(piece):
+                return  # its attempt was already charged: dropped, never merged
+            landed[piece.shard.index].append((piece.start, records, seconds))
+            owed[piece.shard.index] -= 1
+            if owed[piece.shard.index] == 0:
+                finish(piece.shard)
+
+        def settle_failure(piece: _Piece, failure: dict) -> None:
+            """Charge the piece's shard one attempt, once per attempt however
+            many of its pieces fail: retry it whole, alone, in a fresh
+            worker, or quarantine it."""
+            if not live(piece):
+                return
+            shard = piece.shard
             history = failures.setdefault(shard.index, [])
             history.append(failure)
-            if attempt >= self.max_attempts:
-                quarantine[shard.index] = ShardQuarantine(
-                    shard.entry(), len(history), failure
-                )
+            if piece.attempt >= self.max_attempts:
+                del attempts[shard.index], landed[shard.index], owed[shard.index]
+                quarantine[shard.index] = ShardQuarantine(shard.entry(), len(history), failure)
             else:
-                waiting.append([(shard, attempt + 1)])  # retried alone, in a fresh worker
+                attempts[shard.index] = piece.attempt + 1
+                landed[shard.index], owed[shard.index] = [], 1
+                retry = _Piece(shard, shard.start, shard.stop, piece.grid, piece.attempt + 1)
+                waiting.append([retry])
 
         def retire(conn, proc, *, terminate: bool = False) -> None:
             del running[conn]
@@ -568,13 +743,14 @@ class ShardDriver:
                 proc.join(timeout=1.0)
 
         def lose(run: deque, kind: str, message: str) -> None:
-            """A worker died or was killed: charge its in-flight shard one
-            attempt and re-offer the rest of its run, uncharged."""
-            shard, attempt = run.popleft()
+            """A worker died or was killed: charge its in-flight piece's
+            shard one attempt and re-offer the rest of its run, uncharged
+            (spawn drops the pieces of attempts charged meanwhile)."""
+            piece = run.popleft()
             failure = failure_record(
-                kind, label=shard_label(shard), phase="process", attempt=attempt, message=message
+                kind, label=piece.label, phase="process", attempt=piece.attempt, message=message
             )
-            settle_failure(shard, attempt, failure)
+            settle_failure(piece, failure)
             if run:
                 waiting.append(list(run))
 
@@ -586,23 +762,16 @@ class ShardDriver:
                 retire(conn, proc)
                 lose(run, "WorkerDied", f"worker exited with code {proc.exitcode} before reporting")
                 return
-            shard, attempt = run.popleft()
+            piece = run.popleft()
             if message[0] == "error":
-                settle_failure(shard, attempt, message[1])
+                settle_failure(piece, message[1])
             else:
                 _, records, executions, hits, seconds = message
                 report.sandbox_executions += executions
                 report.verdict_store_hits += hits
-                results = ResultSet.from_payload(records, seed=shard.seed)
-                # Persist the moment it lands — while the driver waits on an
-                # early slow shard, later finished shards are already
-                # crash-safe on disk.  Only the submission-order yield below
-                # (and therefore callbacks and the merge) waits.
-                if self.result_store is not None:
-                    self.result_store.put(shard.entry(), results)
-                ready[shard.index] = ShardOutcome(shard.entry(), results, "process", seconds)
+                land(piece, records, seconds)
             if run:
-                running[conn] = (proc, run, deadline())  # the next shard's clock starts
+                running[conn] = (proc, run, deadline())  # the next piece's clock starts
             else:
                 retire(conn, proc)
 
@@ -625,6 +794,10 @@ class ShardDriver:
                 for conn in mp_connection.wait(list(running), timeout=wait_for):
                     receive(conn)
                 kill_expired()
+
+        for shard in to_execute:
+            if owed[shard.index] == 0:
+                finish(shard)  # an empty shard: no cells, no pieces
 
         indexes = {shard.index for shard in to_execute}
         for shard in plan:

@@ -29,8 +29,11 @@ is found in the call-site context string (e.g. the task name — this is how
 one specific shard becomes the poison shard), and its ``times`` budget (if
 any) is not yet spent.  Counting is per-process and thread-safe, so "crash
 the first attempt, succeed on retry" is expressible and reproducible.  A
-``process``-backend worker evaluates a whole run of shards, so its
+``process``-backend worker evaluates a whole run of shard pieces, so its
 ``times`` budget spans that run; a retry's fresh worker starts a new one.
+A piece covering only part of its shard (one language's cells) fires with
+the shard's context suffixed ``/<start>-<stop>``, so a plan can fail one
+piece while the whole-shard retry succeeds.
 
 Plans are installed through the API (:func:`install`, :func:`reset`) or the
 ``REPRO_FAULTS`` environment variable — a JSON list such as::

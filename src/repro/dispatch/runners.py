@@ -40,8 +40,7 @@ def shard_label(shard) -> str:
     The prefix of the file queue's task names, so a fault plan's ``match``
     string targets the same shard whichever backend evaluates it.
     """
-    entry = shard.entry()
-    return f"s{entry.seed}-{entry.start:05d}-{entry.stop:05d}"
+    return f"s{shard.seed}-{shard.start:05d}-{shard.stop:05d}"
 
 
 def failure_record(

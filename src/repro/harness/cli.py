@@ -254,8 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_POSITIVE_INT,
         default=None,
-        help="worker processes of the process backend, each evaluating a contiguous "
-        "run of the shards (default: one per core, at most 8, at most one per shard)",
+        help="worker processes of the process backend, each owning whole languages, or "
+        "contiguous runs of one, of the shards (default: one per core, at most 8, at most "
+        "one per shard)",
     )
     dispatch.add_argument(
         "--max-shards",
@@ -277,8 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_POSITIVE_FLOAT,
         default=None,
         metavar="SECONDS",
-        help="kill a process-backend shard exceeding this wall clock and retry it "
-        "(counts as one failed attempt)",
+        help="kill a process-backend worker whose current piece (one shard's cells of "
+        "one language) exceeds this wall clock, restarting for each piece, and retry "
+        "the piece's shard whole (counts as one failed attempt)",
     )
     dispatch.add_argument(
         "--heartbeat",

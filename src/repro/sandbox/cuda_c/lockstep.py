@@ -645,9 +645,7 @@ class _Compiler:
     """One-shot AST -> closure-tree compiler for a single kernel."""
 
     def __init__(self, definition: ast.KernelDef):
-        self.definition = definition
         self.pointer_params = {p.name for p in definition.params if p.is_pointer}
-        self.scalar_params = [p for p in definition.params if not p.is_pointer]
         self.local_arrays: set[str] = set()
         #: Pointer params this kernel writes (scatter or atomicAdd targets).
         #: Gathers from these buffers maintain reader-lane tracking so later
@@ -1567,7 +1565,6 @@ class LockstepProgram:
     """A kernel body compiled to lockstep closures, ready to launch."""
 
     def __init__(self, definition: ast.KernelDef, body: tuple):
-        self._definition = definition
         self._body = body
         self._pointer_names = tuple(p.name for p in definition.params if p.is_pointer)
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.analyzer import SuggestionAnalyzer
+from repro.api import ExperimentSpec, Session
 from repro.codex.config import CodexConfig, DEFAULT_SEED
 from repro.codex.engine import SimulatedCodex
 from repro.core.evaluator import PromptEvaluator
@@ -75,19 +76,17 @@ def call_template():
     return call
 
 
-@pytest.fixture()
-def started_processes(monkeypatch) -> list:
-    """The run of shards of every worker process the dispatch driver starts.
-
-    Wraps the context :mod:`repro.dispatch.driver` gets from
-    ``multiprocessing.get_context``; each ``Process`` it creates appends
-    the shard indexes handed to that worker.
-    """
+def _record_worker_starts(monkeypatch, read) -> list:
+    """Wrap the context :mod:`repro.dispatch.driver` gets from
+    ``multiprocessing.get_context`` so that each ``Process`` it creates
+    appends ``read(run)`` of the run of pieces handed to that worker.
+    Recorders stack: each wraps whatever context the driver sees."""
     from repro.dispatch import driver
 
-    started: list[list[int]] = []
+    started: list = []
+    get_context = driver.multiprocessing.get_context
 
-    class CountingContext:
+    class RecordingContext:
         def __init__(self, context) -> None:
             self._context = context
 
@@ -95,12 +94,48 @@ def started_processes(monkeypatch) -> list:
             return getattr(self._context, name)
 
         def Process(self, *, target, args):
-            started.append([shard.index for shard in args[1]])
+            started.append(read(args[1]))
             return self._context.Process(target=target, args=args)
 
     monkeypatch.setattr(
         driver,
         "multiprocessing",
-        types.SimpleNamespace(get_context=lambda: CountingContext(multiprocessing.get_context())),
+        types.SimpleNamespace(get_context=lambda: RecordingContext(get_context())),
     )
     return started
+
+
+@pytest.fixture()
+def started_processes(monkeypatch) -> list:
+    """The shard index of each piece handed to every worker process the
+    dispatch driver starts, one list per process, in start order."""
+    return _record_worker_starts(monkeypatch, lambda run: [piece.shard.index for piece in run])
+
+
+@pytest.fixture()
+def started_cells(monkeypatch) -> list:
+    """The cells each worker process the dispatch driver starts evaluates,
+    as one list of cell positions per process, in start order."""
+    return _record_worker_starts(
+        monkeypatch, lambda run: [cell for piece in run for cell in range(piece.start, piece.stop)]
+    )
+
+
+@pytest.fixture(scope="session")
+def two_languages() -> ExperimentSpec:
+    """C++ cells 0-15 and Python cells 16-23 of one kernel.
+
+    Most shard counts cut a shard at the language boundary.  On 2 workers
+    the languages stay whole, one worker each, so the cut shard is split
+    across both; at 2 shards the C++ worker runs ``[0, 12)`` and
+    ``[12, 16)``, the Python worker ``[16, 24)``.  On 3 workers Python's
+    share of the work divides it into two runs.
+    """
+    return ExperimentSpec(seeds=(DEFAULT_SEED,), languages=("cpp", "python"), kernels=("axpy",))
+
+
+@pytest.fixture(scope="session")
+def two_language_records(two_languages) -> list[dict]:
+    """The serial records of :func:`two_languages`."""
+    with Session(seed=DEFAULT_SEED) as session:
+        return session.run(two_languages).to_records()

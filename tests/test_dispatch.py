@@ -207,6 +207,83 @@ class TestProcessDispatch:
         for seed in (1, 2):
             assert report.results[seed].to_records() == serial[seed].to_records()
 
+    @pytest.mark.parametrize(
+        "workers, cells",
+        [
+            # The stock grid runs C++ 0-95, Fortran 96-131, Python 132-179
+            # and Julia 180-203, and shards 2 and 3 start at 102 and 153.
+            # Weighed by the cost table, Python alone balances the three
+            # other languages on 2 workers ...
+            (2, [[*range(0, 132), *range(180, 204)], [*range(132, 180)]]),
+            # ... and fills about two of 3 or 4 workers, so it is divided
+            # into its pieces of shards 2 and 3.
+            (3, [[*range(0, 96), *range(180, 204)], [*range(96, 153)], [*range(153, 180)]]),
+            (
+                4,
+                [[*range(0, 96)], [*range(96, 132), *range(180, 204)], [*range(132, 153)],
+                 [*range(153, 180)]],
+            ),
+        ],
+        ids=["2-workers", "3-workers", "4-workers"],
+    )
+    def test_the_stock_grid_is_dealt_by_cost_share(self, started_cells, workers, cells):
+        spec = ExperimentSpec(seeds=(DEFAULT_SEED,))
+        report = ShardDriver(spec, shards=4, backend="process", max_workers=workers).run()
+        assert report.complete
+        with Session(seed=DEFAULT_SEED) as session:
+            assert report.result().to_records() == session.full_results().to_records()
+        assert started_cells == cells
+
+    def test_every_two_language_schedule_merges_to_the_serial_records(
+        self, two_languages, two_language_records, started_processes
+    ):
+        split = set()
+        schedules = {}
+        for shards in range(1, 9):
+            for workers in (1, 2, 3):
+                started_processes.clear()
+                report = ShardDriver(
+                    two_languages, shards=shards, backend="process", max_workers=workers
+                ).run()
+                assert report.complete, (shards, workers)
+                assert report.result().to_records() == two_language_records, (shards, workers)
+                assert [outcome.entry.index for outcome in report.outcomes] == list(range(shards))
+                schedules[shards, workers] = [list(run) for run in started_processes]
+                owners = {}
+                for slot, run in enumerate(started_processes):
+                    for index in run:
+                        owners.setdefault(index, set()).add(slot)
+                if any(len(slots) > 1 for slots in owners.values()):
+                    split.add((shards, workers))
+        # Schedules that merge one shard from two workers' pieces, cut at
+        # the language boundary (C++ 12-15 | Python 16-17 of shard 2 at 4
+        # shards) ...
+        assert {(2, 2), (4, 2), (4, 3), (5, 3)} <= split
+        # ... and, on 3 workers, Python's pieces divided between two.
+        assert schedules[4, 2] == [[0, 1, 2], [2, 3]]
+        assert schedules[4, 3] == [[0, 1, 2], [2], [3]]
+
+    def test_each_executed_shard_is_written_once(
+        self, two_languages, two_language_records, monkeypatch, tmp_path
+    ):
+        writes: list[int] = []
+        put = ResultStore.put
+
+        def counting(self, entry, results):
+            writes.append(entry.index)
+            return put(self, entry, results)
+
+        monkeypatch.setattr(ResultStore, "put", counting)
+        store = ResultStore(tmp_path / "store")
+        report = ShardDriver(
+            two_languages, shards=4, backend="process", max_workers=2, result_store=store
+        ).run()
+        assert report.complete
+        assert sorted(writes) == [0, 1, 2, 3]
+        assert ResultStore(tmp_path / "store").get(report.outcomes[2].entry).to_records() == (
+            two_language_records[12:18]
+        )
+
     def test_process_counters_cross_the_boundary(self):
         # Python cells execute in the sandbox inside pool workers; the
         # driver's report must still see those executions.
@@ -399,6 +476,26 @@ class TestSessionDispatch:
         # Silently evaluating serially would hide the mistake.
         with pytest.raises(ValueError, match=f"max_workers must be >= 1, got {workers}"):
             Session(backend="process", max_workers=workers)
+
+    def test_process_sweep_is_one_dispatch(self, monkeypatch, started_processes):
+        dispatched: list[tuple[int, ...]] = []
+        original = Session.dispatch
+
+        def counting(self, spec=None, **kwargs):
+            dispatched.append(spec.seeds)
+            return original(self, spec, **kwargs)
+
+        monkeypatch.setattr(Session, "dispatch", counting)
+        with Session(backend="process", max_workers=2) as process, Session() as serial:
+            swept = process.sweep([8, 7])
+            expected = serial.sweep([8, 7])
+        assert dispatched == [(8, 7)]
+        # One pool: Python's pieces of both seeds in one worker, every
+        # other language's in the other.
+        assert started_processes == [[0, 0, 1, 1, 2, 2, 3, 3], [1, 3]]
+        assert list(swept) == [8, 7]
+        for seed in (8, 7):
+            assert json.dumps(swept[seed].to_records()) == json.dumps(expected[seed].to_records())
 
     def test_session_verdict_store_reaches_dispatch_workers(self, tmp_path):
         python_spec = ExperimentSpec(

@@ -302,6 +302,69 @@ class TestProcessFaults:
         # reported the error and still evaluated shard 1 itself.
         assert started_processes == [[0, 1], [2, 3], [0]]
 
+    @staticmethod
+    def _dispatch_split_shard(two_languages, monkeypatch, tmp_path, action, match):
+        monkeypatch.setenv(
+            faults.FAULTS_ENV,
+            json.dumps([{"point": "worker.evaluate", "action": action, "arg": 60, "match": match}]),
+        )
+        faults.reset()
+        writes: list[int] = []
+        put = ResultStore.put
+
+        def counting(self, entry, results):
+            writes.append(entry.index)
+            return put(self, entry, results)
+
+        monkeypatch.setattr(ResultStore, "put", counting)
+        report = ShardDriver(
+            two_languages,
+            shards=2,
+            backend="process",
+            max_workers=2,
+            max_attempts=2,
+            shard_timeout=1.0,
+            result_store=tmp_path / "store",
+        ).run()
+        return report, writes
+
+    @pytest.mark.parametrize("action", ["crash", "die", "hang"])
+    def test_a_failing_piece_retries_its_split_shard_whole(
+        self, two_languages, two_language_records, monkeypatch, started_processes, tmp_path, action
+    ):
+        # Only shard 1's C++ piece fails: its context is the shard's
+        # label with the piece's cells appended, which the whole-shard
+        # retry (labelled by the shard alone) does not carry.
+        report, writes = self._dispatch_split_shard(
+            two_languages, monkeypatch, tmp_path, action, "/00012-00016"
+        )
+        assert report.complete and not report.quarantined
+        assert report.result().to_records() == two_language_records
+        assert [outcome.entry.index for outcome in report.outcomes] == [0, 1]
+        assert started_processes == [[0, 1], [1], [1]]
+        # The Python piece of the failed attempt is dropped, not merged: the
+        # retry's records are merged and stored once.
+        assert sorted(writes) == [0, 1]
+
+    @pytest.mark.parametrize("action", ["crash", "die", "hang"])
+    def test_a_split_shard_failing_in_every_piece_is_charged_once_per_attempt(
+        self, two_languages, two_language_records, monkeypatch, started_processes, tmp_path, action
+    ):
+        # Both pieces of shard 1 fail on the first attempt, and its whole
+        # retry fails too: two attempts charged, not three.
+        report, writes = self._dispatch_split_shard(
+            two_languages, monkeypatch, tmp_path, action, f"s{DEFAULT_SEED}-00012-00024"
+        )
+        assert report.pending == 0
+        assert [dead.entry.index for dead in report.quarantined] == [1]
+        assert report.quarantined[0].attempts == 2
+        kind = {"crash": "InjectedCrash", "die": "WorkerDied", "hang": "ShardTimeout"}[action]
+        assert report.quarantined[0].failure["error"] == kind
+        assert [outcome.entry.index for outcome in report.outcomes] == [0]
+        assert started_processes == [[0, 1], [1], [1]]
+        assert report.results[DEFAULT_SEED].to_records() == two_language_records[:12]
+        assert writes == [0]
+
 
 # ---------------------------------------------------------------------------
 # File queue: leases, retries, dead letters
