@@ -4,8 +4,8 @@ Everything downstream code needs lives here (reference: ``docs/api.md``;
 layering and determinism contract: ``docs/architecture.md``):
 
 * :class:`Session` — context-managed façade owning result caching, the
-  serial or process evaluation backend, pooled runners, progress callbacks
-  and the optional persistent verdict store (``session.table(2)``,
+  serial or process evaluation backend, progress callbacks and the
+  optional persistent verdict store (``session.table(2)``,
   ``session.figure(4)``, ``session.ablation("keywords")``,
   ``session.run(spec)``, ``session.sweep(seeds=[...])``,
   ``session.run_everything()``), each returning an

@@ -6,10 +6,10 @@ A ``Session`` owns:
   digest)`` and LRU-bounded — *session-scoped*, so two sessions never share
   results and tests get isolation by construction;
 * the evaluation backend, fixed per session: ``serial`` evaluates in the
-  calling thread on pooled :class:`~repro.core.runner.EvaluationRunner`s,
-  ``process`` spreads each evaluation over worker processes through the
-  dispatch driver (:meth:`Session.dispatch`), with its retries and
-  quarantine;
+  calling thread, on an :class:`~repro.core.runner.EvaluationRunner` built
+  for each evaluation, ``process`` spreads each evaluation over worker
+  processes through the dispatch driver (:meth:`Session.dispatch`), with
+  its retries and quarantine;
 * progress callbacks, forwarded to every evaluation the session runs;
 * an optional persistent verdict store (``verdict_store=``), shared by every
   runner and worker process the session uses, so repeated runs — even from
@@ -65,6 +65,9 @@ BACKENDS: tuple[str, ...] = ("serial", "process")
 #: Ablation name → Session method suffix (see :meth:`Session.ablation`).
 ABLATIONS: tuple[str, ...] = ("keywords", "maturity", "suggestions")
 
+#: LRU bound of a session's result cache, in (seed, language) entries.
+CACHE_SIZE = 64
+
 
 @dataclasses.dataclass
 class ExperimentReport:
@@ -115,8 +118,6 @@ class Session:
         :class:`CellResult` as it is evaluated in-process, or with each
         :class:`~repro.core.runner.RecordResult` of a shard as it lands from
         a worker process.
-    cache_size:
-        LRU bound of the per-session result cache.
     verdict_store:
         Opt-in persistent verdict cache shared by every runner (and every
         worker process) this session uses.  Pass ``True`` for the
@@ -139,8 +140,6 @@ class Session:
         backend: str = "serial",
         max_workers: int | None = None,
         progress: Callable[[CellResult], None] | None = None,
-        cache_size: int = 64,
-        max_runners: int = 8,
         verdict_store: VerdictStore | str | Path | bool | None = None,
     ) -> None:
         if backend not in BACKENDS:
@@ -154,47 +153,23 @@ class Session:
         self.progress = progress
         self.verdict_store = VerdictStore.coerce(verdict_store)
         self._cache: OrderedDict[tuple[int, str, str, str], ResultSet] = OrderedDict()
-        self._cache_max = int(cache_size)
-        self._runners: OrderedDict[tuple[int, str, str], EvaluationRunner] = OrderedDict()
-        self._runners_max = int(max_runners)
-        #: Work no pooled runner holds: retired runners and worker processes.
-        self._sandbox_executions = 0
-        self._store_hits = 0
+        #: Suggestion modules executed, and verdicts served from the
+        #: persistent store, for this session's runs (both backends, worker
+        #: processes included; survive :meth:`close`).
+        self.sandbox_executions = 0
+        self.store_hits = 0
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------------
     def close(self) -> None:
-        """Drop every pooled runner and the cache (idempotent); a closed
-        session refuses to evaluate."""
-        for runner in self._runners.values():
-            self._retire(runner)
-        self._runners.clear()
+        """Drop the result cache (idempotent); a closed session refuses to
+        evaluate."""
         self._cache.clear()
         self._closed = True
-
-    def _retire(self, runner: EvaluationRunner) -> None:
-        """Fold a dropped runner's counters into the session totals."""
-        self._sandbox_executions += runner.sandbox_executions
-        self._store_hits += runner.store_hits
 
     def _check_open(self) -> None:
         if self._closed:
             raise RuntimeError("this Session is closed; create a new one")
-
-    @property
-    def sandbox_executions(self) -> int:
-        """Suggestion modules executed for this session's runs (both
-        backends, including worker processes; survives :meth:`close`)."""
-        return self._sandbox_executions + sum(
-            runner.sandbox_executions for runner in self._runners.values()
-        )
-
-    @property
-    def store_hits(self) -> int:
-        """Verdicts served from the persistent store for this session's runs."""
-        return self._store_hits + sum(
-            runner.store_hits for runner in self._runners.values()
-        )
 
     def __enter__(self) -> "Session":
         return self
@@ -220,7 +195,7 @@ class Session:
     def _cache_put(self, key: tuple[int, str, str, str], value: ResultSet) -> None:
         self._cache[key] = value
         self._cache.move_to_end(key)
-        while len(self._cache) > self._cache_max:
+        while len(self._cache) > CACHE_SIZE:
             self._cache.popitem(last=False)
 
     def _resolve(self, seed: int | None, config: CodexConfig | None) -> tuple[int, CodexConfig]:
@@ -229,40 +204,18 @@ class Session:
             self.config if config is None else config,
         )
 
-    def _runner(self, seed: int, config: CodexConfig) -> EvaluationRunner:
-        """The pooled runner for (seed, config), reused across calls.
-
-        The key also holds the grid digest: a runner's engine samples the
-        corpus of the grid installed when it was built.
-        """
+    def _run_cells(self, seed: int, config: CodexConfig, cells: list) -> ResultSet:
+        """Evaluate cells in-process on a runner built for this call; its
+        counts join the session totals even when the evaluation raises."""
         self._check_open()
-        key = (seed, config.fingerprint(), ExperimentSpec().grid_digest())
-        runner = self._runners.get(key)
-        if runner is None:
-            runner = EvaluationRunner(
-                config=config,
-                seed=seed,
-                progress=self.progress,
-                verdict_store=self.verdict_store,
-            )
-            self._runners[key] = runner
-        self._runners.move_to_end(key)
-        while len(self._runners) > self._runners_max:
-            _, retired = self._runners.popitem(last=False)
-            self._retire(retired)
-        return runner
-
-    def runner(
-        self, seed: int | None = None, config: CodexConfig | None = None
-    ) -> EvaluationRunner:
-        """The pooled in-process :class:`EvaluationRunner` for (seed, config).
-
-        The seam long-lived embeddings build on (the dispatch driver's
-        inline backend, the JSON-RPC evaluation service): callers evaluate
-        through the session's runner pool — shared verdict store, shared
-        progress callback — without going through the per-language result
-        cache.  The runner is owned by the session."""
-        return self._runner(*self._resolve(seed, config))
+        runner = EvaluationRunner(
+            config=config, seed=seed, progress=self.progress, verdict_store=self.verdict_store
+        )
+        try:
+            return runner.run_cells(cells)
+        finally:
+            self.sandbox_executions += runner.sandbox_executions
+            self.store_hits += runner.store_hits
 
     # -- core evaluation ------------------------------------------------------
     def _evaluate(self, spec: ExperimentSpec) -> dict[int, ResultSet]:
@@ -279,7 +232,7 @@ class Session:
         if self.backend == "process":
             workers = min(self.max_workers or min(8, os.cpu_count() or 1), len(cells))
         if workers <= 1:
-            return {seed: self._runner(seed, spec.config).run_cells(cells) for seed in spec.seeds}
+            return {seed: self._run_cells(seed, spec.config, cells) for seed in spec.seeds}
         report = self.dispatch(spec, shards=workers, backend="process", max_workers=workers)
         if report.quarantined:
             raise RuntimeError(
@@ -383,7 +336,7 @@ class Session:
         spec returns ``{seed: ResultSet}``.
         """
         if isinstance(spec, Shard):
-            return self._runner(spec.seed, spec.spec.config).run_cells(spec.cells())
+            return self._run_cells(spec.seed, spec.spec.config, spec.cells())
         if spec.models is None and spec.kernels is None:
             # Whole-language grids resolve through the session cache.
             per_seed = self._combined(spec.seeds, spec.config, spec.languages)
@@ -417,10 +370,10 @@ class Session:
         ``"inline"`` / ``"process"`` / ``"file-queue"`` backend, and
         streams partial merges as shards complete — ``progress`` fires per
         cell and ``on_shard`` per completed shard, both in submission
-        order.  Inline shards run on this session's pooled runners (and
-        its verdict store); process-backend workers report their counts
-        back, so ``sandbox_executions`` / ``store_hits`` keep aggregating
-        here either way.  ``max_workers`` defaults to the session's.
+        order.  Every backend shares this session's progress callback and
+        verdict store, and ``sandbox_executions`` / ``store_hits`` add the
+        counts the report carries back from its workers.  ``max_workers``
+        defaults to the session's.
 
         Failures are contained, not fatal: a shard whose evaluation raises
         is retried up to ``max_attempts`` times and then *quarantined*
@@ -456,12 +409,10 @@ class Session:
             max_attempts=max_attempts,
             shard_timeout=shard_timeout,
             heartbeat_interval=heartbeat_interval,
-            runner_factory=self._runner,
         )
         report = driver.run()
-        if backend == "process":
-            self._sandbox_executions += report.sandbox_executions
-            self._store_hits += report.verdict_store_hits
+        self.sandbox_executions += report.sandbox_executions
+        self.store_hits += report.verdict_store_hits
         return report
 
     def sweep(

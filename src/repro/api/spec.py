@@ -46,6 +46,12 @@ __all__ = [
 SHARD_FORMAT = "repro.shard/v1"
 
 
+def _grid_digest(cells: Iterable[ExperimentCell]) -> str:
+    """Digest of a cell enumeration (see :meth:`ExperimentSpec.grid_digest`)."""
+    joined = "\n".join(cell.cell_id for cell in cells)
+    return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A frozen, declarative description of an experiment run.
@@ -121,8 +127,7 @@ class ExperimentSpec:
         and another ``--kernels gemv``): such slices can tile ``[0, total)``
         under one config fingerprint yet belong to different runs.
         """
-        joined = "\n".join(cell.cell_id for cell in self.cells())
-        return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
+        return _grid_digest(self.cells())
 
     # -- sharding -------------------------------------------------------------
     def partition(self, n: int) -> list["Shard"]:
@@ -196,7 +201,13 @@ class Shard:
 
     def entry(self) -> "ShardEntry":
         """The manifest entry ``(seed, fingerprint, cell_slice)`` plus the
-        bookkeeping needed to validate completeness."""
+        bookkeeping needed to validate completeness.
+
+        Enumerates the spec's grid once, for both the cell count and the
+        digest; the grid is not cached, because its registries can change
+        between calls.
+        """
+        cells = self.spec.cells()
         return ShardEntry(
             seed=self.seed,
             fingerprint=self.spec.fingerprint(),
@@ -204,8 +215,8 @@ class Shard:
             of=self.of,
             start=self.start,
             stop=self.stop,
-            total_cells=len(self.spec.cells()),
-            grid=self.spec.grid_digest(),
+            total_cells=len(cells),
+            grid=_grid_digest(cells),
         )
 
 

@@ -78,7 +78,6 @@ from repro.core.runner import EvaluationRunner, ResultSet
 from repro.dispatch import faults
 from repro.dispatch.queue import DEFAULT_MAX_ATTEMPTS, FileQueue, HeartbeatLease
 from repro.dispatch.runners import (
-    RunnerPool,
     evaluate_with_retries,
     failure_record,
     run_shard_contained,
@@ -343,7 +342,7 @@ def _process_shard_worker(conn, run: list[_Piece], store_path, extended_grid: bo
     """Process-backend worker: evaluate a run of shard pieces in order.
 
     Sends one message per piece, in run order: ``("ok", records, sandbox
-    executions, verdict-store hits, seconds)`` — the counter deltas let the
+    executions, verdict-store hits, seconds)`` — the piece's counts let the
     parent driver aggregate across the pool, and the worker-measured
     seconds are the piece's own evaluation cost (the parent cannot separate
     queueing from computing) — or ``("error", failure record)`` when the
@@ -356,27 +355,27 @@ def _process_shard_worker(conn, run: list[_Piece], store_path, extended_grid: bo
     :func:`_language_runs`), and the process-wide code memo, sampling
     plans and mutant tables never cross a language boundary: every piece
     after a language's first finds them warm.  The verdict store is opened
-    once per worker, and one runner per ``(seed, config fingerprint)``
-    serves all of the worker's pieces.  The grid registries are process
-    state that only a forked worker inherits, so a worker started by
-    ``spawn`` or ``forkserver`` installs the extended grid itself when the
-    parent had it installed (``extended_grid``) before it builds any
-    piece's cells.
+    once per worker, and each piece is evaluated on a runner of its own.
+    The grid registries are process state that only a forked worker
+    inherits, so a worker started by ``spawn`` or ``forkserver`` installs
+    the extended grid itself when the parent had it installed
+    (``extended_grid``) before it builds any piece's cells.
     """
-    runners = None
+    ready = False
     try:
         for piece in run:
             try:
-                if runners is None:
+                if not ready:
                     if extended_grid:
                         from repro.extensions import extended_grid_installed, install_extended_grid
 
                         if not extended_grid_installed():  # a forked worker keeps its warm corpus
                             install_extended_grid()
                     store = None if store_path is None else VerdictStore(store_path)
-                    runners = RunnerPool(verdict_store=store)
-                runner = runners.runner(piece.shard.seed, piece.shard.spec.config)
-                executions, hits = runner.sandbox_executions, runner.store_hits
+                    ready = True
+                runner = EvaluationRunner(
+                    config=piece.shard.spec.config, seed=piece.shard.seed, verdict_store=store
+                )
                 results, failure, seconds = run_shard_contained(
                     runner, piece, label=piece.label, attempt=piece.attempt
                 )
@@ -386,8 +385,8 @@ def _process_shard_worker(conn, run: list[_Piece], store_path, extended_grid: bo
                     message = (
                         "ok",
                         results.to_records(),
-                        runner.sandbox_executions - executions,
-                        runner.store_hits - hits,
+                        runner.sandbox_executions,
+                        runner.store_hits,
                         seconds,
                     )
             except Exception as exc:  # containment of setup errors, not just evaluation
@@ -459,9 +458,6 @@ class ShardDriver:
         Lease policy forwarded to the :class:`FileQueue` the driver
         creates from a ``queue`` path (ignored when an existing
         ``FileQueue`` is passed — its policy governs).
-    runner_factory:
-        Advanced hook (used by :meth:`repro.api.Session.dispatch`) supplying
-        pooled runners for inline evaluation, ``(seed, config) -> runner``.
     poll_interval:
         Base delay of the file-queue wait loop; actual sleeps grow from it
         with jittered exponential backoff while nothing changes.
@@ -484,7 +480,6 @@ class ShardDriver:
         shard_timeout: float | None = None,
         heartbeat_interval: float | None = None,
         lease_beats: int | None = None,
-        runner_factory: Callable[[int, object], EvaluationRunner] | None = None,
         poll_interval: float = 0.05,
     ) -> None:
         if backend not in DISPATCH_BACKENDS:
@@ -529,8 +524,6 @@ class ShardDriver:
         self.on_shard = on_shard
         self.max_shards = max_shards
         self.poll_interval = poll_interval
-        self._runner_factory = runner_factory
-        self._own_runners = RunnerPool(verdict_store=self.verdict_store, progress=progress)
         #: Earliest time the next stale-claim sweep is allowed (requeue_stale
         #: walks and stats the whole claims directory — potentially on NFS —
         #: so the wait loops throttle it instead of sweeping every poll).
@@ -542,10 +535,13 @@ class ShardDriver:
         report = DispatchReport(spec=self.spec, shards=self.shards)
         merge = IncrementalMerge()
         plan = self.spec.partition(self.shards)
+        # Each entry enumerates the grid: build them once, for the resume
+        # lookup, the outcome and any quarantine.
+        entries = [shard.entry() for shard in plan]
         cached: dict[int, ResultSet] = {}
         for shard in plan:
             if self.result_store is not None:
-                hit = self.result_store.get(shard.entry())
+                hit = self.result_store.get(entries[shard.index])
                 if hit is not None:
                     cached[shard.index] = hit
         pending = [shard for shard in plan if shard.index not in cached]
@@ -555,7 +551,7 @@ class ShardDriver:
             "process": self._drive_process,
             "file-queue": self._drive_queue,
         }
-        for settled in runners[self.backend](plan, cached, budget, report):
+        for settled in runners[self.backend](plan, entries, cached, budget, report):
             if isinstance(settled, ShardQuarantine):
                 report.quarantined.append(settled)
                 continue
@@ -589,13 +585,15 @@ class ShardDriver:
     def _drive_inline(
         self,
         plan: list[Shard],
+        entries: list[ShardEntry],
         cached: dict[int, ResultSet],
         budget: int,
         report: DispatchReport,
     ) -> Iterator[Union[ShardOutcome, ShardQuarantine]]:
         for shard in plan:
+            entry = entries[shard.index]
             if shard.index in cached:
-                yield ShardOutcome(shard.entry(), cached[shard.index], "store", 0.0)
+                yield ShardOutcome(entry, cached[shard.index], "store", 0.0)
                 continue
             if budget <= 0:
                 # Budget spent (crash simulation): skip the shard but keep
@@ -603,9 +601,7 @@ class ShardDriver:
                 # reflect everything that is actually done.
                 continue
             budget -= 1
-            entry = shard.entry()
             runner = self._runner(shard.seed)
-            executions, hits = runner.sandbox_executions, runner.store_hits
             results, failures, seconds = evaluate_with_retries(
                 runner,
                 shard,
@@ -613,22 +609,27 @@ class ShardDriver:
                 max_attempts=self.max_attempts,
                 backoff_base=self.poll_interval,
             )
-            report.sandbox_executions += runner.sandbox_executions - executions
-            report.verdict_store_hits += runner.store_hits - hits
+            report.sandbox_executions += runner.sandbox_executions
+            report.verdict_store_hits += runner.store_hits
             if results is not None:
                 yield ShardOutcome(entry, results, "inline", seconds)
             else:
                 yield ShardQuarantine(entry, len(failures), failures[-1])
 
     def _runner(self, seed: int) -> EvaluationRunner:
-        if self._runner_factory is not None:
-            return self._runner_factory(seed, self.spec.config)
-        return self._own_runners.runner(seed, self.spec.config)
+        """A runner for one local evaluation of the spec at ``seed``."""
+        return EvaluationRunner(
+            config=self.spec.config,
+            seed=seed,
+            progress=self.progress,
+            verdict_store=self.verdict_store,
+        )
 
     # -- process backend -------------------------------------------------------
     def _drive_process(
         self,
         plan: list[Shard],
+        entries: list[ShardEntry],
         cached: dict[int, ResultSet],
         budget: int,
         report: DispatchReport,
@@ -640,7 +641,7 @@ class ShardDriver:
             for shard in plan:
                 if shard.index not in cached:
                     return
-                yield ShardOutcome(shard.entry(), cached[shard.index], "store", 0.0)
+                yield ShardOutcome(entries[shard.index], cached[shard.index], "store", 0.0)
             return
         store_path = None if self.verdict_store is None else str(self.verdict_store.path)
         extended_grid = _extended_grid_installed()
@@ -700,7 +701,7 @@ class ShardDriver:
             results = ResultSet.from_payload(
                 [record for _, records, _ in parts for record in records], seed=shard.seed
             )
-            entry = shard.entry()
+            entry = entries[shard.index]
             if self.result_store is not None:
                 self.result_store.put(entry, results)
             cost = sum(seconds for _, _, seconds in parts)
@@ -725,7 +726,9 @@ class ShardDriver:
             history.append(failure)
             if piece.attempt >= self.max_attempts:
                 del attempts[shard.index], landed[shard.index], owed[shard.index]
-                quarantine[shard.index] = ShardQuarantine(shard.entry(), len(history), failure)
+                quarantine[shard.index] = ShardQuarantine(
+                    entries[shard.index], len(history), failure
+                )
             else:
                 attempts[shard.index] = piece.attempt + 1
                 landed[shard.index], owed[shard.index] = [], 1
@@ -802,7 +805,7 @@ class ShardDriver:
         indexes = {shard.index for shard in to_execute}
         for shard in plan:
             if shard.index in cached:
-                yield ShardOutcome(shard.entry(), cached[shard.index], "store", 0.0)
+                yield ShardOutcome(entries[shard.index], cached[shard.index], "store", 0.0)
                 continue
             if shard.index not in indexes:
                 # Budget-excluded shard: skip it but keep serving any
@@ -819,6 +822,7 @@ class ShardDriver:
     def _drive_queue(
         self,
         plan: list[Shard],
+        entries: list[ShardEntry],
         cached: dict[int, ResultSet],
         budget: int,
         report: DispatchReport,
@@ -829,10 +833,11 @@ class ShardDriver:
             if shard.index not in cached:
                 queue.publish(shard)
         for shard in plan:
+            entry = entries[shard.index]
             if shard.index in cached:
-                yield ShardOutcome(shard.entry(), cached[shard.index], "store", 0.0)
+                yield ShardOutcome(entry, cached[shard.index], "store", 0.0)
                 continue
-            settled = self._resolve_queued_shard(shard, budget, report)
+            settled = self._resolve_queued_shard(shard, entry, budget, report)
             if settled is None:
                 # Unresolvable under the spent budget: skip it but keep
                 # serving later store hits and already-published results.
@@ -842,13 +847,12 @@ class ShardDriver:
             yield settled
 
     def _resolve_queued_shard(
-        self, shard: Shard, budget: int, report: DispatchReport
+        self, shard: Shard, entry: ShardEntry, budget: int, report: DispatchReport
     ) -> Union[ShardOutcome, ShardQuarantine, None]:
         """Wait for one queued shard: consume its result, claim and evaluate
         it ourselves, or accept its quarantine; ``None`` when the execution
         budget is spent and nobody else is producing it."""
         name = self.queue.task_name(shard)
-        entry = shard.entry()
         start = time.perf_counter()
         idle = 0
         backoff_cap = max(self.poll_interval, min(1.0, self.queue.lease_seconds / 4))
@@ -896,15 +900,14 @@ class ShardDriver:
                 if claim is not None:
                     with HeartbeatLease(self.queue, claim):
                         runner = self._runner(shard.seed)
-                        executions, hits = runner.sandbox_executions, runner.store_hits
                         results, failure, _ = run_shard_contained(
                             runner,
                             shard,
                             label=name,
                             attempt=self.queue.attempts(name) + 1,
                         )
-                        report.sandbox_executions += runner.sandbox_executions - executions
-                        report.verdict_store_hits += runner.store_hits - hits
+                        report.sandbox_executions += runner.sandbox_executions
+                        report.verdict_store_hits += runner.store_hits
                     if failure is not None:
                         # Released for retry or quarantined — either way the
                         # loop re-resolves: next iteration sees the re-offered

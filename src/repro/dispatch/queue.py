@@ -57,10 +57,12 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.analysis.store import VerdictStore
 from repro.api.spec import ExperimentSpec, Shard, shard_payload
 from repro.atomicio import write_atomic_json
+from repro.core.runner import EvaluationRunner
 from repro.dispatch import faults
-from repro.dispatch.runners import RunnerPool, failure_record, run_shard_contained
+from repro.dispatch.runners import failure_record, run_shard_contained
 
 __all__ = [
     "Claim",
@@ -559,11 +561,12 @@ def drain_queue(
     """
     if not isinstance(queue, FileQueue):
         queue = FileQueue(queue)
+    # Opened once for the loop: a runner handed a path opens a store of its own.
+    verdict_store = VerdictStore.coerce(verdict_store)
     executed = 0
     refused: set[str] = set()
     idle = 0
     empty_deadline: float | None = None
-    pool = RunnerPool(verdict_store=verdict_store, progress=progress)
     while max_tasks is None or executed < max_tasks:
         claim = queue.claim_next(skip=refused)
         if claim is None:
@@ -587,7 +590,12 @@ def drain_queue(
             warnings.warn(f"refusing queued task {claim.name}: {exc}", stacklevel=2)
             continue
         with HeartbeatLease(queue, claim):
-            runner = pool.runner(shard.seed, shard.spec.config)
+            runner = EvaluationRunner(
+                config=shard.spec.config,
+                seed=shard.seed,
+                progress=progress,
+                verdict_store=verdict_store,
+            )
             results, failure, _ = run_shard_contained(
                 runner, shard, label=claim.name, attempt=queue.attempts(claim.name) + 1
             )

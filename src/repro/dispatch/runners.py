@@ -1,13 +1,13 @@
 """Shared worker-side machinery for the dispatch layer.
 
-Both the :class:`~repro.dispatch.driver.ShardDriver` (inline and
-file-queue-local execution) and :func:`~repro.dispatch.queue.drain_queue`
-(the ``dispatch-worker`` loop) evaluate shards on lazily-created
-:class:`~repro.core.runner.EvaluationRunner`s keyed on
-``(seed, config fingerprint)``, and both must survive a shard whose
-evaluation raises: this module is the single implementation of the runner
-lifecycle (:class:`RunnerPool`), the crash-containment wrapper
-(:func:`run_shard_contained`) and the structured failure record every
+The :class:`~repro.dispatch.driver.ShardDriver`'s backends,
+:func:`~repro.dispatch.queue.drain_queue` (the ``dispatch-worker`` loop)
+and the evaluation service each evaluate a shard on an
+:class:`~repro.core.runner.EvaluationRunner` built for that evaluation,
+and all of them must survive a shard whose evaluation raises: this module
+is the single implementation of the crash-containment wrapper
+(:func:`run_shard_contained`), the retry loop
+(:func:`evaluate_with_retries`) and the structured failure record every
 retry/quarantine decision is based on, so the worker paths can never drift
 apart.
 """
@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import time
 import traceback
-from typing import Callable
 
 from repro.core.runner import EvaluationRunner, ResultSet
 from repro.dispatch import faults
 
 __all__ = [
     "FAILURE_FORMAT",
-    "RunnerPool",
     "evaluate_with_retries",
     "failure_record",
     "run_shard_contained",
@@ -141,24 +139,3 @@ def evaluate_with_retries(
             time.sleep(faults.backoff_delay(attempt - 1, base=backoff_base, cap=backoff_cap))
     return None, failures, seconds
 
-
-class RunnerPool:
-    """Lazily-created runners keyed ``(seed, config fingerprint)``, all
-    sharing one verdict store and progress callback."""
-
-    def __init__(self, *, verdict_store=None, progress: Callable | None = None) -> None:
-        self.verdict_store = verdict_store
-        self.progress = progress
-        self._runners: dict[tuple[int, str], EvaluationRunner] = {}
-
-    def runner(self, seed: int, config) -> EvaluationRunner:
-        key = (seed, config.fingerprint())
-        runner = self._runners.get(key)
-        if runner is None:
-            runner = self._runners[key] = EvaluationRunner(
-                config=config,
-                seed=seed,
-                progress=self.progress,
-                verdict_store=self.verdict_store,
-            )
-        return runner

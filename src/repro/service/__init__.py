@@ -1,12 +1,12 @@
 """The long-lived evaluation service: JSON-RPC 2.0 over NDJSON over TCP.
 
 The step from "library + CLI" to "system serving traffic": a persistent
-:class:`~repro.service.server.EvaluationServer` wraps one
-:class:`~repro.api.Session` and serves `ExperimentSpec` submissions from
-many concurrent clients, streaming per-cell ``progress`` and per-shard
-``shard`` events as evaluation lands.  See ``docs/protocol.md`` for the
-wire format and :mod:`repro.service.client` for the blocking client
-(also the ``python -m repro.service.client`` round-trip tool).
+:class:`~repro.service.server.EvaluationServer` serves `ExperimentSpec`
+submissions from many concurrent clients, streaming per-cell ``progress``
+and per-shard ``shard`` events as evaluation lands.  See
+``docs/protocol.md`` for the wire format and :mod:`repro.service.client`
+for the blocking client (also the ``python -m repro.service.client``
+round-trip tool).
 
 Start a server with the CLI::
 

@@ -1,6 +1,7 @@
 """The long-lived evaluation service: an asyncio JSON-RPC 2.0 TCP server.
 
-An :class:`EvaluationServer` wraps one :class:`repro.api.Session` behind the
+An :class:`EvaluationServer` evaluates declarative
+:class:`~repro.api.spec.ExperimentSpec` submissions behind the
 newline-delimited JSON-RPC protocol of :mod:`repro.service.protocol` and
 serves many concurrent clients:
 
@@ -21,8 +22,9 @@ serves many concurrent clients:
   extended over the wire.  A terminal ``state`` event closes the stream.
 * **Isolation** — experiments belong to the client session that submitted
   them; another session's ``status``/``cancel``/``result`` sees
-  ``unknown experiment``.  All sessions share the server's pooled runners
-  (:meth:`repro.api.Session.runner`) and its VerdictStore/ResultStore.
+  ``unknown experiment``.  All sessions share the server's VerdictStore
+  and ResultStore; each shard evaluation builds its own
+  :class:`~repro.core.runner.EvaluationRunner`.
 * **Durability** — every executed shard is persisted to the
   :class:`~repro.dispatch.store.ResultStore` the moment it completes, so a
   killed server re-serves a re-submitted spec from the store with **zero**
@@ -47,13 +49,11 @@ import itertools
 import json
 import threading
 from pathlib import Path
-from typing import Callable
 
 from repro.analysis.store import VerdictStore
-from repro.api.session import Session
 from repro.api.spec import ExperimentSpec, IncrementalMerge
 from repro.codex.config import DEFAULT_SEED
-from repro.core.runner import ResultSet
+from repro.core.runner import EvaluationRunner, ResultSet
 from repro.dispatch.runners import evaluate_with_retries, shard_label
 from repro.dispatch.store import ResultStore
 from repro.service import protocol
@@ -142,29 +142,6 @@ class _Experiment:
         }
 
 
-class _ProgressRouter:
-    """Routes shared-runner progress callbacks to the right experiment.
-
-    The server's pooled runners are shared across experiments, but a
-    runner's ``progress`` callback is fixed at creation — so every runner
-    gets this router, and each worker *thread* binds its experiment's sink
-    before evaluating.  Routing by thread is exact: a cell's progress fires
-    on the thread that evaluates it, and one experiment runs wholly on one
-    worker thread.
-    """
-
-    def __init__(self) -> None:
-        self._local = threading.local()
-
-    def bind(self, sink: Callable | None) -> None:
-        self._local.sink = sink
-
-    def __call__(self, result) -> None:
-        sink = getattr(self._local, "sink", None)
-        if sink is not None:
-            sink(result)
-
-
 def _table_snapshot(results: ResultSet | None) -> dict:
     """Incremental table snapshot of a partial merge: per-language means.
 
@@ -187,7 +164,8 @@ def _table_snapshot(results: ResultSet | None) -> dict:
 
 
 class EvaluationServer:
-    """Serve :class:`~repro.api.Session` evaluations over JSON-RPC 2.0/TCP.
+    """Serve :class:`~repro.api.spec.ExperimentSpec` evaluations over
+    JSON-RPC 2.0/TCP.
 
     Parameters
     ----------
@@ -202,7 +180,7 @@ class EvaluationServer:
         submit beyond it is refused with :data:`~repro.service.protocol.ERR_QUEUE_FULL`.
     workers:
         Concurrent experiment worker tasks (each evaluates on its own
-        thread; runners/stores are shared).
+        thread; the stores are shared).
     max_attempts:
         Failed attempts before a shard is quarantined (default 3, the
         dispatch layer's policy).
@@ -210,8 +188,8 @@ class EvaluationServer:
         Shard-level persistence (path / ``True`` / store / ``None``):
         completed shards survive the process, so restarts resume warm.
     verdict_store:
-        Suggestion-level persistence, shared by every runner the server
-        creates (see :class:`~repro.analysis.store.VerdictStore`).
+        Suggestion-level persistence, shared by every shard evaluation
+        (see :class:`~repro.analysis.store.VerdictStore`).
     """
 
     def __init__(
@@ -241,8 +219,7 @@ class EvaluationServer:
         self.workers = workers
         self.max_attempts = max_attempts
         self.result_store = ResultStore.coerce(result_store)
-        self._router = _ProgressRouter()
-        self._session = Session(progress=self._router, verdict_store=verdict_store)
+        self.verdict_store = VerdictStore.coerce(verdict_store)
         self._experiments: dict[str, _Experiment] = {}
         self._active = 0
         self._session_ids = itertools.count(1)
@@ -314,7 +291,6 @@ class EvaluationServer:
             with contextlib.suppress(Exception):
                 await conn.writer.wait_closed()
         self._connections.clear()
-        self._session.close()
 
     async def _graceful(self) -> None:
         """Drain for shutdown: running experiments stop at the next shard
@@ -661,49 +637,50 @@ class EvaluationServer:
                 },
             )
 
-        self._router.bind(on_cell)
-        try:
-            for shard in plan:
-                if experiment.cancel.is_set():
-                    break
-                entry = shard.entry()
-                label = shard_label(shard)
-                hit = None if self.result_store is None else self.result_store.get(entry)
-                if hit is not None:
-                    experiment.skipped += 1
-                    results, source = hit, "store"
-                    for record in results:
-                        on_cell(record)
-                else:
-                    runner = self._session.runner(shard.seed, spec.config)
-                    results, failures, _ = evaluate_with_retries(
-                        runner, shard, label=label, max_attempts=self.max_attempts
+        for shard in plan:
+            if experiment.cancel.is_set():
+                break
+            entry = shard.entry()
+            label = shard_label(shard)
+            hit = None if self.result_store is None else self.result_store.get(entry)
+            if hit is not None:
+                experiment.skipped += 1
+                results, source = hit, "store"
+                for record in results:
+                    on_cell(record)
+            else:
+                runner = EvaluationRunner(
+                    config=spec.config,
+                    seed=shard.seed,
+                    progress=on_cell,
+                    verdict_store=self.verdict_store,
+                )
+                results, failures, _ = evaluate_with_retries(
+                    runner, shard, label=label, max_attempts=self.max_attempts
+                )
+                if results is None:
+                    last = failures[-1]
+                    experiment.quarantined.append(
+                        {
+                            "shard": label,
+                            "error": last.get("error", "unknown"),
+                            "message": last.get("message", ""),
+                            "attempts": len(failures),
+                        }
                     )
-                    if results is None:
-                        last = failures[-1]
-                        experiment.quarantined.append(
-                            {
-                                "shard": label,
-                                "error": last.get("error", "unknown"),
-                                "message": last.get("message", ""),
-                                "attempts": len(failures),
-                            }
-                        )
-                        experiment.shards_done += 1
-                        self._emit_shard(experiment, entry, "quarantined", merge)
-                        continue
-                    experiment.executed += 1
-                    if self.result_store is not None:
-                        self.result_store.put(entry, results)
-                    source = "executed"
-                merge.add(entry, results)
-                # Re-anchor to the merge: retried shards may have emitted
-                # progress for attempts whose cells were then discarded.
-                experiment.cells_done = merge.cells_merged
-                experiment.shards_done += 1
-                self._emit_shard(experiment, entry, source, merge)
-        finally:
-            self._router.bind(None)
+                    experiment.shards_done += 1
+                    self._emit_shard(experiment, entry, "quarantined", merge)
+                    continue
+                experiment.executed += 1
+                if self.result_store is not None:
+                    self.result_store.put(entry, results)
+                source = "executed"
+            merge.add(entry, results)
+            # Re-anchor to the merge: retried shards may have emitted
+            # progress for attempts whose cells were then discarded.
+            experiment.cells_done = merge.cells_merged
+            experiment.shards_done += 1
+            self._emit_shard(experiment, entry, source, merge)
         merged = merge.partial().get(seed)
         if experiment.cancel.is_set() and experiment.shards_done < len(plan):
             experiment.records = [] if merged is None else merged.to_records()

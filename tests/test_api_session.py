@@ -8,9 +8,10 @@ import threading
 import pytest
 
 from repro.api import Session
+from repro.api.session import CACHE_SIZE
 from repro.api.spec import ExperimentSpec
 from repro.codex.config import CodexConfig, DEFAULT_SEED
-from repro.core.runner import RecordResult, ResultSet
+from repro.core.runner import EvaluationRunner, RecordResult, ResultSet
 from repro.dispatch import faults
 from repro.models.grid import cells_for_language
 
@@ -61,29 +62,30 @@ class TestSessionCaching:
             assert session.language_results("python").to_records() == stock.to_records()
 
     def test_cache_is_lru_bounded(self):
-        with Session(cache_size=4) as session:
-            for i in range(6):
+        with Session() as session:
+            for i in range(CACHE_SIZE + 2):
                 session._cache_put((i, "x", "f", "g"), ResultSet(seed=i))
-            assert len(session._cache) == 4
+            assert len(session._cache) == CACHE_SIZE
             assert (0, "x", "f", "g") not in session._cache
-            assert (5, "x", "f", "g") in session._cache
+            assert (1, "x", "f", "g") not in session._cache
+            assert (2, "x", "f", "g") in session._cache
+            assert (CACHE_SIZE + 1, "x", "f", "g") in session._cache
 
 
 class TestSessionLifecycle:
     def test_close_shuts_down_runners(self):
-        # Two threads evaluate through the session's runners at once, as the
+        # Two threads evaluate at once, each on its own runner, as the
         # evaluation service's worker threads do: concurrent parse scopes and
         # the sandbox's process-wide runtime lock must keep both exact.
-        with Session() as serial:
-            expected = {
-                language: serial.language_results(language).to_records()
-                for language in ("julia", "python")
-            }
         session = Session()
+        expected = {
+            language: session.language_results(language).to_records()
+            for language in ("julia", "python")
+        }
         records: dict[str, list[dict]] = {}
 
         def evaluate(language: str) -> None:
-            records[language] = session.runner().run_language(language).to_records()
+            records[language] = EvaluationRunner().run_language(language).to_records()
 
         threads = [threading.Thread(target=evaluate, args=(name,)) for name in expected]
         for thread in threads:
@@ -92,21 +94,12 @@ class TestSessionLifecycle:
             thread.join(timeout=120)
             assert not thread.is_alive()
         assert records == expected
-        assert session._runners
         session.close()
-        assert not session._runners
         with pytest.raises(RuntimeError):
-            session.language_results("cpp")
-        with pytest.raises(RuntimeError):
-            session.runner()
-        session.close()  # idempotent
-
-    def test_runner_pool_reused_across_calls(self):
-        with Session() as session:
             session.language_results("julia")
-            runner = next(iter(session._runners.values()))
-            session.language_results("fortran")
-            assert next(iter(session._runners.values())) is runner
+        with pytest.raises(RuntimeError):
+            session.run(ExperimentSpec(languages=("julia",)).shard(0, 2))
+        session.close()  # idempotent
 
     def test_unknown_backend_rejected(self):
         for backend in ("gpu", "thread"):

@@ -19,8 +19,9 @@ import json
 import pytest
 
 from repro.analysis.analyzer import clear_verdict_memo
-from repro.api import ExperimentSpec, Session
+from repro.api import ExperimentSpec, Session, Shard
 from repro.codex.config import DEFAULT_SEED
+from repro.core.runner import EvaluationRunner
 from repro.dispatch import FileQueue, ResultStore, ShardDriver, drain_queue
 
 
@@ -69,6 +70,24 @@ class TestInlineDispatch:
         assert resumed.complete
         assert len(resumed.skipped) == 2 and len(resumed.executed) == 2
         assert resumed.result().to_records() == expected_records
+
+    def test_a_rerun_after_a_grid_install_matches_a_fresh_runner(self):
+        # The driver keeps no runner between runs: an engine samples the
+        # corpus installed when it was built, so a reused runner would
+        # evaluate the grown grid from the stock corpus.
+        from repro.extensions import install_extended_grid, uninstall_extended_grid
+
+        python_spec = ExperimentSpec(languages=("python",))
+        driver = ShardDriver(python_spec, shards=2)
+        driver.run()
+        install_extended_grid()
+        try:
+            report = driver.run()
+            expected = EvaluationRunner(seed=python_spec.seed).run_cells(python_spec.cells())
+        finally:
+            uninstall_extended_grid()
+        assert report.complete and len(expected) == 80
+        assert report.result().to_records() == expected.to_records()
 
     def test_budget_exhaustion_still_reports_later_store_hits(
         self, spec, expected_records, tmp_path
@@ -284,6 +303,34 @@ class TestProcessDispatch:
             two_language_records[12:18]
         )
 
+    def test_each_shard_entry_is_built_once(self, two_languages, monkeypatch, tmp_path):
+        # An entry enumerates the grid: the driver builds one per shard and
+        # reuses it for the resume lookup and the stored outcome.
+        entries: list[int] = []
+        enumerations: list[ExperimentSpec] = []
+        entry, cells = Shard.entry, ExperimentSpec.cells
+
+        def counting_entry(self):
+            entries.append(self.index)
+            return entry(self)
+
+        def counting_cells(self):
+            enumerations.append(self)
+            return cells(self)
+
+        monkeypatch.setattr(Shard, "entry", counting_entry)
+        monkeypatch.setattr(ExperimentSpec, "cells", counting_cells)
+        report = ShardDriver(
+            two_languages,
+            shards=4,
+            backend="process",
+            max_workers=2,
+            result_store=tmp_path / "store",
+        ).run()
+        assert report.complete
+        assert sorted(entries) == [0, 1, 2, 3]
+        assert len(enumerations) <= 6
+
     def test_process_counters_cross_the_boundary(self):
         # Python cells execute in the sandbox inside pool workers; the
         # driver's report must still see those executions.
@@ -440,8 +487,7 @@ class TestSessionDispatch:
             report = session.dispatch(spec, shards=3, result_store=tmp_path / "store")
             assert report.complete
             assert report.result().to_records() == expected_records
-            # Inline shards ran on the session's pooled runners, so the
-            # session-level counters kept aggregating.
+            # The session adds the report's counts on every backend.
             assert session.sandbox_executions == report.sandbox_executions
 
     def test_session_dispatch_defaults_to_the_session_grid(self):

@@ -22,6 +22,7 @@ from repro.codex.config import CodexConfig, DEFAULT_SEED
 from repro.codex.engine import cell_seed_sequence
 from repro.codex.sampler import SuggestionSampler
 from repro.api import ExperimentSpec, Session
+from repro.api.session import CACHE_SIZE
 from repro.core.runner import EvaluationRunner, ResultSet
 from repro.corpus.store import default_corpus
 from repro.dispatch.driver import ShardDriver
@@ -412,27 +413,26 @@ class TestVerdictMemo:
         assert interpreter._PARSE_SCOPE.get() is None
 
     def test_runner_threads_match_serial_with_concurrent_parse_scopes(self, full_results):
-        # The evaluation service evaluates on worker threads over one
-        # Session: two grids evaluated at once must each keep their own
+        # The evaluation service evaluates on worker threads, each on its
+        # own runner: two grids evaluated at once must each keep their own
         # parse scope and take turns on the sandbox runtime.
         other_seed = DEFAULT_SEED + 1
         records: dict[int, list[dict]] = {}
         clear_verdict_memo()
         try:
-            with Session() as session:
 
-                def evaluate(seed: int) -> None:
-                    records[seed] = session.runner(seed=seed).run_full_grid().to_records()
+            def evaluate(seed: int) -> None:
+                records[seed] = EvaluationRunner(seed=seed).run_full_grid().to_records()
 
-                threads = [
-                    threading.Thread(target=evaluate, args=(seed,))
-                    for seed in (DEFAULT_SEED, other_seed)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=120)
-                    assert not thread.is_alive()
+            threads = [
+                threading.Thread(target=evaluate, args=(seed,))
+                for seed in (DEFAULT_SEED, other_seed)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
         finally:
             clear_verdict_memo()
         assert records[DEFAULT_SEED] == full_results.to_records()
@@ -544,7 +544,7 @@ class TestCacheLayers:
 
     def test_result_cache_is_lru_bounded(self):
         with Session() as session:
-            bound = session._cache_max
+            bound = CACHE_SIZE
             for i in range(bound + 5):
                 session._cache_put((i, "x", "f", "g"), ResultSet(seed=i))
             assert len(session._cache) == bound
