@@ -21,11 +21,11 @@ __all__ = ["evaluate_language", "evaluate_full_grid", "assert_shape_agreement", 
 def evaluate_language(language: str, *, seed: int = DEFAULT_SEED, backend: str = "serial") -> ResultSet:
     """Run the full evaluation for one language's table.
 
-    Each call drives a fresh :class:`repro.api.Session` (empty result cache)
-    and clears the process-wide verdict memo first, so every benchmark
-    iteration pays the full analysis/execution cost instead of timing cache
-    hits.  (The memoized corpus is left warm: template construction is
-    infrastructure, not the measured pipeline.)
+    Each call drives a fresh :class:`repro.api.Session` and clears the
+    process-wide verdict memo first, so every benchmark iteration pays the
+    full analysis/execution cost instead of timing memo hits.  (The
+    memoized corpus is left warm: template construction is infrastructure,
+    not the measured pipeline.)
     """
     clear_verdict_memo()
     with Session(seed=seed, backend=backend) as session:

@@ -11,8 +11,9 @@ verdict store (the warm run must be byte-identical and execute zero
 sandboxes), a cold-vs-resumed pass through the store-backed shard driver
 (the warm driver must skip every shard), the batched-vs-serial sandbox
 comparison from :mod:`bench_sandbox`, and finally every experiment id once
-through one session's result cache.  The measurements are written to ``BENCH_perf.json``
-at the repo root to extend the perf trajectory.
+through one session, each evaluating the grid it renders.  The measurements
+are written to ``BENCH_perf.json`` at the repo root to extend the perf
+trajectory.
 
 Runs standalone (``python benchmarks/bench_parallel_scaling.py``) or under
 pytest.
@@ -231,8 +232,11 @@ def collect_perf_record() -> dict:
     record["batched_speedup"] = sandbox["batched_speedup"]
     record["batched_speedup_cpu"] = sandbox["batched_speedup_cpu"]
 
-    # Per-experiment wall-clock through one session's result cache: the first
-    # run of each (seed, fingerprint) pays, everything downstream reuses it.
+    # Per-experiment wall-clock through one session: a session keeps no
+    # results, so each call evaluates the cells its artefact needs (a table
+    # or figure one language, Figure 6 and the keyword ablation the full
+    # grid, the other ablations the C++ table once per point) over a verdict
+    # memo the first call leaves warm.
     _cold_caches()
     with Session(seed=DEFAULT_SEED) as session:
         timed_calls = [

@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 
 from repro.analysis.analyzer import clear_verdict_memo
-from repro.api import Session, VerdictStore
+from repro.api import Session, VerdictStore, figure_report, table_report
 from repro.harness.io import save_records_csv, save_records_json
 from repro.models.languages import get_language, language_names
 
@@ -45,8 +45,9 @@ def main() -> None:
         cold_seconds = time.perf_counter() - start
         cold_executions = session.sandbox_executions
 
+        # Every artefact renders from the one grid evaluated above.
         for number, language in zip((2, 3, 4, 5), language_names()):
-            report = session.table(number)
+            report = table_report(results, number)
             print(report.text)
             comparison = report.comparison
             display = get_language(language).display_name
@@ -57,7 +58,7 @@ def main() -> None:
             )
             print()
 
-        print(session.overall_figure().text)
+        print(figure_report(results, 6).text)
 
     # Warm pass: clearing the memo puts this session in the position of a
     # brand-new process — everything must come from the on-disk store.

@@ -25,7 +25,8 @@ methodology:
 * :mod:`repro.harness` — table/figure rendering, record persistence and the
   CLI (including the ``shard``/``merge`` subcommands).
 * :mod:`repro.api` — **the supported entry point**: the :class:`Session`
-  façade (per-session caching, backend selection, progress) plus the
+  façade (backend selection, progress, the verdict store), the
+  ``table_report``/``figure_report`` renderers, plus the
   declarative, shardable :class:`ExperimentSpec`/:class:`Shard` grids with
   mergeable ``ResultSet``s and validating ``ShardManifest``s.
 """

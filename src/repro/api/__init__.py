@@ -3,13 +3,16 @@
 Everything downstream code needs lives here (reference: ``docs/api.md``;
 layering and determinism contract: ``docs/architecture.md``):
 
-* :class:`Session` — context-managed façade owning result caching, the
-  serial or process evaluation backend, progress callbacks and the
-  optional persistent verdict store (``session.table(2)``,
-  ``session.figure(4)``, ``session.ablation("keywords")``,
-  ``session.run(spec)``, ``session.sweep(seeds=[...])``,
-  ``session.run_everything()``), each returning an
-  :class:`ExperimentReport` or :class:`~repro.core.runner.ResultSet`.
+* :class:`Session` — context-managed façade owning the serial or process
+  evaluation backend, progress callbacks and the optional persistent
+  verdict store (``session.table(2)``, ``session.figure(4)``,
+  ``session.ablation("keywords")``, ``session.run(spec)``,
+  ``session.sweep(seeds=[...])``, ``session.run_everything()``), each
+  evaluating what it is asked and returning an :class:`ExperimentReport`
+  or a fresh :class:`~repro.core.runner.ResultSet` the caller owns.
+* :func:`table_report` / :func:`figure_report` — render a paper table or
+  figure from a ``ResultSet`` the caller holds, so one evaluated grid
+  serves every artefact.
 * :class:`ExperimentSpec` / :class:`Shard` / :class:`ShardManifest` — the
   declarative, shardable description of a run and the manifest that
   validates partial results before merging.
@@ -52,7 +55,7 @@ from __future__ import annotations
 from repro.analysis.store import VerdictStore, default_store_path
 from repro.core.runner import RecordResult, ResultSet
 
-from repro.api.session import ExperimentReport, Session
+from repro.api.session import ExperimentReport, Session, figure_report, table_report
 from repro.api.spec import (
     SHARD_FORMAT,
     ExperimentSpec,
@@ -115,6 +118,8 @@ __all__ = [
     "ResultSet",
     "RecordResult",
     "ExperimentReport",
+    "table_report",
+    "figure_report",
     "VerdictStore",
     "default_store_path",
     "DISPATCH_BACKENDS",

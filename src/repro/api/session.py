@@ -2,9 +2,6 @@
 
 A ``Session`` owns:
 
-* the result cache, keyed on ``(seed, language, config fingerprint, grid
-  digest)`` and LRU-bounded — *session-scoped*, so two sessions never share
-  results and tests get isolation by construction;
 * the evaluation backend, fixed per session: ``serial`` evaluates in the
   calling thread, on an :class:`~repro.core.runner.EvaluationRunner` built
   for each evaluation, ``process`` spreads each evaluation over worker
@@ -21,10 +18,16 @@ A ``Session`` owns:
   remote degrades to recompute.  ``$REPRO_CACHE_READONLY`` serves lookups
   but never writes (the CI knob).
 
+A session keeps no results: every call evaluates what it is asked and
+returns a fresh :class:`~repro.core.runner.ResultSet` the caller owns.
 ``session.table(2)``, ``session.figure(4)``, ``session.ablation("keywords")``
-reproduce the paper artefacts; ``session.run(spec_or_shard)`` evaluates a
-declarative :class:`~repro.api.spec.ExperimentSpec` or one of its
-:class:`~repro.api.spec.Shard`s; ``session.sweep(seeds=[...])`` runs
+evaluate the cells an artefact needs and render them; :func:`table_report`
+and :func:`figure_report` render the same reports from a ``ResultSet`` the
+caller already holds, so a caller wanting several artefacts evaluates the
+grid once (``session.full_results()``) and renders each from it, as
+:meth:`Session.run_everything` does.  ``session.run(spec_or_shard)``
+evaluates a declarative :class:`~repro.api.spec.ExperimentSpec` or one of
+its :class:`~repro.api.spec.Shard`s; ``session.sweep(seeds=[...])`` runs
 multi-seed sweeps.  Thanks to the per-cell seeding contract, shard results
 merged via :meth:`repro.core.runner.ResultSet.merge` are byte-identical to
 an unsharded run.
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -57,7 +59,7 @@ from repro.popularity.maturity import MaturityModel
 
 from repro.api.spec import ExperimentSpec, Shard
 
-__all__ = ["BACKENDS", "ExperimentReport", "Session"]
+__all__ = ["BACKENDS", "ExperimentReport", "Session", "figure_report", "table_report"]
 
 #: Evaluation backends understood by :class:`Session`.
 BACKENDS: tuple[str, ...] = ("serial", "process")
@@ -65,8 +67,9 @@ BACKENDS: tuple[str, ...] = ("serial", "process")
 #: Ablation name → Session method suffix (see :meth:`Session.ablation`).
 ABLATIONS: tuple[str, ...] = ("keywords", "maturity", "suggestions")
 
-#: LRU bound of a session's result cache, in (seed, language) entries.
-CACHE_SIZE = 64
+#: Default points of the maturity-prior and suggestion-budget ablations.
+_MATURITY_SCALES: tuple[float, ...] = (0.5, 0.75, 1.0, 1.25)
+_SUGGESTION_COUNTS: tuple[int, ...] = (1, 3, 5, 10, 20)
 
 
 @dataclasses.dataclass
@@ -96,8 +99,134 @@ class ExperimentReport:
         )
 
 
+# -- rendering: reports from results the caller holds ---------------------------
+def _table_language(number: int) -> str:
+    if number not in TABLE_LANGUAGES:
+        raise KeyError(
+            f"the paper has no result table {number}; choose from {sorted(TABLE_LANGUAGES)}"
+        )
+    return TABLE_LANGUAGES[number]
+
+
+def _figure_language(number: int) -> str:
+    if number not in FIGURE_LANGUAGES:
+        raise KeyError(
+            f"the paper has no figure {number}; choose from {sorted(FIGURE_LANGUAGES)} or 6"
+        )
+    return FIGURE_LANGUAGES[number]
+
+
+def table_report(results: ResultSet, number: int) -> ExperimentReport:
+    """Table ``number`` (2 = C++, 3 = Fortran, 4 = Python, 5 = Julia) rendered
+    from ``results``, which must hold that table's language; other cells are
+    ignored."""
+    language = _table_language(number)
+    results = results.filter(language=language)
+    comparison = compare_to_paper(results, language)
+    lang_display = get_language(language).display_name
+    return ExperimentReport(
+        experiment_id=f"table{number}",
+        description=f"Table {number}: proficiency scores for {lang_display}",
+        data={
+            "language": language,
+            "records": results.to_records(),
+            "cells": comparison.cells,
+        },
+        comparison=comparison,
+        text=render_language_table(results, language),
+    )
+
+
+def figure_report(results: ResultSet, number: int) -> ExperimentReport:
+    """Figure ``number`` (2 = C++, ..., 5 = Julia, 6 = overall) rendered from
+    ``results``: Figures 2–5 need their language's cells and ignore the
+    rest; Figure 6 averages every cell ``results`` holds."""
+    if number == 6:
+        return ExperimentReport(
+            experiment_id="figure6",
+            description="Figure 6: overall averages per kernel and per language",
+            data=overall_figure_data(results),
+            comparison=None,
+            text=render_overall_figure(results),
+        )
+    language = _figure_language(number)
+    lang_display = get_language(language).display_name
+    return ExperimentReport(
+        experiment_id=f"figure{number}",
+        description=f"Figure {number}: per-kernel and per-model averages for {lang_display}",
+        data=figure_data(results, language),
+        comparison=compare_to_paper(results, language),
+        text=render_figure(results, language),
+    )
+
+
+def _keyword_report(results: ResultSet) -> ExperimentReport:
+    """A-KW from the full grid: the post-fix keyword's effect per language."""
+    effects = {language: postfix_effect(results, language) for language in language_names()}
+    lines = ["Keyword post-fix effect (mean score without -> with keyword)"]
+    for language, effect in effects.items():
+        lines.append(
+            f"  {get_language(language).display_name:8s} "
+            f"{effect['without_keyword']:.2f} -> {effect['with_keyword']:.2f} "
+            f"(delta {effect['delta']:+.2f})"
+        )
+    return ExperimentReport(
+        experiment_id="ablation-keywords",
+        description="Effect of adding the language code keyword to the prompt",
+        data={"effects": effects},
+        text="\n".join(lines),
+    )
+
+
+def _maturity_report(
+    cpp_table: Callable[[CodexConfig], ResultSet], scales: Iterable[float]
+) -> ExperimentReport:
+    """A-MAT from ``cpp_table(config)``, the C++ table at each maturity-prior
+    scale (scale 1.0 fingerprints equal to the default config)."""
+    orderings: dict[float, list[str]] = {}
+    stability: dict[float, bool] = {}
+    for scale in scales:
+        maturity = MaturityModel(model_weight=0.62 * scale)
+        averages = model_averages(cpp_table(CodexConfig(maturity=maturity)), "cpp")
+        ranked = sorted(averages, key=averages.get, reverse=True)
+        orderings[scale] = ranked
+        stability[scale] = "cpp.openmp" in set(ranked[:3])
+    lines = ["Maturity-prior ablation (C++ model ranking per scale)"]
+    for scale, ranked in orderings.items():
+        names = ", ".join(uid.split(".")[1] for uid in ranked[:4])
+        lines.append(
+            f"  scale {scale:>4}: top models = {names} (OpenMP in top 3: {stability[scale]})"
+        )
+    return ExperimentReport(
+        experiment_id="ablation-maturity",
+        description="Sensitivity of the C++ model ranking to the maturity prior weight",
+        data={"orderings": orderings, "openmp_in_top3": stability},
+        text="\n".join(lines),
+    )
+
+
+def _suggestion_report(
+    cpp_table: Callable[[CodexConfig], ResultSet], counts: Iterable[int]
+) -> ExperimentReport:
+    """A-SUG from ``cpp_table(config)``, the C++ table at each suggestion
+    budget (budget 10 fingerprints equal to the default config)."""
+    means = {count: cpp_table(CodexConfig(max_suggestions=count)).mean_score() for count in counts}
+    lines = ["Suggestion-budget ablation (mean C++ score per suggestion count)"]
+    for count, mean in means.items():
+        lines.append(f"  first {count:>2} suggestions: mean score {mean:.3f}")
+    return ExperimentReport(
+        experiment_id="ablation-suggestions",
+        description="Sensitivity of the proficiency metric to the suggestion budget",
+        data={"means": means},
+        text="\n".join(lines),
+    )
+
+
 class Session:
     """Context-managed façade over the evaluation pipeline.
+
+    Every evaluating method evaluates what it is asked, on this session's
+    backend, and returns results the caller owns; the session keeps none.
 
     Parameters
     ----------
@@ -106,8 +235,8 @@ class Session:
         overrides with the same names.
     backend:
         ``"serial"`` (default) or ``"process"``, fixed for the session.
-        Process mode evaluates each call's uncached seeds and languages in
-        one :meth:`dispatch`, whose workers each own whole languages or
+        Process mode evaluates each call's seeds and cells in one
+        :meth:`dispatch`, whose workers each own whole languages or
         contiguous runs of one; records are byte-identical to serial mode.
     max_workers:
         Worker count of process mode and the default of :meth:`dispatch`'s
@@ -152,7 +281,6 @@ class Session:
         self.max_workers = max_workers
         self.progress = progress
         self.verdict_store = VerdictStore.coerce(verdict_store)
-        self._cache: OrderedDict[tuple[int, str, str, str], ResultSet] = OrderedDict()
         #: Suggestion modules executed, and verdicts served from the
         #: persistent store, for this session's runs (both backends, worker
         #: processes included; survive :meth:`close`).
@@ -162,9 +290,8 @@ class Session:
 
     # -- lifecycle ------------------------------------------------------------
     def close(self) -> None:
-        """Drop the result cache (idempotent); a closed session refuses to
+        """Close the session (idempotent); a closed session refuses to
         evaluate."""
-        self._cache.clear()
         self._closed = True
 
     def _check_open(self) -> None:
@@ -178,25 +305,8 @@ class Session:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "closed" if self._closed else f"{len(self._cache)} cached runs"
+        state = "closed" if self._closed else "open"
         return f"Session(seed={self.seed}, backend={self.backend!r}, {state})"
-
-    def clear_cache(self) -> None:
-        """Drop every cached :class:`ResultSet` of this session."""
-        self._cache.clear()
-
-    # -- cache plumbing -------------------------------------------------------
-    def _cache_get(self, key: tuple[int, str, str, str]) -> ResultSet | None:
-        result = self._cache.get(key)
-        if result is not None:
-            self._cache.move_to_end(key)
-        return result
-
-    def _cache_put(self, key: tuple[int, str, str, str], value: ResultSet) -> None:
-        self._cache[key] = value
-        self._cache.move_to_end(key)
-        while len(self._cache) > CACHE_SIZE:
-            self._cache.popitem(last=False)
 
     def _resolve(self, seed: int | None, config: CodexConfig | None) -> tuple[int, CodexConfig]:
         return (
@@ -241,60 +351,6 @@ class Session:
             )
         return {seed: report.results[seed] for seed in spec.seeds}
 
-    def _cached_languages(
-        self, seeds: tuple[int, ...], config: CodexConfig, languages: Iterable[str]
-    ) -> dict[int, dict[str, ResultSet]]:
-        """The session-cached results of each seed and language, in the
-        given orders.
-
-        Each (seed, language) entry is keyed on the seed, the config
-        fingerprint and the digest of that language's cell enumeration, so
-        a grid grown after caching (``install_extended_grid()``) misses
-        instead of serving the old cells.  Uncached languages are evaluated
-        together, then cached per language: in serial mode one call per
-        seed; in process mode one dispatch over the seeds missing any
-        language and every language one of them misses.
-        """
-        fingerprint = config.fingerprint()
-        names = tuple(get_language(language).name for language in languages)
-        digests = {name: ExperimentSpec(languages=(name,)).grid_digest() for name in names}
-        found = {
-            seed: {
-                name: self._cache_get((seed, name, fingerprint, digests[name])) for name in names
-            }
-            for seed in seeds
-        }
-        missing = {
-            seed: tuple(name for name, results in per_language.items() if results is None)
-            for seed, per_language in found.items()
-        }
-        if self.backend == "process":
-            todo = tuple(seed for seed in seeds if missing[seed])
-            union = tuple(name for name in names if any(name in missing[seed] for seed in todo))
-            batches = [(todo, union)] if todo else []
-        else:
-            batches = [((seed,), missing[seed]) for seed in seeds if missing[seed]]
-        for batch_seeds, batch_languages in batches:
-            evaluated = self._evaluate(
-                ExperimentSpec(seeds=batch_seeds, languages=batch_languages, config=config)
-            )
-            for seed in batch_seeds:
-                for name in missing[seed]:
-                    found[seed][name] = evaluated[seed].filter(language=name)
-                    self._cache_put((seed, name, fingerprint, digests[name]), found[seed][name])
-        return found
-
-    def _combined(
-        self, seeds: tuple[int, ...], config: CodexConfig, languages: Iterable[str]
-    ) -> dict[int, ResultSet]:
-        combined: dict[int, ResultSet] = {}
-        for seed, per_language in self._cached_languages(seeds, config, languages).items():
-            combined[seed] = ResultSet(seed=seed)
-            for results in per_language.values():
-                for result in results:
-                    combined[seed].add(result)
-        return combined
-
     def language_results(
         self,
         language: str,
@@ -302,16 +358,9 @@ class Session:
         seed: int | None = None,
         config: CodexConfig | None = None,
     ) -> ResultSet:
-        """Evaluate all cells of one language's table, session-cached per
-        (seed, language, config fingerprint, grid digest).
-
-        The returned :class:`ResultSet` is the shared cache entry — treat it
-        as read-only and copy its results into a fresh set before adding to
-        it (as :meth:`full_results` does).
-        """
+        """Evaluate all cells of one language's table."""
         seed, config = self._resolve(seed, config)
-        (results,) = self._cached_languages((seed,), config, (language,))[seed].values()
-        return results
+        return self.run(ExperimentSpec(seeds=(seed,), languages=(language,), config=config))
 
     def full_results(
         self,
@@ -319,16 +368,14 @@ class Session:
         seed: int | None = None,
         config: CodexConfig | None = None,
     ) -> ResultSet:
-        """Evaluate the full grid (all four languages), reusing cached
-        languages; the missing ones are evaluated in a single call."""
+        """Evaluate the full grid (all four languages) in one call."""
         seed, config = self._resolve(seed, config)
-        return self._combined((seed,), config, language_names())[seed]
+        return self.run(ExperimentSpec(seeds=(seed,), config=config))
 
     def run(self, spec: ExperimentSpec | Shard) -> ResultSet | dict[int, ResultSet]:
         """Evaluate a declarative spec or one shard of it.
 
-        A :class:`Shard` evaluates just its cell slice in-process (uncached
-        — shards cut across the per-language cache grain — and never
+        A :class:`Shard` evaluates just its cell slice in-process (never
         re-dispatched, since a shard is already the unit the driver
         parallelizes) and returns a :class:`ResultSet` ready for
         :func:`repro.api.spec.shard_payload`.  A single-seed
@@ -337,11 +384,7 @@ class Session:
         """
         if isinstance(spec, Shard):
             return self._run_cells(spec.seed, spec.spec.config, spec.cells())
-        if spec.models is None and spec.kernels is None:
-            # Whole-language grids resolve through the session cache.
-            per_seed = self._combined(spec.seeds, spec.config, spec.languages)
-        else:
-            per_seed = self._evaluate(spec)
+        per_seed = self._evaluate(spec)
         if len(spec.seeds) == 1:
             return per_seed[spec.seeds[0]]
         return per_seed
@@ -468,26 +511,10 @@ class Session:
         seed: int | None = None,
         config: CodexConfig | None = None,
     ) -> ExperimentReport:
-        """Reproduce Table ``number`` (2 = C++, 3 = Fortran, 4 = Python, 5 = Julia)."""
-        if number not in TABLE_LANGUAGES:
-            raise KeyError(
-                f"the paper has no result table {number}; choose from {sorted(TABLE_LANGUAGES)}"
-            )
-        language = TABLE_LANGUAGES[number]
-        results = self.language_results(language, seed=seed, config=config)
-        comparison = compare_to_paper(results, language)
-        lang_display = get_language(language).display_name
-        return ExperimentReport(
-            experiment_id=f"table{number}",
-            description=f"Table {number}: proficiency scores for {lang_display}",
-            data={
-                "language": language,
-                "records": results.to_records(),
-                "cells": comparison.cells,
-            },
-            comparison=comparison,
-            text=render_language_table(results, language),
-        )
+        """Reproduce Table ``number`` (2 = C++, 3 = Fortran, 4 = Python, 5 = Julia):
+        evaluate its language, then :func:`table_report`."""
+        results = self.language_results(_table_language(number), seed=seed, config=config)
+        return table_report(results, number)
 
     def figure(
         self,
@@ -496,24 +523,12 @@ class Session:
         seed: int | None = None,
         config: CodexConfig | None = None,
     ) -> ExperimentReport:
-        """Reproduce Figure ``number`` (2 = C++, ..., 5 = Julia, 6 = overall)."""
+        """Reproduce Figure ``number`` (2 = C++, ..., 5 = Julia, 6 = overall):
+        evaluate its language (the full grid for 6), then :func:`figure_report`."""
         if number == 6:
-            return self.overall_figure(seed=seed, config=config)
-        if number not in FIGURE_LANGUAGES:
-            raise KeyError(
-                f"the paper has no figure {number}; choose from {sorted(FIGURE_LANGUAGES)} or 6"
-            )
-        language = FIGURE_LANGUAGES[number]
-        results = self.language_results(language, seed=seed, config=config)
-        comparison = compare_to_paper(results, language)
-        lang_display = get_language(language).display_name
-        return ExperimentReport(
-            experiment_id=f"figure{number}",
-            description=f"Figure {number}: per-kernel and per-model averages for {lang_display}",
-            data=figure_data(results, language),
-            comparison=comparison,
-            text=render_figure(results, language),
-        )
+            return figure_report(self.full_results(seed=seed, config=config), 6)
+        results = self.language_results(_figure_language(number), seed=seed, config=config)
+        return figure_report(results, number)
 
     def overall_figure(
         self,
@@ -522,14 +537,7 @@ class Session:
         config: CodexConfig | None = None,
     ) -> ExperimentReport:
         """Reproduce Figure 6: overall per-kernel and per-language averages."""
-        results = self.full_results(seed=seed, config=config)
-        return ExperimentReport(
-            experiment_id="figure6",
-            description="Figure 6: overall averages per kernel and per language",
-            data=overall_figure_data(results),
-            comparison=None,
-            text=render_overall_figure(results),
-        )
+        return self.figure(6, seed=seed, config=config)
 
     # -- ablations (DESIGN.md §4: A-KW, A-MAT, A-SUG) --------------------------
     def ablation(self, name: str, **params) -> ExperimentReport:
@@ -555,104 +563,58 @@ class Session:
         config: CodexConfig | None = None,
     ) -> ExperimentReport:
         """A-KW: effect of the post-fix keyword per language."""
-        results = self.full_results(seed=seed, config=config)
-        effects = {}
-        for language in language_names():
-            effects[language] = postfix_effect(results, language)
-        lines = ["Keyword post-fix effect (mean score without -> with keyword)"]
-        for language, effect in effects.items():
-            lines.append(
-                f"  {get_language(language).display_name:8s} "
-                f"{effect['without_keyword']:.2f} -> {effect['with_keyword']:.2f} "
-                f"(delta {effect['delta']:+.2f})"
-            )
-        return ExperimentReport(
-            experiment_id="ablation-keywords",
-            description="Effect of adding the language code keyword to the prompt",
-            data={"effects": effects},
-            text="\n".join(lines),
-        )
+        return _keyword_report(self.full_results(seed=seed, config=config))
 
     def maturity_ablation(
         self,
         *,
         seed: int | None = None,
-        scales: tuple[float, ...] = (0.5, 0.75, 1.0, 1.25),
+        scales: tuple[float, ...] = _MATURITY_SCALES,
     ) -> ExperimentReport:
-        """A-MAT: how the model-maturity prior weight shifts the score ordering.
-
-        Scale 1.0 fingerprints equal to the default config, so that point
-        reuses the session's cached Table 2 run.
-        """
-        orderings: dict[float, list[str]] = {}
-        stability: dict[float, bool] = {}
-        for scale in scales:
-            maturity = MaturityModel(model_weight=0.62 * scale)
-            config = CodexConfig(maturity=maturity)
-            results = self.language_results("cpp", seed=seed, config=config)
-            averages = model_averages(results, "cpp")
-            ranked = sorted(averages, key=averages.get, reverse=True)
-            orderings[scale] = ranked
-            stability[scale] = "cpp.openmp" in set(ranked[:3])
-        lines = ["Maturity-prior ablation (C++ model ranking per scale)"]
-        for scale, ranked in orderings.items():
-            names = ", ".join(uid.split(".")[1] for uid in ranked[:4])
-            lines.append(
-                f"  scale {scale:>4}: top models = {names} (OpenMP in top 3: {stability[scale]})"
-            )
-        return ExperimentReport(
-            experiment_id="ablation-maturity",
-            description="Sensitivity of the C++ model ranking to the maturity prior weight",
-            data={"orderings": orderings, "openmp_in_top3": stability},
-            text="\n".join(lines),
-        )
+        """A-MAT: how the model-maturity prior weight shifts the score ordering."""
+        return _maturity_report(self._cpp_tables(seed, {}), scales)
 
     def suggestion_count_ablation(
         self,
         *,
         seed: int | None = None,
-        counts: tuple[int, ...] = (1, 3, 5, 10, 20),
+        counts: tuple[int, ...] = _SUGGESTION_COUNTS,
     ) -> ExperimentReport:
-        """A-SUG: rubric behaviour as the suggestion budget changes.
+        """A-SUG: rubric behaviour as the suggestion budget changes; each
+        budget is a standard grid run under that config."""
+        return _suggestion_report(self._cpp_tables(seed, {}), counts)
 
-        Each budget is a standard grid run under that config; the budget-10
-        point fingerprints to the default config and reuses its cached run.
-        """
-        means: dict[int, float] = {}
-        for count in counts:
-            config = CodexConfig(max_suggestions=count)
-            results = self.language_results("cpp", seed=seed, config=config)
-            means[count] = results.mean_score()
-        lines = ["Suggestion-budget ablation (mean C++ score per suggestion count)"]
-        for count, mean in means.items():
-            lines.append(f"  first {count:>2} suggestions: mean score {mean:.3f}")
-        return ExperimentReport(
-            experiment_id="ablation-suggestions",
-            description="Sensitivity of the proficiency metric to the suggestion budget",
-            data={"means": means},
-            text="\n".join(lines),
-        )
+    def _cpp_tables(
+        self, seed: int | None, held: dict[str, ResultSet]
+    ) -> Callable[[CodexConfig], ResultSet]:
+        """The C++ table under a config, evaluated once per config
+        fingerprint: ``held`` maps fingerprints to C++ tables the caller
+        already holds, and gains those evaluated here."""
+
+        def cpp_table(config: CodexConfig) -> ResultSet:
+            fingerprint = config.fingerprint()
+            if fingerprint not in held:
+                held[fingerprint] = self.language_results("cpp", seed=seed, config=config)
+            return held[fingerprint]
+
+        return cpp_table
 
     def run_everything(self, *, seed: int | None = None) -> dict[str, ExperimentReport]:
-        """Run every table, figure and ablation (used by the CLI).
+        """Run every table, figure and ablation, keyed by experiment id.
 
-        The default-config grid is evaluated exactly once up front; every
-        table, figure and the keyword ablation then resolve from the session
-        cache, and the remaining ablations only evaluate the config points
-        whose fingerprint differs from the default.
+        The session-config grid is evaluated once; every table, figure and
+        the keyword ablation render from it, and the maturity and
+        suggestion ablations take its C++ cells for each point whose config
+        fingerprint equals the session config's, so each (fingerprint, cell)
+        pair is evaluated once.
         """
-        self.full_results(seed=seed)
-        reports: dict[str, ExperimentReport] = {}
-        for number in sorted(TABLE_LANGUAGES):
-            report = self.table(number, seed=seed)
-            reports[report.experiment_id] = report
-        for number in (2, 3, 4, 5, 6):
-            report = self.figure(number, seed=seed)
-            reports[report.experiment_id] = report
-        for report in (
-            self.keyword_ablation(seed=seed),
-            self.maturity_ablation(seed=seed),
-            self.suggestion_count_ablation(seed=seed),
-        ):
-            reports[report.experiment_id] = report
-        return reports
+        full = self.full_results(seed=seed)
+        cpp_table = self._cpp_tables(seed, {self.config.fingerprint(): full.filter(language="cpp")})
+        reports = [
+            *(table_report(full, number) for number in sorted(TABLE_LANGUAGES)),
+            *(figure_report(full, number) for number in (2, 3, 4, 5, 6)),
+            _keyword_report(full),
+            _maturity_report(cpp_table, _MATURITY_SCALES),
+            _suggestion_report(cpp_table, _SUGGESTION_COUNTS),
+        ]
+        return {report.experiment_id: report for report in reports}

@@ -79,6 +79,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -429,13 +430,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace, session) -> int:
+    from repro.api.session import figure_report, table_report
+
     results = session.full_results()
     for number in sorted(TABLE_LANGUAGES):
-        report = session.table(number)
+        report = table_report(results, number)
         print(report.text)
         print(report.summary_line())
         print()
-    print(session.overall_figure().text)
+    print(figure_report(results, 6).text)
     if args.csv:
         path = save_records_csv(results, args.csv)
         print(f"wrote {path}")
@@ -497,8 +500,8 @@ def _cmd_ablation(args: argparse.Namespace, session) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace, session) -> int:
+    results = session.full_results()
     for language in language_names():
-        results = session.language_results(language)
         comparison = compare_to_paper(results, language)
         display = get_language(language).display_name
         print(
@@ -655,15 +658,34 @@ def _cmd_dispatch(args: argparse.Namespace, session) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _counted_in(session):
+    """Add what the enclosed call evaluated in this process, on runners the
+    session never sees (``drain_queue``'s, the service's), to the session's
+    sandbox-execution and store-hit totals."""
+    from repro.sandbox.executor import sandbox_execution_count
+
+    store = session.verdict_store
+    executions = sandbox_execution_count()
+    hits = 0 if store is None else store.hits
+    try:
+        yield
+    finally:
+        session.sandbox_executions += sandbox_execution_count() - executions
+        if store is not None:
+            session.store_hits += store.hits - hits
+
+
 def _cmd_dispatch_worker(args: argparse.Namespace, session) -> int:
     from repro.dispatch.queue import drain_queue
 
-    executed = drain_queue(
-        args.queue,
-        max_tasks=args.max_tasks,
-        verdict_store=session.verdict_store,
-        poll=args.poll,
-    )
+    with _counted_in(session):
+        executed = drain_queue(
+            args.queue,
+            max_tasks=args.max_tasks,
+            verdict_store=session.verdict_store,
+            poll=args.poll,
+        )
     print(f"dispatch-worker: evaluated {executed} task(s) from {args.queue}")
     return 0
 
@@ -699,7 +721,8 @@ def _cmd_serve(args: argparse.Namespace, session) -> int:
         await server.wait_closed()
 
     try:
-        asyncio.run(_run())
+        with _counted_in(session):
+            asyncio.run(_run())
     except KeyboardInterrupt:
         pass
     return 0

@@ -1,28 +1,22 @@
-"""Tests for the Session façade: caching, lifecycle, artefacts, specs and
-the process backend on the dispatch driver."""
+"""Tests for the Session façade: fresh results per call, lifecycle,
+artefacts, specs and the process backend on the dispatch driver."""
 
 from __future__ import annotations
 
+import os
 import threading
 
 import pytest
 
-from repro.api import Session
-from repro.api.session import CACHE_SIZE
+from repro.api import Session, figure_report, table_report
 from repro.api.spec import ExperimentSpec
 from repro.codex.config import CodexConfig, DEFAULT_SEED
-from repro.core.runner import EvaluationRunner, RecordResult, ResultSet
+from repro.core.runner import EvaluationRunner, RecordResult
 from repro.dispatch import faults
 from repro.models.grid import cells_for_language
 
 
 class TestSessionCaching:
-    def test_language_results_cached_per_fingerprint(self):
-        with Session() as session:
-            first = session.language_results("julia")
-            second = session.language_results("julia", config=CodexConfig())
-            assert first is second
-
     def test_distinct_sessions_do_not_share_results(self):
         with Session() as a, Session() as b:
             ra, rb = a.language_results("julia"), b.language_results("julia")
@@ -30,21 +24,26 @@ class TestSessionCaching:
             assert ra.to_records() == rb.to_records()
 
     def test_seed_and_config_overrides_key_the_cache(self):
+        # Each override reaches the evaluation: its records equal a fresh
+        # Session's at that seed or config, and differ from the base.
+        budget = CodexConfig(max_suggestions=3)
         with Session() as session:
-            base = session.language_results("julia")
-            reseeded = session.language_results("julia", seed=DEFAULT_SEED + 1)
-            budget = session.language_results("julia", config=CodexConfig(max_suggestions=3))
-            assert base is not reseeded
-            assert base is not budget
-            assert base is session.language_results("julia")
+            base = session.language_results("julia").to_records()
+            reseeded = session.language_results("julia", seed=DEFAULT_SEED + 1).to_records()
+            budgeted = session.language_results("julia", config=budget).to_records()
+        with Session(seed=DEFAULT_SEED + 1) as fresh:
+            assert reseeded == fresh.language_results("julia").to_records()
+        with Session(config=budget) as fresh:
+            assert budgeted == fresh.language_results("julia").to_records()
+        assert reseeded != base
+        assert budgeted != base
 
-    def test_clear_cache_forces_reevaluation(self):
+    def test_caller_mutation_does_not_reach_the_next_call(self):
         with Session() as session:
             first = session.language_results("julia")
-            session.clear_cache()
-            second = session.language_results("julia")
-            assert first is not second
-            assert first.to_records() == second.to_records()
+            expected = first.to_records()
+            first.add(first.results[0])
+            assert session.language_results("julia").to_records() == expected
 
     def test_cache_follows_a_grid_grown_after_caching(self):
         from repro.extensions import install_extended_grid, uninstall_extended_grid
@@ -60,16 +59,6 @@ class TestSessionCaching:
                 uninstall_extended_grid()
             assert len(grown) > len(stock)
             assert session.language_results("python").to_records() == stock.to_records()
-
-    def test_cache_is_lru_bounded(self):
-        with Session() as session:
-            for i in range(CACHE_SIZE + 2):
-                session._cache_put((i, "x", "f", "g"), ResultSet(seed=i))
-            assert len(session._cache) == CACHE_SIZE
-            assert (0, "x", "f", "g") not in session._cache
-            assert (1, "x", "f", "g") not in session._cache
-            assert (2, "x", "f", "g") in session._cache
-            assert (CACHE_SIZE + 1, "x", "f", "g") in session._cache
 
 
 class TestSessionLifecycle:
@@ -137,12 +126,25 @@ class TestSessionArtefacts:
             with pytest.raises(KeyError):
                 session.ablation("nonexistent")
 
-    def test_ablation_points_reuse_cached_default_run(self):
+    def test_reports_render_from_a_held_grid(self):
         with Session() as session:
-            default_cpp = session.language_results("cpp")
-            session.ablation("suggestions", counts=(10,))
-            budget10 = session.language_results("cpp", config=CodexConfig(max_suggestions=10))
-            assert budget10 is default_cpp
+            full = session.full_results()
+            pairs = [(table_report(full, n), session.table(n)) for n in (2, 3, 4, 5)]
+            pairs += [(figure_report(full, n), session.figure(n)) for n in (2, 3, 4, 5, 6)]
+        for rendered, evaluated in pairs:
+            assert rendered.experiment_id == evaluated.experiment_id
+            assert rendered.text == evaluated.text
+            assert rendered.data == evaluated.data
+            assert rendered.comparison == evaluated.comparison
+
+    def test_reports_need_their_language(self):
+        with Session() as session:
+            julia = session.language_results("julia")
+        for render in (table_report, figure_report):
+            with pytest.raises(KeyError, match="no result for cpp.openmp"):
+                render(julia, 2)
+        with pytest.raises(KeyError):
+            table_report(julia, 7)
 
 
 class TestSpecRunsAndSweeps:
@@ -198,8 +200,27 @@ class TestProcessBackend:
         with Session(backend="process", max_workers=2) as session:
             session.language_results("julia")
             assert len(session.full_results()) == 204
-        # Julia alone, then the three languages still uncached together.
-        assert dispatched == [24, 180]
+        # Each call is one dispatch of exactly its spec.
+        assert dispatched == [24, 204]
+
+    def test_compare_evaluates_once(self, monkeypatch, capsys):
+        from repro.harness.cli import main
+
+        assert main(["compare"]) == 0
+        serial = capsys.readouterr().out
+        dispatched: list[int] = []
+        original = Session.dispatch
+
+        def counting(self, spec=None, **kwargs):
+            dispatched.append(len(spec.cells()))
+            return original(self, spec, **kwargs)
+
+        monkeypatch.setattr(Session, "dispatch", counting)
+        # Two workers whatever the host, so the process backend dispatches.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert main(["--backend", "process", "compare"]) == 0
+        assert capsys.readouterr().out == serial
+        assert dispatched == [204]
 
     def test_progress_fires_in_submission_order(self):
         seen: list = []
@@ -220,7 +241,6 @@ class TestProcessBackend:
             with Session(backend="process", max_workers=2) as session:
                 with pytest.raises(RuntimeError, match="quarantined") as excinfo:
                     session.language_results("julia")
-                assert not session._cache  # no partial records were kept
         finally:
             faults.reset()
         assert "shard [00000,00012)" in str(excinfo.value)

@@ -628,3 +628,32 @@ class TestCliDispatch:
             spec, shards=2, backend="file-queue", queue=queue, max_shards=0
         ).run()
         assert report.complete and len(report.remote) == 2
+
+    def test_cli_dispatch_worker_reports_what_it_evaluated(self, tmp_path, capsys):
+        # The verdict-store line counts the drained shards' work, cold and
+        # warm, though drain_queue evaluates on runners of its own.
+        from repro.harness.cli import main
+
+        python_spec = ExperimentSpec(languages=("python",), kernels=("axpy", "gemv"))
+        store = str(tmp_path / "verdicts")
+        counts = []
+        clear_verdict_memo()
+        try:
+            for name in ("cold", "warm"):
+                queue = FileQueue(tmp_path / name)
+                for shard in python_spec.partition(2):
+                    queue.publish(shard)
+                clear_verdict_memo()
+                args = ["--verdict-store", store, "dispatch-worker", "--queue", str(queue.root)]
+                assert main(args) == 0
+                captured = capsys.readouterr()
+                assert "evaluated 2 task(s)" in captured.out
+                line = next(
+                    line for line in captured.err.splitlines() if line.startswith("verdict store:")
+                )
+                counts.append(dict(field.split("=") for field in line.split()[-2:]))
+        finally:
+            clear_verdict_memo()
+        cold, warm = counts
+        assert int(cold["sandbox-executions"]) > 0
+        assert int(warm["hits"]) > 0 and warm["sandbox-executions"] == "0"

@@ -113,12 +113,6 @@ class TestExperiments:
         with Session() as session, pytest.raises(KeyError):
             session.figure(9)
 
-    def test_language_results_are_cached(self):
-        with Session() as session:
-            first = session.language_results("julia")
-            second = session.language_results("julia")
-        assert first is second
-
     def test_keyword_ablation(self):
         with Session() as session:
             report = session.ablation("keywords")

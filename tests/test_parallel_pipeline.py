@@ -6,7 +6,7 @@ Covers the four layers of the perf architecture:
 * the shared corpus memo (:func:`repro.corpus.store.default_corpus`),
 * the runner's determinism, the session's one-worker shortcut and the
   indexed :class:`ResultSet` in :mod:`repro.core.runner`, and
-* the process-wide verdict memo and fingerprint-keyed result cache.
+* the process-wide verdict memo and the value-based config fingerprint.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.codex.config import CodexConfig, DEFAULT_SEED
 from repro.codex.engine import cell_seed_sequence
 from repro.codex.sampler import SuggestionSampler
 from repro.api import ExperimentSpec, Session
-from repro.api.session import CACHE_SIZE
 from repro.core.runner import EvaluationRunner, ResultSet
 from repro.corpus.store import default_corpus
 from repro.dispatch.driver import ShardDriver
@@ -499,7 +498,7 @@ class TestVerdictMemo:
 
 
 # ---------------------------------------------------------------------------
-# Corpus memo and fingerprint-keyed result cache
+# Corpus memo, config fingerprints and one evaluation per fingerprint
 # ---------------------------------------------------------------------------
 
 class TestCacheLayers:
@@ -514,42 +513,6 @@ class TestCacheLayers:
         assert scaled.fingerprint() == CodexConfig().fingerprint()
         assert CodexConfig(maturity=MaturityModel(model_weight=0.31)).fingerprint() != \
             CodexConfig().fingerprint()
-
-    def test_equal_configs_share_cached_results(self):
-        with Session() as session:
-            first = session.language_results("julia", config=CodexConfig())
-            second = session.language_results("julia", config=CodexConfig())
-            default = session.language_results("julia")
-        assert first is second is default
-
-    def test_clear_result_cache_forces_reevaluation(self):
-        with Session() as session:
-            first = session.language_results("julia")
-            session.clear_cache()
-            second = session.language_results("julia")
-        assert first is not second
-        assert first.to_records() == second.to_records()
-
-    def test_ablation_points_reuse_default_run(self):
-        with Session() as session:
-            default_cpp = session.language_results("cpp")
-            # Maturity scale 1.0 and suggestion budget 10 fingerprint to the
-            # default config, so neither ablation re-evaluates that point.
-            scaled = session.language_results(
-                "cpp", config=CodexConfig(maturity=MaturityModel(model_weight=0.62 * 1.0))
-            )
-            budget10 = session.language_results("cpp", config=CodexConfig(max_suggestions=10))
-        assert scaled is default_cpp
-        assert budget10 is default_cpp
-
-    def test_result_cache_is_lru_bounded(self):
-        with Session() as session:
-            bound = CACHE_SIZE
-            for i in range(bound + 5):
-                session._cache_put((i, "x", "f", "g"), ResultSet(seed=i))
-            assert len(session._cache) == bound
-            assert (0, "x", "f", "g") not in session._cache
-            assert (bound + 4, "x", "f", "g") in session._cache
 
     def test_run_everything_evaluates_each_cell_once_per_fingerprint(self, monkeypatch):
         evaluated: list[tuple[str, str]] = []

@@ -11,13 +11,18 @@ against a golden NDJSON transcript.
 from __future__ import annotations
 
 import json
+import re
 import socket
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
+from repro.analysis.analyzer import clear_verdict_memo
 from repro.dispatch import faults
 from repro.service import protocol
+from repro.service.client import connect
 from repro.service.server import ServerThread
 
 GOLDEN = Path(__file__).parent / "golden" / "service_transcript.ndjson"
@@ -326,3 +331,38 @@ class TestGoldenTranscript:
         """Every golden line is its own parse-and-re-encode fixed point."""
         for line in GOLDEN.read_bytes().splitlines():
             assert protocol.encode(json.loads(line)) == line + b"\n"
+
+
+class TestCliServe:
+    def test_serve_reports_what_it_evaluated(self, tmp_path, capsys):
+        # The verdict-store line counts the service's evaluations, though
+        # the server evaluates on runners of its own.
+        from repro.harness.cli import main
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        argv = ["--verdict-store", str(tmp_path / "verdicts"), "serve", "--port", str(port)]
+        statuses: list[int] = []
+        clear_verdict_memo()
+        server = threading.Thread(target=lambda: statuses.append(main(argv)))
+        server.start()
+        try:
+            deadline = time.monotonic() + 30
+            while True:
+                try:
+                    client = connect(port=port)
+                    break
+                except OSError:
+                    if time.monotonic() > deadline:
+                        raise
+                    time.sleep(0.05)
+            with client:
+                experiment = client.submit(languages=["python"], kernels=["axpy"], shards=2)
+                assert client.wait(experiment)["state"] == "done"
+                client.shutdown()
+        finally:
+            server.join(timeout=60)
+            clear_verdict_memo()
+        assert not server.is_alive() and statuses == [0]
+        assert re.search(r"hits=\d+ sandbox-executions=[1-9]", capsys.readouterr().err)
