@@ -15,9 +15,7 @@ by design, and the same template shows up as an "other model" answer to
 different prompts) are analyzed — and, for Python, sandbox-executed — once
 per process, whichever model they were requested for and however many
 runners or ablations ask (two threads meeting the same new suggestion at
-once may both compute the same verdict).  Analyzers configured with a
-custom execution backend or with execution disabled get a private memo
-instead, so their verdicts never leak into the shared memo or a store.
+once may both compute the same verdict).
 
 Two further layers sit at this seam:
 
@@ -41,9 +39,9 @@ Two further layers sit at this seam:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.analysis import clike, fortranlang, hazards, julialang, pythonlang
 from repro.analysis.detection import detect_models
@@ -59,7 +57,7 @@ __all__ = ["SuggestionAnalyzer", "analyze_suggestion", "clear_verdict_memo"]
 CodeKey = tuple[str, str, str]
 
 #: Process-wide model-independent verdicts (requested-model flags unset),
-#: shared by every default-mode analyzer.
+#: shared by every analyzer.
 _SHARED_CODE_MEMO: dict[CodeKey, SuggestionVerdict] = {}
 
 
@@ -89,11 +87,6 @@ def _project(verdict: SuggestionVerdict, requested_uid: str) -> SuggestionVerdic
     )
 
 
-#: Signature of the pluggable Python execution backend:
-#: ``(code, kernel) -> (math_correct, issues)``.
-PythonExecutor = Callable[[str, str], tuple[bool, list[str]]]
-
-
 def _looks_like_code(text: str, comment_prefix: str) -> bool:
     stripped = text.strip()
     if not stripped:
@@ -109,37 +102,12 @@ def _looks_like_code(text: str, comment_prefix: str) -> bool:
     return False
 
 
-def _default_python_executor(code: str, kernel: str) -> tuple[bool, list[str]]:
-    from repro.sandbox import evaluate_python_suggestion
-
-    result = evaluate_python_suggestion(code, kernel)
-    return result.passed, list(result.issues)
-
-
-#: The pristine default backend.  The batch path compares against this to
-#: decide whether execution can go through the batched sandbox entry point;
-#: a monkeypatched/custom executor is honoured per suggestion instead.
-_PRISTINE_PYTHON_EXECUTOR = _default_python_executor
-
-
 @dataclass
 class SuggestionAnalyzer:
     """Analyzes raw suggestions for a given prompt.
 
     Parameters
     ----------
-    execute_python:
-        Whether Python suggestions are executed against numerical oracles
-        (the default) or judged statically only.
-    python_executor:
-        Pluggable execution backend; defaults to the sandbox in
-        :mod:`repro.sandbox`.
-    shared_memo:
-        Whether a default-mode analyzer (executing, with the default sandbox
-        backend) uses the process-wide memo (``True``, the default) or a
-        private one (``False``).  Analyzers outside the default mode always
-        get a private memo: the memo key carries no analysis mode, so a
-        shared entry would hand their verdicts to default-mode analyzers.
     store:
         Optional persistent :class:`~repro.analysis.store.VerdictStore` (or
         its directory path) layered below the in-memory memo.  Memo hits
@@ -147,27 +115,10 @@ class SuggestionAnalyzer:
         verdict this analyzer computes is written back.
     """
 
-    execute_python: bool = True
-    python_executor: PythonExecutor | None = None
-    shared_memo: bool = True
     store: VerdictStore | str | Path | None = None
-    _memo: dict[CodeKey, SuggestionVerdict] = field(
-        default=None, init=False, repr=False  # type: ignore[assignment]
-    )
 
     def __post_init__(self) -> None:
         self.store = VerdictStore.coerce(self.store)
-        default_mode = self.execute_python and self.python_executor is None
-        if self.store is not None and not default_mode:
-            # The store key carries no analysis mode: letting a static-only
-            # or custom-backend analyzer write it would hand default
-            # analyzers mode-dependent verdicts (same reason those modes get
-            # a private memo).
-            raise ValueError(
-                "a persistent verdict store only holds default-mode verdicts; it cannot "
-                "be combined with execute_python=False or a custom python_executor"
-            )
-        self._memo = _SHARED_CODE_MEMO if self.shared_memo and default_mode else {}
 
     def analyze(
         self,
@@ -223,11 +174,11 @@ class SuggestionAnalyzer:
         resolved: dict[CodeKey, SuggestionVerdict] = {}
         pending: list[CodeKey] = []
         for key in dict.fromkeys(keys):
-            verdict = self._memo.get(key)
+            verdict = _SHARED_CODE_MEMO.get(key)
             if verdict is None and self.store is not None:
                 verdict = self.store.get(key)
                 if verdict is not None:
-                    self._memo[key] = verdict
+                    _SHARED_CODE_MEMO[key] = verdict
             if verdict is None:
                 pending.append(key)
             else:
@@ -246,17 +197,22 @@ class SuggestionAnalyzer:
                     else:
                         resolved[key] = verdict
                 if to_execute:
-                    for (key, verdict), (passed, exec_issues) in zip(
-                        to_execute, self._execute_pending(to_execute), strict=True
-                    ):
-                        issues = list(exec_issues)
-                        if not passed and not issues:
+                    # Looked up at call time, so a wrapper installed on
+                    # ``repro.sandbox`` sees every batch.
+                    from repro.sandbox import evaluate_python_suggestions
+
+                    results = evaluate_python_suggestions(
+                        [(key[0], key[2]) for key, _ in to_execute]
+                    )
+                    for (key, verdict), result in zip(to_execute, results, strict=True):
+                        issues = list(result.issues)
+                        if not result.passed and not issues:
                             issues.append("execution did not reproduce the oracle result")
                         verdict.issues.extend(issues)
                         verdict.math_correct = not issues
                         resolved[key] = verdict
             for key in pending:
-                self._memo[key] = resolved[key]
+                _SHARED_CODE_MEMO[key] = resolved[key]
                 if self.store is not None:
                     self.store.put(key, resolved[key])
         return [_project(resolved[key], requested_uid) for key in keys]
@@ -302,7 +258,7 @@ class SuggestionAnalyzer:
             undefined = pythonlang.undefined_call_names(code)
             if undefined:
                 issues.append(f"calls undefined function(s): {', '.join(sorted(undefined))}")
-            if not issues and self.execute_python:
+            if not issues:
                 verdict.method = "executed"
                 return verdict, True
             verdict.method = "static"
@@ -312,25 +268,6 @@ class SuggestionAnalyzer:
         verdict.issues.extend(issues)
         verdict.math_correct = not issues
         return verdict, False
-
-    def _execute_pending(
-        self, items: list[tuple[CodeKey, SuggestionVerdict]]
-    ) -> list[tuple[bool, list[str]]]:
-        """Run the execution backend over every pending Python suggestion.
-
-        The pristine default backend goes through the batched sandbox entry
-        point (one fake-runtime context, one oracle per kernel group); a
-        custom or monkeypatched backend keeps its per-suggestion contract.
-        """
-        executor = self.python_executor or _default_python_executor
-        if executor is _PRISTINE_PYTHON_EXECUTOR:
-            from repro.sandbox import evaluate_python_suggestions
-
-            results = evaluate_python_suggestions(
-                [(key[0], key[2]) for key, _ in items]
-            )
-            return [(result.passed, list(result.issues)) for result in results]
-        return [executor(key[0], key[2]) for key, _ in items]
 
 
 _DEFAULT_ANALYZER = SuggestionAnalyzer()

@@ -62,15 +62,19 @@ def strip_string_literals(code: str) -> str:
     return code
 
 
-def balanced_delimiters(code: str, pairs: tuple[tuple[str, str], ...] = (("{", "}"), ("(", ")"), ("[", "]"))) -> bool:
-    """Whether every opening delimiter has a matching closing one.
+_DELIMITER_PAIRS = (("{", "}"), ("(", ")"), ("[", "]"))
+
+
+def balanced_delimiters(code: str) -> bool:
+    """Whether every opening brace, parenthesis and bracket has a matching
+    closing one.
 
     Works on comment- and string-stripped code; a truncated completion almost
     always fails this check.
     """
-    counts = {open_: 0 for open_, _ in pairs}
-    closers = {close: open_ for open_, close in pairs}
-    openers = {open_ for open_, _ in pairs}
+    counts = {open_: 0 for open_, _ in _DELIMITER_PAIRS}
+    closers = {close: open_ for open_, close in _DELIMITER_PAIRS}
+    openers = {open_ for open_, _ in _DELIMITER_PAIRS}
     for ch in code:
         if ch in openers:
             counts[ch] += 1

@@ -20,7 +20,6 @@ from repro.core.paper_reference import paper_cells, paper_table
 from repro.core.runner import ResultSet
 from repro.kernels.registry import KERNEL_NAMES
 from repro.models.keywords import has_postfix_variant
-from repro.models.programming_models import models_for_language
 
 __all__ = ["spearman_rank_correlation", "ShapeComparison", "compare_to_paper"]
 
@@ -166,8 +165,3 @@ def compare_to_paper(results: ResultSet, language: str) -> ShapeComparison:
 def paper_reference_averages(language: str) -> tuple[dict[str, float], dict[str, float]]:
     """The paper's per-kernel and per-model averages (for report rendering)."""
     return _paper_kernel_means(language), _paper_model_means(language)
-
-
-def models_in_table_order(language: str) -> list[str]:
-    """Model uids in the order the paper's tables list them."""
-    return [m.uid for m in models_for_language(language)]

@@ -2,8 +2,8 @@
 
 The benchmark harness and the CLI use these to print the reproduced
 Tables 2-5 and the per-kernel / per-model / per-language averages behind
-Figures 2-6 in a terminal-friendly form, optionally side by side with the
-published values.
+Figures 2-6 in a terminal-friendly form, side by side with the published
+values.
 """
 
 from __future__ import annotations
@@ -44,13 +44,12 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_bar_chart(
-    values: Mapping[str, float],
-    *,
-    title: str | None = None,
-    max_value: float = 1.0,
-    width: int = 40,
-) -> str:
+#: Characters of a full-score bar; a bar's length is its score clipped to
+#: [0, 1] times this.
+_BAR_WIDTH = 40
+
+
+def format_bar_chart(values: Mapping[str, float], *, title: str | None = None) -> str:
     """Render a horizontal ASCII bar chart (the textual stand-in for a figure)."""
     lines: list[str] = []
     if title:
@@ -60,14 +59,15 @@ def format_bar_chart(
         return "\n".join(lines + ["(no data)"])
     label_width = max(len(str(k)) for k in values)
     for label, value in values.items():
-        clipped = max(0.0, min(max_value, float(value)))
-        bar = "#" * int(round(width * clipped / max_value)) if max_value > 0 else ""
+        clipped = max(0.0, min(1.0, float(value)))
+        bar = "#" * int(round(_BAR_WIDTH * clipped))
         lines.append(f"{str(label).ljust(label_width)}  {format_score(value):>5}  {bar}")
     return "\n".join(lines)
 
 
-def side_by_side(left: str, right: str, *, gap: int = 4) -> str:
-    """Place two text blocks next to each other (used for paper-vs-repro views)."""
+def side_by_side(left: str, right: str) -> str:
+    """Place two text blocks next to each other, four spaces apart (used for
+    paper-vs-repro views)."""
     left_lines = left.splitlines()
     right_lines = right.splitlines()
     height = max(len(left_lines), len(right_lines))
@@ -75,5 +75,5 @@ def side_by_side(left: str, right: str, *, gap: int = 4) -> str:
     right_lines += [""] * (height - len(right_lines))
     left_width = max((len(line) for line in left_lines), default=0)
     return "\n".join(
-        f"{l.ljust(left_width)}{' ' * gap}{r}" for l, r in zip(left_lines, right_lines)
+        f"{l.ljust(left_width)}    {r}" for l, r in zip(left_lines, right_lines)
     )

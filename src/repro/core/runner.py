@@ -237,10 +237,6 @@ class EvaluationRunner:
     ----------
     progress:
         Callback invoked with each :class:`CellResult` as it completes.
-    evaluator:
-        A custom :class:`PromptEvaluator`; by default one is built from
-        ``(config, seed)`` with a :class:`SuggestionAnalyzer` over
-        ``verdict_store``.
     verdict_store:
         Optional persistent :class:`~repro.analysis.store.VerdictStore` (or
         its directory path) attached to the runner's analyzer.
@@ -249,24 +245,18 @@ class EvaluationRunner:
     config: CodexConfig = field(default_factory=CodexConfig)
     seed: int = DEFAULT_SEED
     progress: Callable[[CellResult], None] | None = None
-    evaluator: PromptEvaluator | None = None
     verdict_store: VerdictStore | str | Path | None = None
+    evaluator: PromptEvaluator = field(init=False, repr=False, compare=False)
     #: Sandbox executions / verdict-store hits attributed to this runner's runs.
     _sandbox_executions: int = field(default=0, init=False, repr=False, compare=False)
     _store_hits: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.verdict_store = VerdictStore.coerce(self.verdict_store)
-        if self.evaluator is not None and self.verdict_store is not None:
-            raise ValueError(
-                "verdict_store cannot be combined with a custom evaluator; attach the "
-                "store to the evaluator's analyzer instead"
-            )
-        if self.evaluator is None:
-            engine = SimulatedCodex(config=self.config, seed=self.seed)
-            self.evaluator = PromptEvaluator(
-                engine=engine, analyzer=SuggestionAnalyzer(store=self.verdict_store)
-            )
+        self.evaluator = PromptEvaluator(
+            engine=SimulatedCodex(config=self.config, seed=self.seed),
+            analyzer=SuggestionAnalyzer(store=self.verdict_store),
+        )
 
     @property
     def sandbox_executions(self) -> int:
@@ -295,17 +285,9 @@ class EvaluationRunner:
                 self._store_hits += self.verdict_store.hits - hits_before
         return results
 
-    def run_language(
-        self,
-        language: str,
-        *,
-        kernels: Iterable[str] | None = None,
-        include_postfix: bool | None = None,
-    ) -> ResultSet:
+    def run_language(self, language: str) -> ResultSet:
         """Evaluate one language's table (Table 2, 3, 4 or 5)."""
-        return self.run_cells(
-            cells_for_language(language, kernels=kernels, include_postfix=include_postfix)
-        )
+        return self.run_cells(cells_for_language(language))
 
     def run_full_grid(self) -> ResultSet:
         """Evaluate the complete Table 1 grid (all languages and variants)."""

@@ -31,14 +31,7 @@ __all__ = [
 # Helpers shared by the operators
 # ---------------------------------------------------------------------------
 
-_C_LIKE = ("cpp",)
 _DIRECTIVE_PREFIXES = ("#pragma omp", "#pragma acc", "!$omp", "!$acc")
-
-
-def _language_family(language: str) -> str:
-    if language == "cpp":
-        return "c"
-    return language
 
 
 def _flip_plus_on_update_line(code: str) -> str | None:

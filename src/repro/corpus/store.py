@@ -106,35 +106,16 @@ class CorpusStore:
         """All snippets implementing ``kernel`` in ``language`` (any model)."""
         return list(self._lookup_index()[0].get((language.lower(), kernel.lower()), ()))
 
-    def candidates_for_model(
-        self,
-        language: str,
-        model_uid: str,
-        kernel: str,
-        *,
-        correct_only: bool = False,
-    ) -> list[CodeSnippet]:
-        """Snippets for one (language, model, kernel) cell."""
-        out = [
-            s
-            for s in self.candidates(language, kernel)
-            if s.label_model == model_uid and (s.label_correct or not correct_only)
-        ]
-        return out
-
     def template(self, language: str, model_uid: str, kernel: str) -> CodeSnippet | None:
         """The curated correct template for a cell, if present."""
         return self._lookup_index()[1].get((language.lower(), model_uid, kernel.lower()))
 
-    def other_model_snippets(
-        self, language: str, model_uid: str, kernel: str, *, correct_only: bool = True
-    ) -> list[CodeSnippet]:
-        """Snippets for the same kernel/language but a *different* model."""
+    def other_model_snippets(self, language: str, model_uid: str, kernel: str) -> list[CodeSnippet]:
+        """Correct snippets for the same kernel/language but a *different* model."""
         return [
             s
             for s in self.candidates(language, kernel)
-            if s.label_model not in (model_uid, "serial", "none")
-            and (s.label_correct or not correct_only)
+            if s.label_model not in (model_uid, "serial", "none") and s.label_correct
         ]
 
     # -- statistics -----------------------------------------------------------

@@ -454,8 +454,8 @@ class ShardDriver:
         killed, its in-flight piece's shard is retried whole (counting as
         one failed attempt) and the rest of its run re-offered.  ``None``
         (default) disables the limit.
-    heartbeat_interval, lease_beats:
-        Lease policy forwarded to the :class:`FileQueue` the driver
+    heartbeat_interval:
+        Lease heartbeat forwarded to the :class:`FileQueue` the driver
         creates from a ``queue`` path (ignored when an existing
         ``FileQueue`` is passed — its policy governs).
     poll_interval:
@@ -479,7 +479,6 @@ class ShardDriver:
         max_attempts: int | None = None,
         shard_timeout: float | None = None,
         heartbeat_interval: float | None = None,
-        lease_beats: int | None = None,
         poll_interval: float = 0.05,
     ) -> None:
         if backend not in DISPATCH_BACKENDS:
@@ -508,8 +507,6 @@ class ShardDriver:
             policy = {}
             if heartbeat_interval is not None:
                 policy["heartbeat_interval"] = heartbeat_interval
-            if lease_beats is not None:
-                policy["lease_beats"] = lease_beats
             if max_attempts is not None:
                 policy["max_attempts"] = max_attempts
             self.queue = FileQueue(queue, **policy)

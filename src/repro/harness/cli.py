@@ -582,6 +582,7 @@ def _cmd_merge(args: argparse.Namespace, session) -> int:
 
 def _cmd_dispatch(args: argparse.Namespace, session) -> int:
     from repro.api.spec import ExperimentSpec
+    from repro.dispatch.runners import shard_label
     from repro.dispatch.store import ResultStore
 
     spec = ExperimentSpec(
@@ -638,10 +639,7 @@ def _cmd_dispatch(args: argparse.Namespace, session) -> int:
         )
         # Name the holes, not just their count: the ids below are what a
         # targeted re-dispatch or a queue post-mortem starts from.
-        labels = ", ".join(
-            f"s{q.entry.seed}-{q.entry.start:05d}-{q.entry.stop:05d}"
-            for q in report.quarantined
-        )
+        labels = ", ".join(shard_label(q.entry) for q in report.quarantined)
         print(f"degraded: quarantined shard(s) missing from the merge: {labels}", file=sys.stderr)
         if results is not None:
             if args.json:

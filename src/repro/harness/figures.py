@@ -4,8 +4,8 @@ Each per-language figure has two panels: average proficiency per kernel and
 average proficiency per programming model.  Figure 6 aggregates across the
 whole study: per kernel and per language.  ``figure_data`` returns the
 numeric series (what a plotting front-end would consume); ``render_figure``
-prints ASCII bar charts, optionally next to the series derived from the
-published tables.
+prints ASCII bar charts next to the series derived from the published
+tables.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ def _pretty_models(values: "OrderedDict[str, float]") -> "OrderedDict[str, float
     return OrderedDict((get_model(uid).display_name, v) for uid, v in values.items())
 
 
-def render_figure(results: ResultSet, language: str, *, include_paper: bool = True) -> str:
-    """ASCII rendering of one per-language figure."""
+def render_figure(results: ResultSet, language: str) -> str:
+    """ASCII rendering of one per-language figure, beside the paper's."""
     lang = get_language(language)
     data = figure_data(results, lang.name)
     blocks = [
@@ -61,16 +61,13 @@ def render_figure(results: ResultSet, language: str, *, include_paper: bool = Tr
             title=f"{lang.display_name}: average score per programming model",
         ),
     ]
-    rendered = "\n".join(blocks)
-    if not include_paper:
-        return rendered
     reference = paper_figure_data(lang.name)
     ref_blocks = [
         format_bar_chart(reference["kernels"], title="(paper) per kernel"),
         "",
         format_bar_chart(_pretty_models(reference["models"]), title="(paper) per model"),
     ]
-    return side_by_side(rendered, "\n".join(ref_blocks))
+    return side_by_side("\n".join(blocks), "\n".join(ref_blocks))
 
 
 def overall_figure_data(results: ResultSet) -> dict[str, "OrderedDict[str, float]"]:
@@ -98,21 +95,18 @@ def paper_overall_figure_data() -> dict[str, "OrderedDict[str, float]"]:
     return {"kernels": kernels, "languages": languages}
 
 
-def render_overall_figure(results: ResultSet, *, include_paper: bool = True) -> str:
-    """ASCII rendering of Figure 6."""
+def render_overall_figure(results: ResultSet) -> str:
+    """ASCII rendering of Figure 6, beside the paper's."""
     data = overall_figure_data(results)
     blocks = [
         format_bar_chart(data["kernels"], title="Overall: average score per kernel"),
         "",
         format_bar_chart(data["languages"], title="Overall: average score per language"),
     ]
-    rendered = "\n".join(blocks)
-    if not include_paper:
-        return rendered
     reference = paper_overall_figure_data()
     ref_blocks = [
         format_bar_chart(reference["kernels"], title="(paper) per kernel"),
         "",
         format_bar_chart(reference["languages"], title="(paper) per language"),
     ]
-    return side_by_side(rendered, "\n".join(ref_blocks))
+    return side_by_side("\n".join(blocks), "\n".join(ref_blocks))

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 from repro.kernels.registry import kernel_names
 from repro.models.keywords import has_postfix_variant, postfix_keyword
 from repro.models.languages import get_language, language_names
-from repro.models.programming_models import ProgrammingModel, get_model, models_for_language
+from repro.models.programming_models import get_model, models_for_language
 
 __all__ = [
     "ExperimentCell",
@@ -57,25 +57,13 @@ class ExperimentCell:
 
 
 def cells_for_language(
-    language: str,
-    *,
-    kernels: Iterable[str] | None = None,
-    include_postfix: bool | None = None,
+    language: str, *, kernels: Iterable[str] | None = None
 ) -> list[ExperimentCell]:
-    """All cells for one language.
-
-    ``include_postfix`` limits the grid to the bare (False) or keyword (True)
-    variant; by default both variants are produced when the language has a
-    keyword variant, otherwise only the bare variant.
-    """
+    """All cells for one language: both prompt variants when the language
+    has a keyword variant, otherwise only the bare variant."""
     lang = get_language(language)
     kernel_list = tuple(kernels) if kernels is not None else kernel_names(lang.name)
-    if include_postfix is None:
-        postfix_options = (False, True) if has_postfix_variant(lang.name) else (False,)
-    else:
-        if include_postfix and not has_postfix_variant(lang.name):
-            raise ValueError(f"language {lang.name!r} has no post-fix keyword variant")
-        postfix_options = (include_postfix,)
+    postfix_options = (False, True) if has_postfix_variant(lang.name) else (False,)
     cells: list[ExperimentCell] = []
     for use_postfix in postfix_options:
         for model in models_for_language(lang.name):
@@ -137,10 +125,3 @@ def table1_rows() -> Iterator[tuple[str, str, str]]:
             if lang.postfix_keyword:
                 postfixes.append(lang.postfix_keyword)
             yield (lang.display_name, model.display_name, ", ".join(postfixes))
-
-
-def _model_or_none(uid: str) -> ProgrammingModel | None:  # pragma: no cover - helper
-    try:
-        return get_model(uid)
-    except KeyError:
-        return None

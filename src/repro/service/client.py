@@ -52,13 +52,11 @@ class ServiceClient:
         port: int = 0,
         *,
         timeout: float = 120.0,
-        client_name: str = "repro.service.client",
         on_event: Callable[[str, dict], None] | None = None,
     ) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.client_name = client_name
         self.on_event = on_event
         self.session_id: str | None = None
         #: Buffered event notifications, ``(method, params)`` in arrival order.
@@ -136,7 +134,7 @@ class ServiceClient:
                 "protocol_version": (
                     protocol.PROTOCOL_VERSION if protocol_version is None else protocol_version
                 ),
-                "client": self.client_name,
+                "client": "repro.service.client",
             },
         )
         self.session_id = result["session_id"]

@@ -46,10 +46,9 @@ def evaluator(engine: SimulatedCodex, analyzer: SuggestionAnalyzer) -> PromptEva
 
 
 @pytest.fixture(scope="session")
-def full_results(evaluator: PromptEvaluator) -> ResultSet:
+def full_results() -> ResultSet:
     """The full Table 1 grid evaluated once for the whole session."""
-    runner = EvaluationRunner(config=CodexConfig(), seed=DEFAULT_SEED, evaluator=evaluator)
-    return runner.run_full_grid()
+    return EvaluationRunner(config=CodexConfig(), seed=DEFAULT_SEED).run_full_grid()
 
 
 @pytest.fixture()

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import analyze_suggestion, clike, fortranlang, julialang, pythonlang
-from repro.analysis.analyzer import SuggestionAnalyzer
 from repro.corpus.mutations import apply_mutation
 from repro.corpus.snippets import CodeSnippet, SnippetOrigin
 from repro.corpus.templates import get_template, iter_templates
@@ -182,33 +181,6 @@ class TestAnalyzerVerdicts:
         )
         assert verdict.method == "executed"
         assert not verdict.math_correct
-
-    def test_static_only_analyzer_skips_execution(self):
-        static_analyzer = SuggestionAnalyzer(execute_python=False)
-        code = get_template("python", "numpy", "axpy")
-        verdict = static_analyzer.analyze(
-            code, language="python", kernel="axpy", requested_model="python.numpy"
-        )
-        assert verdict.method == "static"
-        assert verdict.is_correct
-
-    def test_custom_python_executor_is_used(self):
-        calls = []
-
-        def executor(code: str, kernel: str) -> tuple[bool, list[str]]:
-            calls.append(kernel)
-            return False, ["nope"]
-
-        custom = SuggestionAnalyzer(python_executor=executor)
-        verdict = custom.analyze(
-            get_template("python", "numpy", "gemv"),
-            language="python",
-            kernel="gemv",
-            requested_model="python.numpy",
-        )
-        assert calls == ["gemv"]
-        assert not verdict.math_correct
-        assert "nope" in verdict.issues
 
     def test_analyzer_cache_returns_equal_verdicts(self, analyzer):
         # Memoized analyses return value-equal verdicts; each caller gets its

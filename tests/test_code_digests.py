@@ -94,7 +94,7 @@ def packages():
 
 from repro.analysis.analyzer import SuggestionAnalyzer
 
-analyzer = SuggestionAnalyzer(shared_memo=False)
+analyzer = SuggestionAnalyzer()
 for code, language, kernel, model in json.load(sys.stdin):
     analyzer.analyze(code, language=language, kernel=kernel, requested_model=model)
 verdict = packages()

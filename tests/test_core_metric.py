@@ -133,10 +133,10 @@ class TestEvaluatorAndRunner:
         with pytest.raises(KeyError):
             full_results.score("cpp.openmp", "fft", use_postfix=False)
 
-    def test_runs_are_reproducible(self, full_results, evaluator):
+    def test_runs_are_reproducible(self, full_results):
         from repro.core.runner import EvaluationRunner
 
-        rerun = EvaluationRunner(seed=full_results.seed, evaluator=evaluator).run_language("julia")
+        rerun = EvaluationRunner(seed=full_results.seed).run_language("julia")
         for result in rerun:
             assert result.score == full_results.score(
                 result.cell.model, result.cell.kernel, use_postfix=result.cell.use_postfix
@@ -253,7 +253,7 @@ class TestReportRendering:
         assert len(lines) == 6
 
     def test_format_bar_chart(self):
-        chart = format_bar_chart({"axpy": 0.75, "cg": 0.0}, title="scores", width=8)
+        chart = format_bar_chart({"axpy": 0.75, "cg": 0.0}, title="scores")
         assert "axpy" in chart and "#" in chart
         assert "cg" in chart
         assert format_bar_chart({}) == "(no data)"

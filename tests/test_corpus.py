@@ -214,11 +214,6 @@ class TestCorpusStore:
         models = {c.label_model for c in candidates if c.label_model.startswith("cpp.")}
         assert len(models) == 8
 
-    def test_candidates_for_model_correct_only(self, corpus):
-        only_correct = corpus.candidates_for_model("cpp", "cpp.cuda", "gemm", correct_only=True)
-        assert all(c.label_correct for c in only_correct)
-        assert len(only_correct) >= 1
-
     def test_other_model_snippets_exclude_requested(self, corpus):
         others = corpus.other_model_snippets("python", "python.numpy", "axpy")
         assert others
@@ -262,7 +257,7 @@ class TestCorpusStore:
         assert store.candidates("python", "axpy")[-1] is added
         extra = dataclasses.replace(added, label_model="python.numpy", label_correct=False)
         store.extend([extra])
-        assert store.candidates_for_model("python", "python.numpy", "axpy")[-1] is extra
+        assert store.candidates("python", "axpy")[-1] is extra
         # The first correct template of a cell wins, as before the index.
         assert store.template("python", "python.numpy", "axpy") is corpus.template(
             "python", "python.numpy", "axpy"

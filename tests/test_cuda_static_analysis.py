@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.analyzer import SuggestionAnalyzer
+from repro.analysis.analyzer import SuggestionAnalyzer, clear_verdict_memo
 from repro.analysis.hazards import extract_cuda_sources, static_findings_for
 from repro.analysis.verdict import SuggestionVerdict
 from repro.corpus.mutations import apply_mutation
@@ -326,9 +326,13 @@ class TestAnalyzedOnce:
         monkeypatch.setattr(
             static._Analysis, "run", lambda self: runs.append(self) or original(self)
         )
-        analyzer = SuggestionAnalyzer(shared_memo=False)
-        (verdict,) = analyzer.analyze_batch([code], language="python", kernel=kernel,
-                                            requested_model=f"python.{model}")
+        clear_verdict_memo()
+        try:
+            (verdict,) = SuggestionAnalyzer().analyze_batch(
+                [code], language="python", kernel=kernel, requested_model=f"python.{model}"
+            )
+        finally:
+            clear_verdict_memo()
         assert verdict.is_correct
         assert len(runs) == kernels_in_source
 

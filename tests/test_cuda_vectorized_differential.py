@@ -24,7 +24,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.analysis.analyzer import SuggestionAnalyzer
+from repro.analysis.analyzer import SuggestionAnalyzer, clear_verdict_memo
 from repro.sandbox.cuda_c import CudaModule, execution_mode, lockstep_stats
 from repro.sandbox.cuda_c import interpreter as interp
 from repro.sandbox.executor import evaluate_python_suggestions
@@ -104,16 +104,22 @@ class TestCorpusDifferential:
         suggestion must not depend on the engine."""
         snippets = _cuda_snippets(corpus)
         verdicts = {}
-        for mode in ("auto", "scalar"):
-            analyzer = SuggestionAnalyzer(shared_memo=False)
-            with execution_mode(mode):
-                verdicts[mode] = [
-                    analyzer.analyze(
-                        s.code, language="python", kernel=s.kernel,
-                        requested_model=s.label_model or "python.pycuda",
-                    ).to_payload()
-                    for s in snippets
-                ]
+        try:
+            for mode in ("auto", "scalar"):
+                # Each pass computes every verdict; a memo hit would hand
+                # the scalar pass the auto pass's verdicts.
+                clear_verdict_memo()
+                analyzer = SuggestionAnalyzer()
+                with execution_mode(mode):
+                    verdicts[mode] = [
+                        analyzer.analyze(
+                            s.code, language="python", kernel=s.kernel,
+                            requested_model=s.label_model or "python.pycuda",
+                        ).to_payload()
+                        for s in snippets
+                    ]
+        finally:
+            clear_verdict_memo()
         assert verdicts["auto"] == verdicts["scalar"]
 
     def test_recorded_launch_replays_identical(self):

@@ -16,7 +16,10 @@ one compares the current code against numbers committed in
   order (see :func:`verdict_digest`);
 * one sha256 over every kernel's sandbox task: its arguments, its oracle
   output and its tolerances (see :func:`task_digest`).  A last-bit change
-  in an oracle array flips no verdict, so only this key catches it.
+  in an oracle array flips no verdict, so only this key catches it;
+* the sha256 of the text of Tables 2-5 and Figures 2-6 rendered from the
+  default-seed grid, stock and extended (see :func:`rendered_digests`).
+  The records pin what was computed; only these keys pin how it prints.
 
 A change that is meant to move any of these regenerates the file with::
 
@@ -36,8 +39,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.analysis.analyzer import SuggestionAnalyzer
-from repro.api.session import Session
+from repro.analysis.analyzer import SuggestionAnalyzer, clear_verdict_memo
+from repro.api.session import Session, figure_report, table_report
 from repro.codex.config import DEFAULT_SEED
 from repro.codex.engine import SimulatedCodex
 from repro.codex.prompt import Prompt
@@ -54,6 +57,8 @@ from repro.sandbox.tasks import get_task
 
 GOLDEN = Path(__file__).with_name("golden") / "records.json"
 RUN_SEEDS = (1, 5, 7, DEFAULT_SEED)
+TABLES = range(2, 6)
+FIGURES = range(2, 7)
 STREAM_SEEDS = range(20)
 GRIDS = ("stock", "extended")
 #: Every kernel with a sandbox task, stock and extension families alike.
@@ -64,12 +69,21 @@ def cell_name(record: dict) -> str:
     return f"{record['model']}/{record['kernel']}{'+kw' if record['use_postfix'] else ''}"
 
 
-def run_json(seed: int) -> bytes:
-    """The bytes ``run --json`` writes at ``seed`` on the installed grid."""
-    with Session(seed=seed) as session:
-        results = session.full_results()
+def run_json(results) -> bytes:
+    """The bytes ``run --json`` writes for ``results``."""
     with tempfile.TemporaryDirectory() as scratch:
         return save_records_json(results, Path(scratch) / "records.json").read_bytes()
+
+
+def rendered_digests(results, grid: str) -> dict[str, str]:
+    """sha256 of each table's and figure's text rendered from ``results``,
+    keyed ``{grid}/table{n}`` and ``{grid}/figure{n}``."""
+    reports = [table_report(results, n) for n in TABLES]
+    reports += [figure_report(results, n) for n in FIGURES]
+    return {
+        f"{grid}/{report.experiment_id}": hashlib.sha256(report.text.encode("utf-8")).hexdigest()
+        for report in reports
+    }
 
 
 def stream_digest(seed: int) -> str:
@@ -89,13 +103,14 @@ def verdict_digest() -> str:
     """sha256 over the verdict payload of every snippet of the installed
     grid's default corpus (templates and mutants), in corpus order.
 
-    A private-memo analyzer judges each snippet, so no verdict computed
-    earlier in the process is reused.  The requested model is the
-    snippet's ``label_model`` when :func:`get_model` knows it; labels that
-    are not registered programming models (``serial``, ``none``) request
-    the language's first model instead.
+    The verdict memo is emptied first, so no verdict computed earlier in
+    the process is reused.  The requested model is the snippet's
+    ``label_model`` when :func:`get_model` knows it; labels that are not
+    registered programming models (``serial``, ``none``) request the
+    language's first model instead.
     """
-    analyzer = SuggestionAnalyzer(shared_memo=False)
+    clear_verdict_memo()
+    analyzer = SuggestionAnalyzer()
     digest = hashlib.sha256()
     for snippet in build_default_corpus():
         try:
@@ -133,13 +148,17 @@ def task_digest() -> str:
 def compute() -> dict:
     """Everything the golden file pins, computed by the current code."""
     was_extended = extended_grid_installed()
-    golden: dict = {"run_json_sha256": {}}
+    golden: dict = {"run_json_sha256": {}, "rendered_sha256": {}}
     try:
         for grid in GRIDS:
             (install_extended_grid if grid == "extended" else uninstall_extended_grid)()
             for seed in RUN_SEEDS:
-                payload = run_json(seed)
+                with Session(seed=seed) as session:
+                    results = session.full_results()
+                payload = run_json(results)
                 golden["run_json_sha256"][f"{grid}/{seed}"] = hashlib.sha256(payload).hexdigest()
+                if seed == DEFAULT_SEED:
+                    golden["rendered_sha256"].update(rendered_digests(results, grid))
                 if grid == "extended" and seed == DEFAULT_SEED:
                     golden["scores"] = {
                         cell_name(record): record["score"] for record in json.loads(payload)
@@ -192,6 +211,15 @@ def test_verdict_payloads(golden, current):
     assert current["verdict_sha256"] == golden["verdict_sha256"], (
         "a corpus snippet's verdict payload changed"
     )
+
+
+def test_rendered_tables_and_figures(golden, current):
+    moved = sorted(
+        key
+        for key in golden["rendered_sha256"].keys() | current["rendered_sha256"].keys()
+        if golden["rendered_sha256"].get(key) != current["rendered_sha256"].get(key)
+    )
+    assert not moved, f"rendered text changed for {moved}"
 
 
 def test_sandbox_tasks(golden, current):

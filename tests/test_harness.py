@@ -41,7 +41,7 @@ class TestTablesRendering:
         assert all(len(row) == 1 + len(KERNEL_NAMES) for row in rows)
 
     def test_cells_show_repro_and_paper_values(self, full_results):
-        rows = table_rows(full_results, "fortran", use_postfix=True, include_paper=True)
+        rows = table_rows(full_results, "fortran", use_postfix=True)
         assert all("/" in cell for row in rows for cell in row[1:])
 
     def test_render_language_table_contains_both_halves(self, full_results):

@@ -109,10 +109,6 @@ class TestExperimentGrid:
         julia = cells_for_language("julia")
         assert all(not c.use_postfix for c in julia)
 
-    def test_postfix_variant_rejected_for_julia(self):
-        with pytest.raises(ValueError):
-            cells_for_language("julia", include_postfix=True)
-
     def test_cell_properties(self):
         cell = ExperimentCell(language="cpp", model="cpp.openmp", kernel="axpy", use_postfix=True)
         assert cell.postfix == "function"

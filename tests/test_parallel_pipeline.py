@@ -12,6 +12,7 @@ Covers the four layers of the perf architecture:
 from __future__ import annotations
 
 import threading
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -186,42 +187,47 @@ class TestResultSetIndex:
 # Shared analyzer memo
 # ---------------------------------------------------------------------------
 
+@pytest.fixture()
+def sandbox_batches(monkeypatch) -> Iterator[list[list[tuple[str, str]]]]:
+    """Every ``(code, kernel)`` batch the analyzer sends to the sandbox.
+
+    The analyzer looks ``repro.sandbox.evaluate_python_suggestions`` up at
+    call time, so the recording wrapper sees every batch.  The verdict memo
+    is emptied before and after, so the test's analyses compute afresh.
+    """
+    import repro.sandbox as sandbox
+
+    batches: list[list[tuple[str, str]]] = []
+    original = sandbox.evaluate_python_suggestions
+
+    def recording(items, **kwargs):
+        batches.append(list(items))
+        return original(items, **kwargs)
+
+    monkeypatch.setattr(sandbox, "evaluate_python_suggestions", recording)
+    clear_verdict_memo()
+    yield batches
+    clear_verdict_memo()
+
+
 class TestVerdictMemo:
-    def test_identical_suggestion_executes_once(self, corpus):
+    def test_identical_suggestion_executes_once(self, corpus, sandbox_batches):
         code = corpus.template("python", "python.numpy", "axpy").code
-        calls: list[str] = []
-
-        def counting_executor(code: str, kernel: str) -> tuple[bool, list[str]]:
-            calls.append(kernel)
-            return True, []
-
-        analyzer = SuggestionAnalyzer(python_executor=counting_executor)
+        analyzer = SuggestionAnalyzer()
         for _ in range(3):
             verdict = analyzer.analyze(
                 code, language="python", kernel="axpy", requested_model="python.numpy"
             )
             assert verdict.is_correct
-        assert len(calls) == 1
+        assert sandbox_batches == [[(code, "axpy")]]
 
-    def test_default_analyzers_share_one_memo(self, corpus, monkeypatch):
+    def test_default_analyzers_share_one_memo(self, corpus, sandbox_batches):
         code = corpus.template("python", "python.numpy", "gemv").code
-        calls: list[str] = []
-
-        def counting_executor(code: str, kernel: str) -> tuple[bool, list[str]]:
-            calls.append(kernel)
-            return True, []
-
-        monkeypatch.setattr(analyzer_module, "_default_python_executor", counting_executor)
-        clear_verdict_memo()
-        try:
-            first, second = SuggestionAnalyzer(), SuggestionAnalyzer()
-            assert first._memo is second._memo
-            kwargs = dict(language="python", kernel="gemv", requested_model="python.numpy")
-            first.analyze(code, **kwargs)
-            second.analyze(code, **kwargs)
-            assert len(calls) == 1
-        finally:
-            clear_verdict_memo()
+        kwargs = dict(language="python", kernel="gemv", requested_model="python.numpy")
+        first = SuggestionAnalyzer().analyze(code, **kwargs)
+        second = SuggestionAnalyzer().analyze(code, **kwargs)
+        assert sandbox_batches == [[(code, "gemv")]]
+        assert first == second and first.is_correct
 
     def test_mutating_a_returned_verdict_does_not_poison_the_memo(self, corpus):
         code = corpus.template("julia", "julia.threads", "axpy").code
@@ -233,13 +239,6 @@ class TestVerdictMemo:
         second = analyzer.analyze(code, **kwargs)
         assert second.math_correct
         assert "caller-side annotation" not in second.issues
-
-    def test_custom_backends_do_not_pollute_shared_memo(self):
-        stubbed = SuggestionAnalyzer(python_executor=lambda code, kernel: (True, []))
-        static = SuggestionAnalyzer(execute_python=False)
-        default = SuggestionAnalyzer()
-        assert stubbed._memo is not default._memo
-        assert static._memo is not default._memo
 
     @pytest.mark.parametrize(
         "language, model, other_model, kernel",
@@ -290,36 +289,26 @@ class TestVerdictMemo:
             assert sorted(calls) == once and once
             if language == "python":
                 assert "evaluate_python_suggestions" in once
-            fresh = [
-                SuggestionAnalyzer(shared_memo=False).analyze(
-                    code, language=language, kernel=kernel, requested_model=requested
+            fresh = []
+            for requested in (model, other_model):
+                clear_verdict_memo()
+                fresh.append(
+                    SuggestionAnalyzer().analyze(
+                        code, language=language, kernel=kernel, requested_model=requested
+                    )
                 )
-                for requested in (model, other_model)
-            ]
         finally:
             clear_verdict_memo()
         assert verdicts == fresh
         assert verdicts[0].is_correct and not verdicts[1].is_correct
         assert verdicts[1].uses_other_model
 
-    def test_cold_run_executes_each_distinct_suggestion_once(self, monkeypatch):
-        import repro.sandbox as sandbox
+    def test_cold_run_executes_each_distinct_suggestion_once(self, sandbox_batches):
         from repro.analysis.pythonlang import find_entry_function
 
-        submitted: list[tuple[str, str]] = []
-        original = sandbox.evaluate_python_suggestions
-
-        def recording(items, **kwargs):
-            submitted.extend(items)
-            return original(items, **kwargs)
-
-        monkeypatch.setattr(sandbox, "evaluate_python_suggestions", recording)
-        clear_verdict_memo()
-        try:
-            runner = EvaluationRunner(config=CodexConfig(), seed=DEFAULT_SEED)
-            results = runner.run_full_grid()
-        finally:
-            clear_verdict_memo()
+        runner = EvaluationRunner(config=CodexConfig(), seed=DEFAULT_SEED)
+        results = runner.run_full_grid()
+        submitted = [item for batch in sandbox_batches for item in batch]
         executed = {
             (code, result.cell.kernel)
             for result in results
@@ -445,56 +434,6 @@ class TestVerdictMemo:
         assert analyzer_module._SHARED_CODE_MEMO
         clear_verdict_memo()
         assert not analyzer_module._SHARED_CODE_MEMO
-
-    def test_private_memo_analyzers_never_touch_the_shared_code_memo(self, corpus):
-        from repro.analysis.verdict import SuggestionVerdict
-
-        code = corpus.template("python", "python.numpy", "axpy").code
-        kwargs = dict(language="python", kernel="axpy", requested_model="python.numpy")
-        poisoned = SuggestionVerdict(
-            is_code=True, detected_models=("python.numpy",), issues=["poisoned"]
-        )
-        clear_verdict_memo()
-        analyzer_module._SHARED_CODE_MEMO[code, "python", "axpy"] = poisoned
-        try:
-            for private in (
-                SuggestionAnalyzer(shared_memo=False),
-                SuggestionAnalyzer(execute_python=False),
-                SuggestionAnalyzer(python_executor=lambda code, kernel: (True, [])),
-                # shared_memo=True shares only in the default mode.
-                SuggestionAnalyzer(execute_python=False, shared_memo=True),
-            ):
-                assert "poisoned" not in private.analyze(code, **kwargs).issues
-            assert analyzer_module._SHARED_CODE_MEMO == {(code, "python", "axpy"): poisoned}
-            # Non-vacuity: a default analyzer does read the shared entry.
-            assert "poisoned" in SuggestionAnalyzer().analyze(code, **kwargs).issues
-        finally:
-            clear_verdict_memo()
-
-    def test_non_default_analyzers_never_write_the_shared_memo(self, corpus):
-        # Whatever shared_memo says, a static-only or custom-backend verdict
-        # must never reach the shared memo, where a default analyzer would
-        # serve it instead of executing the code.
-        code = corpus.template("python", "python.numpy", "axpy").code
-        kwargs = dict(language="python", kernel="axpy", requested_model="python.numpy")
-        stub = lambda code, kernel: (False, ["stubbed"])
-        clear_verdict_memo()
-        try:
-            for analyzer in (
-                SuggestionAnalyzer(execute_python=False),
-                SuggestionAnalyzer(execute_python=False, shared_memo=True),
-            ):
-                assert analyzer.analyze(code, **kwargs).method == "static"
-            for analyzer in (
-                SuggestionAnalyzer(python_executor=stub),
-                SuggestionAnalyzer(python_executor=stub, shared_memo=True),
-            ):
-                assert "stubbed" in analyzer.analyze(code, **kwargs).issues
-            assert not analyzer_module._SHARED_CODE_MEMO
-            verdict = SuggestionAnalyzer().analyze(code, **kwargs)
-            assert verdict.method == "executed" and verdict.is_correct
-        finally:
-            clear_verdict_memo()
 
 
 # ---------------------------------------------------------------------------

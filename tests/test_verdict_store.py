@@ -274,15 +274,20 @@ class TestAnalyzerStoreIntegration:
         code = corpus.template("python", "python.numpy", "axpy").code
         store = VerdictStore(tmp_path)
         kwargs = dict(language="python", kernel="axpy", requested_model="python.numpy")
-        before = sandbox_execution_count()
-        first = SuggestionAnalyzer(store=store, shared_memo=False).analyze(code, **kwargs)
-        assert sandbox_execution_count() - before == 1
-        assert first.is_correct
-        # A "new process": fresh analyzer, fresh memo, same directory.
-        fresh_store = VerdictStore(tmp_path)
-        before = sandbox_execution_count()
-        second = SuggestionAnalyzer(store=fresh_store, shared_memo=False).analyze(code, **kwargs)
-        assert sandbox_execution_count() == before  # store hit, no execution
+        clear_verdict_memo()
+        try:
+            before = sandbox_execution_count()
+            first = SuggestionAnalyzer(store=store).analyze(code, **kwargs)
+            assert sandbox_execution_count() - before == 1
+            assert first.is_correct
+            # A "new process": fresh analyzer, empty memo, same directory.
+            clear_verdict_memo()
+            fresh_store = VerdictStore(tmp_path)
+            before = sandbox_execution_count()
+            second = SuggestionAnalyzer(store=fresh_store).analyze(code, **kwargs)
+            assert sandbox_execution_count() == before  # store hit, no execution
+        finally:
+            clear_verdict_memo()
         assert second == first
         assert fresh_store.hits == 1
 
@@ -309,14 +314,6 @@ class TestAnalyzerStoreIntegration:
         finally:
             clear_verdict_memo()
 
-    def test_non_default_modes_cannot_attach_a_store(self, tmp_path):
-        # The store key carries no analysis mode: static-only or
-        # custom-backend verdicts must never reach the shared store.
-        with pytest.raises(ValueError):
-            SuggestionAnalyzer(execute_python=False, store=tmp_path)
-        with pytest.raises(ValueError):
-            SuggestionAnalyzer(python_executor=lambda code, kernel: (True, []), store=tmp_path)
-
     def test_one_entry_serves_every_requested_model(self, corpus, tmp_path):
         # The python.numba gemv template answers its own prompt and, as an
         # "other model" answer, the python.numpy one: one stored entry must
@@ -324,25 +321,25 @@ class TestAnalyzerStoreIntegration:
         code = corpus.template("python", "python.numba", "gemv").code
         models = ("python.numba", "python.numpy")
         kwargs = dict(language="python", kernel="gemv")
-        SuggestionAnalyzer(store=tmp_path, shared_memo=False).analyze(
-            code, requested_model=models[0], **kwargs
-        )
-        served = []
-        before = sandbox_execution_count()
-        for model in models:
-            store = VerdictStore(tmp_path)
-            served.append(
-                SuggestionAnalyzer(store=store, shared_memo=False).analyze(
-                    code, requested_model=model, **kwargs
+        served, fresh = [], []
+        clear_verdict_memo()
+        try:
+            SuggestionAnalyzer(store=tmp_path).analyze(code, requested_model=models[0], **kwargs)
+            before = sandbox_execution_count()
+            for model in models:
+                clear_verdict_memo()
+                store = VerdictStore(tmp_path)
+                served.append(
+                    SuggestionAnalyzer(store=store).analyze(code, requested_model=model, **kwargs)
                 )
-            )
-            assert store.hits == 1, model
-        assert sandbox_execution_count() == before
-        assert len(VerdictStore(tmp_path)) == 1
-        fresh = [
-            SuggestionAnalyzer(shared_memo=False).analyze(code, requested_model=model, **kwargs)
-            for model in models
-        ]
+                assert store.hits == 1, model
+            assert sandbox_execution_count() == before
+            assert len(VerdictStore(tmp_path)) == 1
+            for model in models:
+                clear_verdict_memo()
+                fresh.append(SuggestionAnalyzer().analyze(code, requested_model=model, **kwargs))
+        finally:
+            clear_verdict_memo()
         assert served == fresh
         assert served[0].is_correct and not served[1].is_correct
         assert served[1].uses_other_model
@@ -352,10 +349,14 @@ class TestAnalyzerStoreIntegration:
         key = (code, "fortran", "axpy")
         store = VerdictStore(tmp_path)
         store.put(key, _verdict())
-        analyzer = SuggestionAnalyzer(store=store, shared_memo=False)
+        analyzer = SuggestionAnalyzer(store=store)
         kwargs = dict(language="fortran", kernel="axpy", requested_model="fortran.openmp")
-        analyzer.analyze(code, **kwargs)
-        analyzer.analyze(code, **kwargs)
+        clear_verdict_memo()
+        try:
+            analyzer.analyze(code, **kwargs)
+            analyzer.analyze(code, **kwargs)
+        finally:
+            clear_verdict_memo()  # the memo now holds the stored stand-in verdict
         assert store.hits == 1  # second lookup came from the memo
 
 
@@ -436,13 +437,16 @@ class TestBatchedExecution:
 
     def test_analyzer_batch_deduplicates_within_the_batch(self, corpus):
         code = corpus.template("python", "python.numpy", "gemm").code
-        analyzer = SuggestionAnalyzer(shared_memo=False)
-        before = sandbox_execution_count()
-        verdicts = analyzer.analyze_batch(
-            [code, code, code], language="python", kernel="gemm",
-            requested_model="python.numpy",
-        )
-        assert sandbox_execution_count() - before == 1
+        clear_verdict_memo()
+        try:
+            before = sandbox_execution_count()
+            verdicts = SuggestionAnalyzer().analyze_batch(
+                [code, code, code], language="python", kernel="gemm",
+                requested_model="python.numpy",
+            )
+            assert sandbox_execution_count() - before == 1
+        finally:
+            clear_verdict_memo()
         assert all(v == verdicts[0] for v in verdicts)
         assert verdicts[0] is not verdicts[1]  # defensive copies, not aliases
 
@@ -491,9 +495,9 @@ class TestWarmStoreRuns:
             clear_verdict_memo()
 
     def test_store_filled_one_key_at_a_time_warms_with_zero_executions(self, tmp_path):
-        # Private-memo analyzers filling the store one suggestion at a time
-        # write the same entries a whole run does, so such a store must
-        # still serve a whole warm run.
+        # Analyses filling the store one suggestion at a time write the
+        # same entries a whole run does, so such a store must still serve
+        # a whole warm run.
         from repro.codex.engine import SimulatedCodex
         from repro.codex.prompt import Prompt
         from repro.models.grid import experiment_grid
@@ -501,13 +505,14 @@ class TestWarmStoreRuns:
         store_dir = tmp_path / "store"
         store = VerdictStore(store_dir)
         engine = SimulatedCodex(seed=DEFAULT_SEED)
-        for cell in experiment_grid(languages=("python",)):
-            for code in dict.fromkeys(engine.complete(Prompt.from_cell(cell)).suggestions):
-                SuggestionAnalyzer(store=store, shared_memo=False).analyze(
-                    code, language="python", kernel=cell.kernel, requested_model=cell.model
-                )
         clear_verdict_memo()
         try:
+            for cell in experiment_grid(languages=("python",)):
+                for code in dict.fromkeys(engine.complete(Prompt.from_cell(cell)).suggestions):
+                    SuggestionAnalyzer(store=store).analyze(
+                        code, language="python", kernel=cell.kernel, requested_model=cell.model
+                    )
+            clear_verdict_memo()
             with Session(seed=DEFAULT_SEED) as cold:
                 cold_records = cold.language_results("python").to_records()
             clear_verdict_memo()
@@ -562,12 +567,6 @@ class TestWarmStoreRuns:
             assert len(VerdictStore(store_dir)) == len(analyzed)  # the warm run wrote nothing
         finally:
             clear_verdict_memo()
-
-    def test_runner_rejects_store_with_custom_evaluator(self, evaluator, tmp_path):
-        from repro.core.runner import EvaluationRunner
-
-        with pytest.raises(ValueError):
-            EvaluationRunner(evaluator=evaluator, verdict_store=tmp_path / "s")
 
 
 # ---------------------------------------------------------------------------
