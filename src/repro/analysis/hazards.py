@@ -8,7 +8,8 @@ kernel, and returns the findings as plain dicts ready to attach to
 
 Findings are **informational**: they never feed ``is_correct`` (sandbox
 execution remains the correctness oracle); they surface through the ``lint``
-CLI subcommand and the optional findings column in the tables layer.
+CLI subcommand and each cell record's ``n_hazards``, the number of its
+suggestions with at least one ``HAZARD`` finding.
 
 Out-of-bounds verdicts need concrete launch geometry and buffer sizes.  The
 sandbox tasks (:mod:`repro.sandbox.tasks`) fix those per kernel family, so a

@@ -53,6 +53,7 @@ flight.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import multiprocessing
 import os
@@ -338,6 +339,16 @@ def _language_runs(shards: list[Shard], workers: int) -> list[list[_Piece]]:
     return sorted(runs, key=lambda run: plan_order(run[0]))
 
 
+def _reap(proc, *, terminate: bool = False) -> None:
+    """Join a process-backend worker, terminating it first if asked."""
+    if terminate:
+        proc.terminate()
+    proc.join(timeout=5.0)
+    if proc.is_alive():  # pragma: no cover - wedged or unkillable worker
+        proc.kill()
+        proc.join(timeout=1.0)
+
+
 def _process_shard_worker(conn, run: list[_Piece], store_path, extended_grid: bool) -> None:
     """Process-backend worker: evaluate a run of shard pieces in order.
 
@@ -548,11 +559,14 @@ class ShardDriver:
             "process": self._drive_process,
             "file-queue": self._drive_queue,
         }
-        for settled in runners[self.backend](plan, entries, cached, budget, report):
-            if isinstance(settled, ShardQuarantine):
-                report.quarantined.append(settled)
-                continue
-            self._complete_shard(settled, merge, report)
+        stream = runners[self.backend](plan, entries, cached, budget, report)
+        # Closing the stream when a callback raises stops its workers now.
+        with contextlib.closing(stream):
+            for settled in stream:
+                if isinstance(settled, ShardQuarantine):
+                    report.quarantined.append(settled)
+                    continue
+                self._complete_shard(settled, merge, report)
         report.complete = len(report.outcomes) == report.shards_total
         report.results = merge.merged() if report.complete else merge.partial()
         return report
@@ -654,6 +668,9 @@ class ShardDriver:
         #: pipe -> (process, pieces still owed a message, in-flight first,
         #: deadline of the in-flight piece)
         running: dict = {}
+        #: Workers that reported their whole run: they exit on their own and
+        #: are reaped once every shard is settled, not on its critical path.
+        finished: list = []
         #: Each unsettled shard's live attempt, the (start, records,
         #: seconds) of that attempt's landed pieces, and its pieces owed.
         attempts = {shard.index: 1 for shard in to_execute}
@@ -732,15 +749,11 @@ class ShardDriver:
                 retry = _Piece(shard, shard.start, shard.stop, piece.grid, piece.attempt + 1)
                 waiting.append([retry])
 
-        def retire(conn, proc, *, terminate: bool = False) -> None:
-            del running[conn]
+        def retire(conn):
+            """Drop a worker from the pool and close its pipe."""
+            proc = running.pop(conn)[0]
             conn.close()
-            if terminate:
-                proc.terminate()
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - wedged or unkillable worker
-                proc.kill()
-                proc.join(timeout=1.0)
+            return proc
 
         def lose(run: deque, kind: str, message: str) -> None:
             """A worker died or was killed: charge its in-flight piece's
@@ -759,7 +772,7 @@ class ShardDriver:
             try:
                 message = conn.recv()
             except (EOFError, OSError):
-                retire(conn, proc)
+                _reap(retire(conn))  # its exit code goes into the failure
                 lose(run, "WorkerDied", f"worker exited with code {proc.exitcode} before reporting")
                 return
             piece = run.popleft()
@@ -773,13 +786,13 @@ class ShardDriver:
             if run:
                 running[conn] = (proc, run, deadline())  # the next piece's clock starts
             else:
-                retire(conn, proc)
+                finished.append(retire(conn))
 
         def kill_expired() -> None:
             now = time.monotonic()
             for conn, (proc, run, expires) in list(running.items()):
                 if expires is not None and now >= expires:
-                    retire(conn, proc, terminate=True)
+                    _reap(retire(conn), terminate=True)
                     lose(run, "ShardTimeout", f"hung worker killed after {self.shard_timeout:.3g}s")
 
         def pump_until(index: int) -> None:
@@ -800,20 +813,28 @@ class ShardDriver:
                 finish(shard)  # an empty shard: no cells, no pieces
 
         indexes = {shard.index for shard in to_execute}
-        for shard in plan:
-            if shard.index in cached:
-                yield ShardOutcome(entries[shard.index], cached[shard.index], "store", 0.0)
-                continue
-            if shard.index not in indexes:
-                # Budget-excluded shard: skip it but keep serving any
-                # later store hits, so the report and partial merge
-                # reflect everything that is actually done.
-                continue
-            pump_until(shard.index)
-            if shard.index in ready:
-                yield ready.pop(shard.index)
-            else:
-                yield quarantine.pop(shard.index)
+        try:
+            for shard in plan:
+                if shard.index in cached:
+                    yield ShardOutcome(entries[shard.index], cached[shard.index], "store", 0.0)
+                    continue
+                if shard.index not in indexes:
+                    # Budget-excluded shard: skip it but keep serving any
+                    # later store hits, so the report and partial merge
+                    # reflect everything that is actually done.
+                    continue
+                pump_until(shard.index)
+                if shard.index in ready:
+                    yield ready.pop(shard.index)
+                else:
+                    yield quarantine.pop(shard.index)
+        finally:
+            # Workers still running here were cut off by a caller that
+            # closed this generator early (or raised): stop them.
+            for conn in list(running):
+                _reap(retire(conn), terminate=True)
+            for proc in finished:
+                _reap(proc)
 
     # -- file-queue backend ----------------------------------------------------
     def _drive_queue(

@@ -24,6 +24,22 @@ action     effect at the fault point
            stale, exercising the claim/requeue race protocol
 =========  ==================================================================
 
+The fault points, and the context each passes:
+
+====================  ========================================================
+point                 where it fires (context)
+====================  ========================================================
+``worker.evaluate``   before a worker evaluates a shard or piece (its label)
+``worker.complete``   before a queue worker publishes a result (task name)
+``worker.heartbeat``  before each lease renewal (task name)
+``queue.claim``       in ``FileQueue.claim`` between the rename that takes
+                      the task and the ``utime`` that stamps the lease (task
+                      name): a ``hang`` holds the claimer while a stale
+                      sweep can re-offer the task
+``queue.clock``       in the staleness arithmetic of ``requeue_stale`` (no
+                      context)
+====================  ========================================================
+
 A fault fires when its ``point`` matches, its ``match`` substring (if any)
 is found in the call-site context string (e.g. the task name — this is how
 one specific shard becomes the poison shard), and its ``times`` budget (if

@@ -276,6 +276,7 @@ class FileQueue:
             os.rename(task, claimed)
         except OSError:
             return None
+        faults.fire("queue.claim", name)
         try:
             # Stamp the lease: rename preserves the publish-time mtime, but
             # staleness must measure time since *claiming*.

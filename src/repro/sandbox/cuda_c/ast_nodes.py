@@ -6,11 +6,20 @@ analyzer in :mod:`repro.sandbox.cuda_c.static` — can attach source spans to
 their findings.  ``line`` is excluded from equality and hashing: two parses
 of the same kernel text are interchangeable as cache keys regardless of
 where the text sat in the enclosing file.
+
+The nodes are hand-written ``__slots__`` classes on
+:class:`~repro.sandbox.cuda_c.records.FrozenRecord`, not frozen dataclasses,
+because every evaluating process imports them: twenty dataclasses made this
+module as costly to import as the 1,600-line lockstep engine, since each
+generates and ``exec``s its methods at import.  What the dataclasses gave
+stays: nodes are immutable and hashable, equal only to a node of the same
+class with equal fields, and their ``repr`` (which the interpreter's error
+messages embed) is the dataclass format, ``line`` included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from repro.sandbox.cuda_c.records import FrozenRecord
 
 __all__ = [
     "Param", "KernelDef", "Block",
@@ -18,141 +27,192 @@ __all__ = [
     "Num", "Var", "Index", "Member", "Unary", "Binary", "Ternary", "Call",
 ]
 
+_set = object.__setattr__
+
 
 # -- expressions -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
-    value: float | int
+class Num(FrozenRecord):
+    __slots__ = ("value",)
+
+    def __init__(self, value: float | int):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(FrozenRecord):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Index:
-    base: "Var | Index"
-    index: object
+class Index(FrozenRecord):
+    __slots__ = ("base", "index")
+
+    def __init__(self, base: "Var | Index", index: object):
+        _set(self, "base", base)
+        _set(self, "index", index)
 
 
-@dataclass(frozen=True)
-class Member:
-    base: str
-    field: str
+class Member(FrozenRecord):
+    __slots__ = ("base", "field")
+
+    def __init__(self, base: str, field: str):
+        _set(self, "base", base)
+        _set(self, "field", field)
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str
-    operand: object
+class Unary(FrozenRecord):
+    __slots__ = ("op", "operand")
+
+    def __init__(self, op: str, operand: object):
+        _set(self, "op", op)
+        _set(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    left: object
-    right: object
+class Binary(FrozenRecord):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: object, right: object):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Ternary:
-    cond: object
-    then: object
-    orelse: object
+class Ternary(FrozenRecord):
+    __slots__ = ("cond", "then", "orelse")
+
+    def __init__(self, cond: object, then: object, orelse: object):
+        _set(self, "cond", cond)
+        _set(self, "then", then)
+        _set(self, "orelse", orelse)
 
 
-@dataclass(frozen=True)
-class Call:
-    name: str
-    args: tuple = ()
+class Call(FrozenRecord):
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple = ()):
+        _set(self, "name", name)
+        _set(self, "args", args)
 
 
 # -- statements ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Block:
-    statements: tuple = ()
-    line: int = field(default=0, compare=False)
+class _Located(FrozenRecord):
+    """A node whose last field is its source ``line``."""
+
+    __slots__ = ()
+    _uncompared = ("line",)
 
 
-@dataclass(frozen=True)
-class Decl:
-    type: str
-    name: str
-    init: object | None = None
-    line: int = field(default=0, compare=False)
+class Block(_Located):
+    __slots__ = ("statements", "line")
+
+    def __init__(self, statements: tuple = (), line: int = 0):
+        _set(self, "statements", statements)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True)
-class Assign:
-    target: object      # Var or Index
-    op: str             # "=", "+=", "-=", "*=", "/="
-    value: object
-    line: int = field(default=0, compare=False)
+class Decl(_Located):
+    __slots__ = ("type", "name", "init", "line")
+
+    def __init__(self, type: str, name: str, init: object | None = None, line: int = 0):
+        _set(self, "type", type)
+        _set(self, "name", name)
+        _set(self, "init", init)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True)
-class If:
-    cond: object
-    then: Block
-    orelse: Block | None = None
-    line: int = field(default=0, compare=False)
+class Assign(_Located):
+    __slots__ = ("target", "op", "value", "line")
+
+    def __init__(self, target: object, op: str, value: object, line: int = 0):
+        _set(self, "target", target)    # Var or Index
+        _set(self, "op", op)            # "=", "+=", "-=", "*=", "/="
+        _set(self, "value", value)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True)
-class For:
-    init: object | None
-    cond: object | None
-    update: object | None
-    body: Block
-    line: int = field(default=0, compare=False)
+class If(_Located):
+    __slots__ = ("cond", "then", "orelse", "line")
+
+    def __init__(self, cond: object, then: Block, orelse: Block | None = None, line: int = 0):
+        _set(self, "cond", cond)
+        _set(self, "then", then)
+        _set(self, "orelse", orelse)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True)
-class While:
-    cond: object
-    body: Block
-    line: int = field(default=0, compare=False)
+class For(_Located):
+    __slots__ = ("init", "cond", "update", "body", "line")
+
+    def __init__(self, init: object | None, cond: object | None, update: object | None,
+                 body: Block, line: int = 0):
+        _set(self, "init", init)
+        _set(self, "cond", cond)
+        _set(self, "update", update)
+        _set(self, "body", body)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True)
-class Return:
-    value: object | None = None
-    line: int = field(default=0, compare=False)
+class While(_Located):
+    __slots__ = ("cond", "body", "line")
+
+    def __init__(self, cond: object, body: Block, line: int = 0):
+        _set(self, "cond", cond)
+        _set(self, "body", body)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True)
-class Break:
-    line: int = field(default=0, compare=False)
+class Return(_Located):
+    __slots__ = ("value", "line")
+
+    def __init__(self, value: object | None = None, line: int = 0):
+        _set(self, "value", value)
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True)
-class Continue:
-    line: int = field(default=0, compare=False)
+class Break(_Located):
+    __slots__ = ("line",)
+
+    def __init__(self, line: int = 0):
+        _set(self, "line", line)
 
 
-@dataclass(frozen=True)
-class ExprStmt:
-    expr: object
-    line: int = field(default=0, compare=False)
+class Continue(_Located):
+    __slots__ = ("line",)
+
+    def __init__(self, line: int = 0):
+        _set(self, "line", line)
+
+
+class ExprStmt(_Located):
+    __slots__ = ("expr", "line")
+
+    def __init__(self, expr: object, line: int = 0):
+        _set(self, "expr", expr)
+        _set(self, "line", line)
 
 
 # -- definitions ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Param:
-    type: str
-    name: str
-    is_pointer: bool = False
-    const: bool = False
+class Param(FrozenRecord):
+    __slots__ = ("type", "name", "is_pointer", "const")
+
+    def __init__(self, type: str, name: str, is_pointer: bool = False, const: bool = False):
+        _set(self, "type", type)
+        _set(self, "name", name)
+        _set(self, "is_pointer", is_pointer)
+        _set(self, "const", const)
 
 
-@dataclass(frozen=True)
-class KernelDef:
-    name: str
-    params: tuple[Param, ...]
-    body: Block
-    qualifiers: tuple[str, ...] = field(default=())
-    line: int = field(default=0, compare=False)
+class KernelDef(_Located):
+    __slots__ = ("name", "params", "body", "qualifiers", "line")
+
+    def __init__(self, name: str, params: tuple[Param, ...], body: Block,
+                 qualifiers: tuple[str, ...] = (), line: int = 0):
+        _set(self, "name", name)
+        _set(self, "params", params)
+        _set(self, "body", body)
+        _set(self, "qualifiers", qualifiers)
+        _set(self, "line", line)

@@ -32,7 +32,6 @@ import contextlib
 import contextvars
 import math
 import os
-from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, TypeVar
 
 import numpy as np
@@ -40,6 +39,7 @@ import numpy as np
 from repro.sandbox.cuda_c import ast_nodes as ast
 from repro.sandbox.cuda_c import lockstep as _lockstep
 from repro.sandbox.cuda_c.parser import CudaSyntaxError, parse_cuda_source
+from repro.sandbox.cuda_c.records import FrozenRecord, Record
 
 __all__ = [
     "Dim3",
@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 _T = TypeVar("_T")
+_set = object.__setattr__
 
 
 class ParseScope:
@@ -218,13 +219,15 @@ class CudaRuntimeError(RuntimeError):
     """Raised for out-of-bounds accesses, unknown names or unsupported calls."""
 
 
-@dataclass(frozen=True)
-class Dim3:
+class Dim3(FrozenRecord):
     """A CUDA dim3 (grid or block shape)."""
 
-    x: int = 1
-    y: int = 1
-    z: int = 1
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: int = 1, y: int = 1, z: int = 1):
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
 
     @classmethod
     def from_value(cls, value: Any) -> "Dim3":
@@ -660,11 +663,13 @@ def _scalar_token(value: Any) -> Any:
     return value  # pragma: no cover - remaining np.generic kinds
 
 
-@dataclass
-class _ThreadState:
-    env: dict[str, Any]
-    builtins: Mapping[str, Dim3]
-    budget: int
+class _ThreadState(Record):
+    __slots__ = ("env", "builtins", "budget")
+
+    def __init__(self, env: dict[str, Any], builtins: Mapping[str, Dim3], budget: int):
+        self.env = env
+        self.builtins = builtins
+        self.budget = budget
 
     def step(self) -> None:
         self.budget -= 1

@@ -3,20 +3,27 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from repro.sandbox.cuda_c.records import FrozenRecord
 
 __all__ = ["Token", "tokenize", "CudaLexError"]
+
+_set = object.__setattr__
 
 
 class CudaLexError(ValueError):
     """Raised when the source contains characters the subset does not allow."""
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str      # "ident", "number", "op", "keyword", "string"
-    text: str
-    line: int
+class Token(FrozenRecord):
+    """One token: equal to another token only when every field matches."""
+
+    __slots__ = ("kind", "text", "line")
+
+    def __init__(self, kind: str, text: str, line: int):
+        _set(self, "kind", kind)      # "ident", "number", "op", "keyword", "string"
+        _set(self, "text", text)
+        _set(self, "line", line)
 
 
 KEYWORDS = {
@@ -72,5 +79,5 @@ def tokenize(source: str) -> list[Token]:
             kind = "string"
         else:
             kind = "op"
-        tokens.append(Token(kind=kind, text=text, line=line))
+        tokens.append(Token(kind, text, line))
     return tokens

@@ -47,9 +47,9 @@ inner term is compared against the outer stride symbolically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from repro.sandbox.cuda_c import ast_nodes as ast
+from repro.sandbox.cuda_c.records import FrozenRecord, Record
 
 __all__ = [
     "SAFE",
@@ -98,6 +98,8 @@ _PURE_CALLS = {
     "exp", "expf", "pow", "powf", "floor", "ceil", "fminf", "fmaxf",
 }
 _INT_TYPES = {"int", "long", "size_t", "unsigned", "unsigned int", "long long", "bool"}
+
+_set = object.__setattr__
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +241,14 @@ _FULL = (None, None)
 # Linear forms over analysis symbols
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Lin:
+class _Lin(FrozenRecord):
     """``const + sum(terms[sym] * sym)`` with polynomial coefficients."""
 
-    terms: tuple  # sorted tuple of (symbol-id, poly-as-frozenset-of-items)
-    const: tuple  # poly as sorted tuple of items
+    __slots__ = ("terms", "const")
+
+    def __init__(self, terms: tuple, const: tuple):
+        _set(self, "terms", terms)  # sorted tuple of (symbol-id, poly-as-frozenset-of-items)
+        _set(self, "const", const)  # poly as sorted tuple of items
 
     @staticmethod
     def _freeze(poly: dict) -> tuple:
@@ -290,13 +294,15 @@ def _lin_scale(a: _Lin, poly: dict) -> _Lin:
     )
 
 
-@dataclass(frozen=True)
-class _AbsVal:
+class _AbsVal(FrozenRecord):
     """Abstract value: optional linear form, interval, attainability flag."""
 
-    lin: _Lin | None
-    iv: tuple
-    exact: bool
+    __slots__ = ("lin", "iv", "exact")
+
+    def __init__(self, lin: _Lin | None, iv: tuple, exact: bool):
+        _set(self, "lin", lin)
+        _set(self, "iv", iv)
+        _set(self, "exact", exact)
 
     @classmethod
     def top(cls) -> "_AbsVal":
@@ -307,15 +313,17 @@ class _AbsVal:
 # Findings and reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(FrozenRecord):
     """One analyzed hazard class for one buffer (or barrier/local)."""
 
-    kind: str
-    verdict: str
-    buffer: str
-    detail: str
-    line: int
+    __slots__ = ("kind", "verdict", "buffer", "detail", "line")
+
+    def __init__(self, kind: str, verdict: str, buffer: str, detail: str, line: int):
+        _set(self, "kind", kind)
+        _set(self, "verdict", verdict)
+        _set(self, "buffer", buffer)
+        _set(self, "detail", detail)
+        _set(self, "line", line)
 
     def to_payload(self) -> dict:
         return {
@@ -327,8 +335,7 @@ class Finding:
         }
 
 
-@dataclass
-class StaticReport:
+class StaticReport(Record):
     """Everything the static pass derived for one kernel definition.
 
     Each written buffer has one finding per race class
@@ -338,8 +345,11 @@ class StaticReport:
     lane coordinates the store index ignores have extent 1.
     """
 
-    kernel: str
-    findings: tuple[Finding, ...] = ()
+    __slots__ = ("kernel", "findings")
+
+    def __init__(self, kernel: str, findings: tuple[Finding, ...] = ()):
+        self.kernel = kernel
+        self.findings = findings
 
     def verdict(self, kind: str) -> str:
         """The lattice join of every finding of ``kind`` (SAFE if none)."""
@@ -370,23 +380,28 @@ class StaticReport:
 # Access records
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Access:
-    buffer: str
-    idx: _AbsVal
-    line: int
-    pinned: frozenset  # lane coords pinned to a single value by guards
-    in_loop: bool
-    refine: dict = field(default_factory=dict)  # guard intervals at the site
+class _Access(Record):
+    __slots__ = ("buffer", "idx", "line", "pinned", "in_loop", "refine")
+
+    def __init__(self, buffer: str, idx: _AbsVal, line: int, pinned: frozenset, in_loop: bool,
+                 refine: dict | None = None):
+        self.buffer = buffer
+        self.idx = idx
+        self.line = line
+        self.pinned = pinned  # lane coords pinned to a single value by guards
+        self.in_loop = in_loop
+        self.refine = {} if refine is None else refine  # guard intervals at the site
 
 
-@dataclass
-class _State:
-    env: dict
-    refine: dict
-    defined: set
-    uniform: str  # "uniform" | "lane" | "top"
-    loop_depth: int = 0
+class _State(Record):
+    __slots__ = ("env", "refine", "defined", "uniform", "loop_depth")
+
+    def __init__(self, env: dict, refine: dict, defined: set, uniform: str, loop_depth: int = 0):
+        self.env = env
+        self.refine = refine
+        self.defined = defined
+        self.uniform = uniform  # "uniform" | "lane" | "top"
+        self.loop_depth = loop_depth
 
     def copy(self) -> "_State":
         return _State(
@@ -398,13 +413,16 @@ class _State:
         )
 
 
-@dataclass
-class _SymInfo:
-    kind: str  # "lane" | "loop" | "var"
-    interval: tuple
-    defexpr: _Lin | None
-    exact: bool
-    name: str = ""
+class _SymInfo(Record):
+    __slots__ = ("kind", "interval", "defexpr", "exact", "name")
+
+    def __init__(self, kind: str, interval: tuple, defexpr: _Lin | None, exact: bool,
+                 name: str = ""):
+        self.kind = kind  # "lane" | "loop" | "var"
+        self.interval = interval
+        self.defexpr = defexpr
+        self.exact = exact
+        self.name = name
 
 
 _WORST = {SAFE: 0, UNKNOWN: 1, HAZARD: 2}

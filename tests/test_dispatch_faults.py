@@ -10,9 +10,12 @@ a double-owned lease.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import multiprocessing
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -366,6 +369,47 @@ class TestProcessFaults:
         assert writes == [0]
 
 
+    # A worker that reported its whole run is reaped after the last shard
+    # settles, not while the driver waits on it; none may outlive run().
+    @staticmethod
+    @contextlib.contextmanager
+    def _no_worker_outlives():
+        before = set(multiprocessing.active_children())
+        yield
+        assert set(multiprocessing.active_children()) - before == set()
+
+    def test_no_worker_outlives_a_clean_dispatch(self, spec):
+        with self._no_worker_outlives():
+            report = ShardDriver(spec, shards=4, backend="process", max_workers=2).run()
+        assert report.complete and not report.quarantined
+
+    def test_no_worker_outlives_a_dispatch_with_a_quarantined_shard(self, spec, monkeypatch):
+        monkeypatch.setenv(
+            faults.FAULTS_ENV,
+            '[{"point": "worker.evaluate", "action": "die", "match": "-00000-"}]',
+        )
+        faults.reset()
+        with self._no_worker_outlives():
+            report = ShardDriver(
+                spec, shards=4, backend="process", max_workers=2, max_attempts=1
+            ).run()
+        assert [dead.entry.index for dead in report.quarantined] == [0]
+
+    def test_no_worker_outlives_a_dispatch_whose_callback_raises(self, spec):
+        # The first shard's callback raises while both workers still have
+        # shards to evaluate.  They are stopped before run() raises, even
+        # while the caller holds the traceback (and with it the driver's
+        # frames).
+        def on_shard(outcome):
+            raise RuntimeError("callback failed")
+
+        driver = ShardDriver(spec, shards=4, backend="process", max_workers=2, on_shard=on_shard)
+        with self._no_worker_outlives():
+            with pytest.raises(RuntimeError, match="callback failed") as raised:
+                driver.run()
+        assert raised.value.__traceback__ is not None
+
+
 # ---------------------------------------------------------------------------
 # File queue: leases, retries, dead letters
 # ---------------------------------------------------------------------------
@@ -491,6 +535,36 @@ class TestQueueFaults:
         history = json.loads((queue.attempts_dir / f"{name}.json").read_text("utf-8"))
         assert history["attempts"] == queue.attempts(name) == 1
         assert [failure["error"] for failure in history["failures"]] == ["LeaseExpired"]
+
+    def test_claim_held_before_its_lease_stamp_loses_to_a_stale_sweep(
+        self, spec, tmp_path, monkeypatch
+    ):
+        # The first claimer hangs between its rename and its utime, so its
+        # claim file still carries the publish-time mtime.  Meanwhile a sweep
+        # with a skewed clock re-offers the task and a second claim wins it;
+        # the held claimer then finds its claim file gone and gets nothing.
+        queue = FileQueue(tmp_path / "q", heartbeat_interval=0.05, lease_beats=1)
+        shard = spec.partition(1)[0]
+        name = queue.task_name(shard)
+        queue.publish(shard)
+        faults.install([
+            {"point": "queue.claim", "action": "hang", "match": name, "times": 1},
+            {"point": "queue.clock", "action": "skew", "arg": 3600.0},
+        ])
+        second = []
+
+        def meanwhile(seconds):
+            held = queue._claim_files(name)
+            assert len(held) == 1 and queue.pending() == []
+            assert queue.requeue_stale() == 1
+            second.append(queue.claim(name))
+
+        # The hang sleeps through the sweep and the second claim, in order.
+        monkeypatch.setattr(faults, "time", SimpleNamespace(sleep=meanwhile))
+        assert queue.claim(name) is None
+        assert second[0] is not None and second[0].alive()
+        assert queue._claim_files(name) == [second[0].path]
+        assert queue.attempts(name) == 1  # the sweep recorded the revocation
 
     def test_claim_requeue_race_never_yields_two_live_owners(self, spec, tmp_path):
         # Property-style: racing claimers and a stale sweeper with a wildly
