@@ -21,7 +21,8 @@ A :class:`ShardDriver` turns a declarative
    :class:`~repro.api.spec.IncrementalMerge` the moment they complete, and
    ``progress`` / ``on_shard`` callbacks fire in **submission order** — the
    same ordering contract :class:`~repro.core.runner.EvaluationRunner`
-   gives per-cell progress, extended to shards.
+   gives per-cell progress, extended to shards (:meth:`ShardDriver.settle`
+   yields the settled shards in that order to a caller that drives it).
 5. **Validate** — the final merge goes through
    :class:`~repro.api.spec.ShardManifest`, so a complete dispatch is
    byte-identical to an unsharded ``run --json`` and an incomplete one can
@@ -78,12 +79,7 @@ from repro.api.spec import (
 from repro.core.runner import EvaluationRunner, ResultSet
 from repro.dispatch import faults
 from repro.dispatch.queue import DEFAULT_MAX_ATTEMPTS, FileQueue, HeartbeatLease
-from repro.dispatch.runners import (
-    evaluate_with_retries,
-    failure_record,
-    run_shard_contained,
-    shard_label,
-)
+from repro.dispatch.runners import failure_record, run_shard_contained, shard_label
 from repro.dispatch.store import ResultStore
 
 __all__ = [
@@ -153,13 +149,14 @@ class ShardQuarantine:
 
 @dataclass
 class DispatchReport:
-    """What a :meth:`ShardDriver.run` accomplished.
+    """What a :meth:`ShardDriver.settle` stream has accomplished so far.
 
     ``outcomes`` lists every *completed* shard in submission order;
     ``quarantined`` lists shards that exhausted their attempt budget.
     When ``complete`` is false, ``pending`` shards were neither merged nor
-    quarantined (the driver hit ``max_shards`` — the crash-test throttle)
-    and ``results`` holds the manifest-unvalidated partial merge.
+    quarantined (the driver hit ``max_shards`` — the crash-test throttle —
+    or the stream was closed early) and ``results`` holds the
+    manifest-unvalidated partial merge.
     """
 
     spec: ExperimentSpec
@@ -541,6 +538,19 @@ class ShardDriver:
     def run(self) -> DispatchReport:
         """Dispatch every shard not already in the store; merge the stream."""
         report = DispatchReport(spec=self.spec, shards=self.shards)
+        for _ in self.settle(report):
+            pass
+        return report
+
+    def settle(self, report: DispatchReport) -> Iterator[Union[ShardOutcome, ShardQuarantine]]:
+        """Dispatch into ``report``, yielding each settled
+        :class:`ShardOutcome` or :class:`ShardQuarantine` in plan order once
+        ``report`` holds it (an outcome is persisted, merged and announced
+        first).  While the stream runs, ``report.results`` is the partial
+        merge so far; once it is exhausted, ``report.results`` is the
+        manifest-validated merge and ``report.complete`` is set.  Closing
+        the stream early stops the backend and its workers.
+        """
         merge = IncrementalMerge()
         plan = self.spec.partition(self.shards)
         # Each entry enumerates the grid: build them once, for the resume
@@ -560,37 +570,35 @@ class ShardDriver:
             "file-queue": self._drive_queue,
         }
         stream = runners[self.backend](plan, entries, cached, budget, report)
-        # Closing the stream when a callback raises stops its workers now.
+        # Closing the backend's stream when a callback raises, or when this
+        # one is closed, stops its workers now.
         with contextlib.closing(stream):
             for settled in stream:
                 if isinstance(settled, ShardQuarantine):
                     report.quarantined.append(settled)
+                    yield settled
                     continue
-                self._complete_shard(settled, merge, report)
+                # Persist (process-backend shards were persisted when their
+                # last piece landed), merge and announce the shard.
+                if self.result_store is not None and settled.source not in ("store", "process"):
+                    self.result_store.put(settled.entry, settled.results)
+                merge.add(settled.entry, settled.results)
+                report.results = merge.partial()
+                if self.progress is not None and settled.source not in ("inline", "file-queue"):
+                    # Locally-executed shards ("inline", and "file-queue"
+                    # claims this driver evaluated itself) already streamed
+                    # per-cell progress live through their runner; every
+                    # other source delivers the shard's cells here, still in
+                    # submission order.
+                    for result in settled.results:
+                        self.progress(result)
+                report.outcomes.append(settled)
+                if self.on_shard is not None:
+                    self.on_shard(settled)
+                yield settled
         report.complete = len(report.outcomes) == report.shards_total
-        report.results = merge.merged() if report.complete else merge.partial()
-        return report
-
-    def _complete_shard(
-        self, outcome: ShardOutcome, merge: IncrementalMerge, report: DispatchReport
-    ) -> None:
-        """Persist, merge and announce one completed shard (in order).
-
-        Process-backend shards were persisted when their last piece landed.
-        """
-        if self.result_store is not None and outcome.source not in ("store", "process"):
-            self.result_store.put(outcome.entry, outcome.results)
-        merge.add(outcome.entry, outcome.results)
-        if self.progress is not None and outcome.source not in ("inline", "file-queue"):
-            # Locally-executed shards ("inline", and "file-queue" claims this
-            # driver evaluated itself) already streamed per-cell progress
-            # live through their runner; every other source delivers the
-            # shard's cells here, still in submission order.
-            for result in outcome.results:
-                self.progress(result)
-        report.outcomes.append(outcome)
-        if self.on_shard is not None:
-            self.on_shard(outcome)
+        if report.complete:
+            report.results = merge.merged()
 
     # -- inline backend --------------------------------------------------------
     def _drive_inline(
@@ -613,13 +621,19 @@ class ShardDriver:
                 continue
             budget -= 1
             runner = self._runner(shard.seed)
-            results, failures, seconds = evaluate_with_retries(
-                runner,
-                shard,
-                label=shard_label(shard),
-                max_attempts=self.max_attempts,
-                backoff_base=self.poll_interval,
-            )
+            label = shard_label(shard)
+            # Contained attempts with jittered exponential backoff between
+            # them; the last failure is the quarantine record.
+            failures: list[dict] = []
+            for attempt in range(1, self.max_attempts + 1):
+                results, failure, seconds = run_shard_contained(
+                    runner, shard, label=label, attempt=attempt
+                )
+                if failure is None:
+                    break
+                failures.append(failure)
+                if attempt < self.max_attempts:
+                    time.sleep(faults.backoff_delay(attempt - 1, base=self.poll_interval, cap=0.5))
             report.sandbox_executions += runner.sandbox_executions
             report.verdict_store_hits += runner.store_hits
             if results is not None:

@@ -1,15 +1,15 @@
 """Shared worker-side machinery for the dispatch layer.
 
-The :class:`~repro.dispatch.driver.ShardDriver`'s backends,
+The :class:`~repro.dispatch.driver.ShardDriver`'s backends and
 :func:`~repro.dispatch.queue.drain_queue` (the ``dispatch-worker`` loop)
-and the evaluation service each evaluate a shard on an
-:class:`~repro.core.runner.EvaluationRunner` built for that evaluation,
-and all of them must survive a shard whose evaluation raises: this module
-is the single implementation of the crash-containment wrapper
-(:func:`run_shard_contained`), the retry loop
-(:func:`evaluate_with_retries`) and the structured failure record every
-retry/quarantine decision is based on, so the worker paths can never drift
-apart.
+each evaluate a shard on an :class:`~repro.core.runner.EvaluationRunner`
+built for that evaluation, and all of them must survive a shard whose
+evaluation raises: this module is the single implementation of the
+crash-containment wrapper (:func:`run_shard_contained`) and the structured
+failure record every retry/quarantine decision is based on, so the worker
+paths can never drift apart.  The retry policy belongs to each caller: the
+inline backend's attempt loop, the process backend's per-shard attempts
+and the file queue's attempts sidecars.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.dispatch import faults
 
 __all__ = [
     "FAILURE_FORMAT",
-    "evaluate_with_retries",
     "failure_record",
     "run_shard_contained",
     "shard_label",
@@ -103,39 +102,3 @@ def run_shard_contained(
         failure = failure_record(exc, label=label, attempt=attempt)
         return None, failure, time.perf_counter() - start
     return results, None, time.perf_counter() - start
-
-
-def evaluate_with_retries(
-    runner: EvaluationRunner,
-    shard,
-    *,
-    label: str,
-    max_attempts: int,
-    backoff_base: float = 0.05,
-    backoff_cap: float = 0.5,
-) -> tuple[ResultSet | None, list[dict], float]:
-    """Evaluate one shard with the dispatch layer's full attempt budget.
-
-    The retry loop both the inline driver backend and the evaluation
-    service run: up to ``max_attempts`` contained attempts
-    (:func:`run_shard_contained`), jittered exponential backoff between
-    them (:func:`repro.dispatch.faults.backoff_delay`), and a complete
-    failure history for the quarantine record.
-
-    Returns ``(results, failures, seconds)``: ``results`` is ``None`` when
-    every attempt failed (caller quarantines, with ``failures[-1]`` as the
-    terminal record); ``seconds`` is the wall clock of the last attempt.
-    """
-    failures: list[dict] = []
-    seconds = 0.0
-    for attempt in range(1, max_attempts + 1):
-        results, failure, seconds = run_shard_contained(
-            runner, shard, label=label, attempt=attempt
-        )
-        if failure is None:
-            return results, failures, seconds
-        failures.append(failure)
-        if attempt < max_attempts:
-            time.sleep(faults.backoff_delay(attempt - 1, base=backoff_base, cap=backoff_cap))
-    return None, failures, seconds
-

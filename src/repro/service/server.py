@@ -14,27 +14,26 @@ serves many concurrent clients:
   worker tasks fed from a **bounded queue** (an over-full server answers
   ``queue-full`` explicitly instead of buffering silently).
 * **Streaming** — while an experiment runs, the submitting client receives
-  ``progress`` events per evaluated cell and ``shard`` events per completed
+  ``progress`` events per evaluated cell and ``shard`` events per settled
   shard (carrying an incremental table snapshot of the partial merge), both
   in submission order — the same ordering contract
-  :class:`~repro.core.runner.EvaluationRunner` and
-  :class:`~repro.api.spec.IncrementalMerge` give in-process callers,
+  :class:`~repro.dispatch.driver.ShardDriver` gives in-process callers,
   extended over the wire.  A terminal ``state`` event closes the stream.
 * **Isolation** — experiments belong to the client session that submitted
   them; another session's ``status``/``cancel``/``result`` sees
   ``unknown experiment``.  All sessions share the server's VerdictStore
-  and ResultStore; each shard evaluation builds its own
-  :class:`~repro.core.runner.EvaluationRunner`.
-* **Durability** — every executed shard is persisted to the
+  and ResultStore; each experiment is an inline
+  :class:`~repro.dispatch.driver.ShardDriver` on a worker thread.
+* **Durability** — the driver persists every executed shard to the
   :class:`~repro.dispatch.store.ResultStore` the moment it completes, so a
   killed server re-serves a re-submitted spec from the store with **zero**
   re-executed shards, and a graceful ``shutdown`` (stop at the next shard
   boundary, everything completed already persisted) never loses more than
   the shard in flight.
 * **Containment** — a shard whose evaluation keeps crashing is retried and
-  then quarantined exactly like a dispatch shard
-  (:func:`repro.dispatch.runners.evaluate_with_retries`); the experiment
-  finishes ``degraded`` with the surviving cells, never wedges the server.
+  then quarantined by the driver's inline backend, exactly like a dispatch
+  shard; the experiment finishes ``degraded`` with the surviving cells,
+  never wedges the server.
 
 A complete experiment's ``result`` records are byte-identical to
 ``Session.run`` (and therefore to ``run --json``) for the same spec — the
@@ -51,10 +50,11 @@ import threading
 from pathlib import Path
 
 from repro.analysis.store import VerdictStore
-from repro.api.spec import ExperimentSpec, IncrementalMerge
+from repro.api.spec import ExperimentSpec
 from repro.codex.config import DEFAULT_SEED
-from repro.core.runner import EvaluationRunner, ResultSet
-from repro.dispatch.runners import evaluate_with_retries, shard_label
+from repro.core.runner import ResultSet
+from repro.dispatch.driver import DispatchReport, ShardDriver, ShardQuarantine
+from repro.dispatch.runners import shard_label
 from repro.dispatch.store import ResultStore
 from repro.service import protocol
 from repro.service.protocol import ServiceError
@@ -91,25 +91,24 @@ class _Connection:
 
 
 class _Experiment:
-    """One submitted experiment: spec, owner, live counters, terminal data.
+    """One submitted experiment: spec, owner, dispatch report, terminal data.
 
-    Counter fields are plain ints written by the single worker thread that
-    executes the experiment and read by loop-thread handlers — the GIL makes
-    the reads safe, and ``cells_done`` is re-anchored to the authoritative
-    merge size at every shard boundary (a crashed-and-retried shard may have
-    emitted progress for cells whose attempt was then discarded).
+    ``report`` is filled in by the single worker thread that executes the
+    experiment and read by loop-thread handlers through the views below —
+    the GIL makes the reads safe.  ``cells_done`` counts ``progress``
+    events and is re-anchored to the merge size after every settled shard
+    (a crashed-and-retried or quarantined shard may have emitted progress
+    for cells whose attempt was then discarded).
     """
 
     __slots__ = (
-        "id", "spec", "shards", "owner", "conn", "state", "finished",
-        "cancel", "cells_total", "cells_done", "shards_done", "executed",
-        "skipped", "quarantined", "records", "error",
+        "id", "spec", "owner", "conn", "state", "finished", "cancel",
+        "cells_total", "cells_done", "report", "error",
     )
 
     def __init__(self, id: str, spec: ExperimentSpec, shards: int, conn: _Connection) -> None:
         self.id = id
         self.spec = spec
-        self.shards = shards
         self.owner = conn.session_id
         self.conn = conn
         self.state = "queued"
@@ -117,27 +116,43 @@ class _Experiment:
         self.cancel = threading.Event()
         self.cells_total = len(spec.cells())
         self.cells_done = 0
-        self.shards_done = 0
-        self.executed = 0
-        self.skipped = 0
-        self.quarantined: list[dict] = []
-        self.records: list[dict] | None = None
+        self.report = DispatchReport(spec=spec, shards=shards)
         self.error: str | None = None
 
     @property
-    def shards_total(self) -> int:
-        return self.shards
+    def quarantined(self) -> list[dict]:
+        """The quarantined shards as ``status``, ``result`` and ``shard``
+        events name them."""
+        return [
+            {
+                "shard": shard_label(quarantine.entry),
+                "error": quarantine.failure.get("error", "unknown"),
+                "message": quarantine.failure.get("message", ""),
+                "attempts": quarantine.attempts,
+            }
+            for quarantine in self.report.quarantined
+        ]
+
+    @property
+    def records(self) -> list[dict]:
+        """The merged records: validated once complete, partial otherwise,
+        none for a failed experiment."""
+        merged = self.report.results.get(self.spec.seeds[0])
+        if merged is None or self.state == "failed":
+            return []
+        return merged.to_records()
 
     def status_payload(self) -> dict:
+        report = self.report
         return {
             "state": self.state,
             "done": self.cells_done,
             "total": self.cells_total,
-            "shards_done": self.shards_done,
-            "shards_total": self.shards_total,
-            "executed": self.executed,
-            "skipped": self.skipped,
-            "quarantined": list(self.quarantined),
+            "shards_done": report.shards_total - report.pending,
+            "shards_total": report.shards_total,
+            "executed": len(report.executed),
+            "skipped": len(report.skipped),
+            "quarantined": self.quarantined,
             "error": self.error,
         }
 
@@ -566,8 +581,8 @@ class EvaluationServer:
             )
         return {
             "state": experiment.state,
-            "records": experiment.records or [],
-            "quarantined": list(experiment.quarantined),
+            "records": experiment.records,
+            "quarantined": experiment.quarantined,
         }
 
     def _handle_shutdown(self, conn: _Connection, params: dict) -> dict:
@@ -616,13 +631,11 @@ class EvaluationServer:
 
     def _execute(self, experiment: _Experiment) -> str:
         """Evaluate one experiment on this worker thread; returns the final
-        state.  Shards are resolved one by one — store hit, evaluation with
-        retries, or quarantine — and every executed shard is persisted
-        before its events fire, exactly like a dispatch."""
-        spec = experiment.spec
-        seed = spec.seeds[0]
-        merge = IncrementalMerge()
-        plan = spec.partition(experiment.shards)
+        state.  An inline :class:`~repro.dispatch.driver.ShardDriver`
+        resolves the shards — store hit, evaluation with retries, or
+        quarantine — and persists every executed shard before its events
+        fire, exactly like a dispatch."""
+        report = experiment.report
 
         def on_cell(result) -> None:
             experiment.cells_done += 1
@@ -637,79 +650,48 @@ class EvaluationServer:
                 },
             )
 
-        for shard in plan:
-            if experiment.cancel.is_set():
-                break
-            entry = shard.entry()
-            label = shard_label(shard)
-            hit = None if self.result_store is None else self.result_store.get(entry)
-            if hit is not None:
-                experiment.skipped += 1
-                results, source = hit, "store"
-                for record in results:
-                    on_cell(record)
-            else:
-                runner = EvaluationRunner(
-                    config=spec.config,
-                    seed=shard.seed,
-                    progress=on_cell,
-                    verdict_store=self.verdict_store,
-                )
-                results, failures, _ = evaluate_with_retries(
-                    runner, shard, label=label, max_attempts=self.max_attempts
-                )
-                if results is None:
-                    last = failures[-1]
-                    experiment.quarantined.append(
-                        {
-                            "shard": label,
-                            "error": last.get("error", "unknown"),
-                            "message": last.get("message", ""),
-                            "attempts": len(failures),
-                        }
-                    )
-                    experiment.shards_done += 1
-                    self._emit_shard(experiment, entry, "quarantined", merge)
-                    continue
-                experiment.executed += 1
-                if self.result_store is not None:
-                    self.result_store.put(entry, results)
-                source = "executed"
-            merge.add(entry, results)
-            # Re-anchor to the merge: retried shards may have emitted
-            # progress for attempts whose cells were then discarded.
-            experiment.cells_done = merge.cells_merged
-            experiment.shards_done += 1
-            self._emit_shard(experiment, entry, source, merge)
-        merged = merge.partial().get(seed)
-        if experiment.cancel.is_set() and experiment.shards_done < len(plan):
-            experiment.records = [] if merged is None else merged.to_records()
+        driver = ShardDriver(
+            experiment.spec,
+            shards=report.shards,
+            result_store=self.result_store,
+            verdict_store=self.verdict_store,
+            progress=on_cell,
+            max_attempts=self.max_attempts,
+        )
+        with contextlib.closing(driver.settle(report)) as stream:
+            # A cancel stops the stream at the next shard boundary; once
+            # every shard has settled, the stream still finishes its merge.
+            while not (experiment.cancel.is_set() and report.pending):
+                settled = next(stream, None)
+                if settled is None:
+                    break
+                partial = report.results.get(experiment.spec.seeds[0])
+                # Re-anchor to the merge: a retried or quarantined shard may
+                # have emitted progress for cells that were then discarded.
+                experiment.cells_done = 0 if partial is None else len(partial)
+                params = {
+                    "experiment_id": experiment.id,
+                    "entry": settled.entry.to_payload(),
+                    "source": "quarantined",
+                    "done": experiment.cells_done,
+                    "total": experiment.cells_total,
+                    "shards_done": report.shards_total - report.pending,
+                    "shards_total": report.shards_total,
+                    "snapshot": _table_snapshot(partial),
+                }
+                if isinstance(settled, ShardQuarantine):
+                    params["failure"] = experiment.quarantined[-1]
+                else:
+                    params["source"] = "store" if settled.cached else "executed"
+                self._emit_threadsafe(experiment, "shard", params)
+        if experiment.cancel.is_set() and report.pending:
             return "cancelled"
-        if experiment.quarantined:
-            experiment.records = [] if merged is None else merged.to_records()
+        if report.quarantined:
             return "degraded"
-        # Complete: validate through the manifest, exactly like a dispatch —
+        # Complete: validated through the manifest, exactly like a dispatch —
         # an incomplete merge must never masquerade as a finished experiment.
-        experiment.records = merge.merged()[seed].to_records()
+        report.result()
         return "done"
-
-    def _emit_shard(
-        self, experiment: _Experiment, entry, source: str, merge: IncrementalMerge
-    ) -> None:
-        partial = merge.partial().get(experiment.spec.seeds[0])
-        params = {
-            "experiment_id": experiment.id,
-            "entry": entry.to_payload(),
-            "source": source,
-            "done": experiment.cells_done,
-            "total": experiment.cells_total,
-            "shards_done": experiment.shards_done,
-            "shards_total": experiment.shards_total,
-            "snapshot": _table_snapshot(partial),
-        }
-        if source == "quarantined":
-            params["failure"] = dict(experiment.quarantined[-1])
-        self._emit_threadsafe(experiment, "shard", params)
 
 
 def _optional_names(payload: dict, key: str) -> tuple | None:

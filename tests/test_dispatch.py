@@ -22,7 +22,7 @@ from repro.analysis.analyzer import clear_verdict_memo
 from repro.api import ExperimentSpec, Session, Shard
 from repro.codex.config import DEFAULT_SEED
 from repro.core.runner import EvaluationRunner
-from repro.dispatch import FileQueue, ResultStore, ShardDriver, drain_queue
+from repro.dispatch import DispatchReport, FileQueue, ResultStore, ShardDriver, drain_queue
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +154,30 @@ class TestInlineDispatch:
             progress=lambda result: warm_cells.append(result.cell),
         ).run()
         assert warm_cells == spec.cells()
+
+    def test_a_closed_settle_stream_keeps_what_settled(self, spec, expected_records, tmp_path):
+        # Closing the stream after its first shard stops the dispatch there:
+        # one shard stored, a partial report holding exactly its cells.
+        store = ResultStore(tmp_path / "store")
+        report = DispatchReport(spec=spec, shards=4)
+        stream = ShardDriver(spec, shards=4, result_store=store).settle(report)
+        first = next(stream)
+        stream.close()
+        assert len(store) == 1
+        assert not report.complete and report.outcomes == [first]
+        assert report.results[DEFAULT_SEED].to_records() == (
+            expected_records[first.entry.start : first.entry.stop]
+        )
+        # Drained, the stream leaves the report run() returns.
+        drained = DispatchReport(spec=spec, shards=4)
+        for _ in ShardDriver(spec, shards=4).settle(drained):
+            pass
+        ran = ShardDriver(spec, shards=4).run()
+        assert drained.complete and ran.complete
+        assert [(o.entry, o.source) for o in drained.outcomes] == [
+            (o.entry, o.source) for o in ran.outcomes
+        ]
+        assert drained.result().to_records() == ran.result().to_records() == expected_records
 
     def test_invalid_arguments_rejected(self, spec):
         with pytest.raises(ValueError):

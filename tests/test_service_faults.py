@@ -16,7 +16,7 @@ import pytest
 
 from repro.api import ExperimentSpec, Session
 from repro.codex.config import DEFAULT_SEED
-from repro.dispatch import ResultStore, faults
+from repro.dispatch import ResultStore, ShardDriver, faults
 from repro.service.client import connect
 from repro.service.server import ServerThread
 
@@ -110,6 +110,75 @@ class TestCrashContainment:
                 assert client.wait(retry)["state"] == "done"
             finally:
                 client.close()
+
+
+    def test_done_counts_merged_cells_after_a_quarantine(
+        self, spec, expected_records, monkeypatch
+    ):
+        """The last cell raises on every attempt: its shard's discarded
+        attempts stream progress, but ``done`` in ``shard``, ``state`` and
+        ``status`` counts merged cells, never more than ``total``."""
+        from repro.core.evaluator import PromptEvaluator
+
+        poison = spec.cells()[-1]
+        evaluate_cell = PromptEvaluator.evaluate_cell
+
+        def evaluate_or_raise(self, cell):
+            if cell == poison:
+                raise RuntimeError("poisoned cell")
+            return evaluate_cell(self, cell)
+
+        monkeypatch.setattr(PromptEvaluator, "evaluate_cell", evaluate_or_raise)
+        with ServerThread(max_attempts=3) as handle:
+            client = connect(port=handle.port)
+            try:
+                experiment = client.submit(shards=4, **SPEC)
+                final = client.wait(experiment)
+                status = client.status(experiment)
+                records = client.result(experiment)["records"]
+            finally:
+                client.close()
+        assert final["state"] == "degraded"
+        assert final["done"] == status["done"] == len(records) == 18
+        assert records == surviving_subset(spec, expected_records, 4, {18})
+        shard_events = [params for method, params in client.events if method == "shard"]
+        assert [event["done"] for event in shard_events] == [
+            event["snapshot"]["cells"] for event in shard_events
+        ]
+        # Progress counts every evaluated cell: 18 merged, then 5 per
+        # discarded attempt of the last shard.
+        assert sum(method == "progress" for method, _ in client.events) == 18 + 3 * 5
+
+
+class TestHalfWarmStore:
+    def test_store_hits_and_executed_shards_share_one_stream(
+        self, spec, expected_records, tmp_path
+    ):
+        """Shards 0-1 come from the store, 2-3 are evaluated: one ordered
+        progress count, a shard event per shard, records as Session.run."""
+        store = ResultStore(tmp_path / "shards")
+        ShardDriver(spec, shards=4, result_store=store, max_shards=2).run()
+        with ServerThread(result_store=store) as handle:
+            client = connect(port=handle.port)
+            try:
+                experiment = client.submit(shards=4, **SPEC)
+                final = client.wait(experiment)
+                records = client.result(experiment)["records"]
+            finally:
+                client.close()
+        assert final["state"] == "done"
+        assert final["skipped"] == 2 and final["executed"] == 2
+        events = client.events
+        shard_events = [params for method, params in events if method == "shard"]
+        assert [event["source"] for event in shard_events] == [
+            "store", "store", "executed", "executed",
+        ]
+        assert [params["done"] for method, params in events if method == "progress"] == list(
+            range(1, N_CELLS + 1)
+        )
+        assert [event["snapshot"]["cells"] for event in shard_events] == [6, 12, 18, 24]
+        assert [method for method, _ in events] == (["progress"] * 6 + ["shard"]) * 4 + ["state"]
+        assert records == expected_records
 
 
 class TestClientDisconnect:
