@@ -234,7 +234,8 @@ def collect_interpreter_record(repeats: int = REPEATS) -> dict:
             results = []
             for index, batch in enumerate(gpu_batches):
                 start = time.perf_counter()
-                results.extend(evaluate_python_suggestions(batch, cuda_execution=mode))
+                with execution_mode(mode):
+                    results.extend(evaluate_python_suggestions(batch))
                 batch_best[mode][index] = min(
                     batch_best[mode][index], time.perf_counter() - start
                 )

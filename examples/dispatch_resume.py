@@ -6,8 +6,9 @@ Demonstrates the crash-safe distributed workflow of :mod:`repro.dispatch`:
    streams the merge — every completed shard is persisted to a
    :class:`ResultStore` *before* it is announced, so the crash window never
    loses finished work,
-2. the first driver is "killed" mid-run (``max_shards`` — the deterministic
-   stand-in for ``kill -9`` that the ``dispatch-resume`` CI job uses too),
+2. the first driver is "killed" mid-run: its :meth:`ShardDriver.settle`
+   stream is closed after two shards (the ``dispatch-resume`` CI job kills a
+   real driver process instead, with a ``REPRO_FAULTS`` ``die`` fault),
 3. a second driver pointed at the same store **skips every completed
    shard**, finishes the rest, and its merged records are byte-identical to
    an unsharded run,
@@ -20,22 +21,26 @@ Run with:  python examples/dispatch_resume.py
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import tempfile
 import time
 from pathlib import Path
 
 from repro.analysis.analyzer import clear_verdict_memo
 from repro.api import ExperimentSpec, Session
-from repro.dispatch import FileQueue, ResultStore, ShardDriver, drain_queue
+from repro.dispatch import DispatchReport, FileQueue, ResultStore, ShardDriver, drain_queue
 
 N_SHARDS = 4
 
 
-def run_driver(spec: ExperimentSpec, store_dir: Path, **kwargs):
-    """One driver run in a "fresh process" (cleared in-memory memo)."""
+def run_driver(spec: ExperimentSpec, store_dir: Path, kill_after: int | None = None):
+    """One driver run in a "fresh process" (cleared in-memory memo).  With
+    ``kill_after``, the driver is "killed" once that many shards have
+    settled, by closing its stream."""
     clear_verdict_memo()
     start = time.perf_counter()
-    report = ShardDriver(
+    driver = ShardDriver(
         spec,
         shards=N_SHARDS,
         result_store=ResultStore(store_dir),
@@ -43,8 +48,11 @@ def run_driver(spec: ExperimentSpec, store_dir: Path, **kwargs):
             f"    shard [{outcome.entry.start:3d}, {outcome.entry.stop:3d}) "
             f"<- {outcome.source:7s} in {outcome.seconds:.2f}s"
         ),
-        **kwargs,
-    ).run()
+    )
+    report = DispatchReport(spec=spec, shards=N_SHARDS)
+    with contextlib.closing(driver.settle(report)) as stream:
+        for _ in itertools.islice(stream, kill_after):
+            pass
     print(f"  {report.summary()} in {time.perf_counter() - start:.2f}s")
     return report
 
@@ -61,7 +69,7 @@ def main() -> None:
         store_dir = Path(tmp) / "results"
 
         print(f"\ndriver 1: killed after 2 of {N_SHARDS} shards (crash simulation)")
-        killed = run_driver(spec, store_dir, max_shards=2)
+        killed = run_driver(spec, store_dir, kill_after=2)
         assert not killed.complete and len(killed.executed) == 2
 
         print("\ndriver 2: same store — resumes instead of recomputing")

@@ -397,7 +397,6 @@ class Session:
         backend: str = "inline",
         result_store=None,
         queue=None,
-        max_shards: int | None = None,
         max_workers: int | None = None,
         max_attempts: int | None = None,
         shard_timeout: float | None = None,
@@ -448,7 +447,6 @@ class Session:
             queue=queue,
             progress=self.progress,
             on_shard=on_shard,
-            max_shards=max_shards,
             max_attempts=max_attempts,
             shard_timeout=shard_timeout,
             heartbeat_interval=heartbeat_interval,

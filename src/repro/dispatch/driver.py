@@ -154,9 +154,8 @@ class DispatchReport:
     ``outcomes`` lists every *completed* shard in submission order;
     ``quarantined`` lists shards that exhausted their attempt budget.
     When ``complete`` is false, ``pending`` shards were neither merged nor
-    quarantined (the driver hit ``max_shards`` — the crash-test throttle —
-    or the stream was closed early) and ``results`` holds the
-    manifest-unvalidated partial merge.
+    quarantined (the :meth:`ShardDriver.settle` stream was closed early)
+    and ``results`` holds the manifest-unvalidated partial merge.
     """
 
     spec: ExperimentSpec
@@ -448,10 +447,6 @@ class ShardDriver:
         Per-shard callback receiving each :class:`ShardOutcome` in
         submission order — the hook an incremental table/figure renderer
         attaches to.
-    max_shards:
-        Stop after locally executing this many shards (the deterministic
-        stand-in for ``kill -9`` in crash/resume tests and CI).  The run
-        reports ``complete=False``; re-running resumes from the store.
     max_attempts:
         Failed attempts before a shard is quarantined (default: the
         queue's policy for the file-queue backend, otherwise
@@ -483,7 +478,6 @@ class ShardDriver:
         queue: FileQueue | str | Path | None = None,
         progress: Callable | None = None,
         on_shard: Callable[[ShardOutcome], None] | None = None,
-        max_shards: int | None = None,
         max_attempts: int | None = None,
         shard_timeout: float | None = None,
         heartbeat_interval: float | None = None,
@@ -495,8 +489,6 @@ class ShardDriver:
             raise ValueError(f"cannot dispatch {shards} shards")
         if backend == "file-queue" and queue is None:
             raise ValueError("the file-queue backend needs a queue directory (queue=...)")
-        if max_shards is not None and max_shards < 0:
-            raise ValueError(f"max_shards must be >= 0, got {max_shards}")
         if max_attempts is not None and max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         if shard_timeout is not None and shard_timeout <= 0:
@@ -527,7 +519,6 @@ class ShardDriver:
         self.shard_timeout = shard_timeout
         self.progress = progress
         self.on_shard = on_shard
-        self.max_shards = max_shards
         self.poll_interval = poll_interval
         #: Earliest time the next stale-claim sweep is allowed (requeue_stale
         #: walks and stats the whole claims directory — potentially on NFS —
@@ -562,14 +553,12 @@ class ShardDriver:
                 hit = self.result_store.get(entries[shard.index])
                 if hit is not None:
                     cached[shard.index] = hit
-        pending = [shard for shard in plan if shard.index not in cached]
-        budget = len(pending) if self.max_shards is None else min(self.max_shards, len(pending))
         runners = {
             "inline": self._drive_inline,
             "process": self._drive_process,
             "file-queue": self._drive_queue,
         }
-        stream = runners[self.backend](plan, entries, cached, budget, report)
+        stream = runners[self.backend](plan, entries, cached, report)
         # Closing the backend's stream when a callback raises, or when this
         # one is closed, stops its workers now.
         with contextlib.closing(stream):
@@ -606,7 +595,6 @@ class ShardDriver:
         plan: list[Shard],
         entries: list[ShardEntry],
         cached: dict[int, ResultSet],
-        budget: int,
         report: DispatchReport,
     ) -> Iterator[Union[ShardOutcome, ShardQuarantine]]:
         for shard in plan:
@@ -614,12 +602,6 @@ class ShardDriver:
             if shard.index in cached:
                 yield ShardOutcome(entry, cached[shard.index], "store", 0.0)
                 continue
-            if budget <= 0:
-                # Budget spent (crash simulation): skip the shard but keep
-                # serving later store hits, so the report and partial merge
-                # reflect everything that is actually done.
-                continue
-            budget -= 1
             runner = self._runner(shard.seed)
             label = shard_label(shard)
             # Contained attempts with jittered exponential backoff between
@@ -656,16 +638,13 @@ class ShardDriver:
         plan: list[Shard],
         entries: list[ShardEntry],
         cached: dict[int, ResultSet],
-        budget: int,
         report: DispatchReport,
     ) -> Iterator[Union[ShardOutcome, ShardQuarantine]]:
-        to_execute = [shard for shard in plan if shard.index not in cached][:budget]
+        to_execute = [shard for shard in plan if shard.index not in cached]
         if not to_execute:
-            # Fully warm (or zero budget): serve store hits without paying
-            # for workers nothing would run on.
+            # Fully warm: serve store hits without paying for workers
+            # nothing would run on.
             for shard in plan:
-                if shard.index not in cached:
-                    return
                 yield ShardOutcome(entries[shard.index], cached[shard.index], "store", 0.0)
             return
         store_path = None if self.verdict_store is None else str(self.verdict_store.path)
@@ -826,16 +805,10 @@ class ShardDriver:
             if owed[shard.index] == 0:
                 finish(shard)  # an empty shard: no cells, no pieces
 
-        indexes = {shard.index for shard in to_execute}
         try:
             for shard in plan:
                 if shard.index in cached:
                     yield ShardOutcome(entries[shard.index], cached[shard.index], "store", 0.0)
-                    continue
-                if shard.index not in indexes:
-                    # Budget-excluded shard: skip it but keep serving any
-                    # later store hits, so the report and partial merge
-                    # reflect everything that is actually done.
                     continue
                 pump_until(shard.index)
                 if shard.index in ready:
@@ -856,7 +829,6 @@ class ShardDriver:
         plan: list[Shard],
         entries: list[ShardEntry],
         cached: dict[int, ResultSet],
-        budget: int,
         report: DispatchReport,
     ) -> Iterator[Union[ShardOutcome, ShardQuarantine]]:
         queue = self.queue
@@ -869,21 +841,13 @@ class ShardDriver:
             if shard.index in cached:
                 yield ShardOutcome(entry, cached[shard.index], "store", 0.0)
                 continue
-            settled = self._resolve_queued_shard(shard, entry, budget, report)
-            if settled is None:
-                # Unresolvable under the spent budget: skip it but keep
-                # serving later store hits and already-published results.
-                continue
-            if isinstance(settled, ShardOutcome) and settled.source == "file-queue":
-                budget -= 1
-            yield settled
+            yield self._resolve_queued_shard(shard, entry, report)
 
     def _resolve_queued_shard(
-        self, shard: Shard, entry: ShardEntry, budget: int, report: DispatchReport
-    ) -> Union[ShardOutcome, ShardQuarantine, None]:
+        self, shard: Shard, entry: ShardEntry, report: DispatchReport
+    ) -> Union[ShardOutcome, ShardQuarantine]:
         """Wait for one queued shard: consume its result, claim and evaluate
-        it ourselves, or accept its quarantine; ``None`` when the execution
-        budget is spent and nobody else is producing it."""
+        it ourselves, or accept its quarantine."""
         name = self.queue.task_name(shard)
         start = time.perf_counter()
         idle = 0
@@ -917,60 +881,38 @@ class ShardDriver:
                     idle = 0
                     continue
                 return ShardOutcome(entry, results, "remote", time.perf_counter() - start)
-            if budget > 0:
-                if (
-                    name not in self.queue.pending()
-                    and not self._claimed(name)
-                ):
-                    # The task exists nowhere: no result, no dead letter, no
-                    # pending file, no lease.  This happens when a corrupt
-                    # result was dropped after its (retired) claim was
-                    # garbage-collected — re-offer the shard instead of
-                    # waiting for a producer that does not exist.
-                    self.queue.publish(shard)
-                claim = self.queue.claim(name)
-                if claim is not None:
-                    with HeartbeatLease(self.queue, claim):
-                        runner = self._runner(shard.seed)
-                        results, failure, _ = run_shard_contained(
-                            runner,
-                            shard,
-                            label=name,
-                            attempt=self.queue.attempts(name) + 1,
-                        )
-                        report.sandbox_executions += runner.sandbox_executions
-                        report.verdict_store_hits += runner.store_hits
-                    if failure is not None:
-                        # Released for retry or quarantined — either way the
-                        # loop re-resolves: next iteration sees the re-offered
-                        # task or the dead letter.
-                        self.queue.fail(claim, failure)
-                        idle = 0
-                        continue
-                    self.queue.complete(name, shard_payload(shard, results))
-                    self.queue.retire(claim)
-                    return ShardOutcome(
-                        entry, results, "file-queue", time.perf_counter() - start
+            if name not in self.queue.pending() and not self._claimed(name):
+                # The task exists nowhere: no result, no dead letter, no
+                # pending file, no lease.  This happens when a corrupt
+                # result was dropped after its (retired) claim was
+                # garbage-collected — re-offer the shard instead of
+                # waiting for a producer that does not exist.
+                self.queue.publish(shard)
+            claim = self.queue.claim(name)
+            if claim is not None:
+                with HeartbeatLease(self.queue, claim):
+                    runner = self._runner(shard.seed)
+                    results, failure, _ = run_shard_contained(
+                        runner, shard, label=name, attempt=self.queue.attempts(name) + 1
                     )
-                # Another worker holds the lease: poll for its result with
-                # jittered backoff, reclaiming if the lease goes stale
-                # (missed heartbeats — the worker crashed or wedged).
-                self._sweep_stale_claims()
-                time.sleep(
-                    faults.backoff_delay(idle, base=self.poll_interval, cap=backoff_cap)
-                )
-                idle += 1
-                continue
-            # Budget spent (crash simulation): only already-running remote
-            # work could still complete this shard; don't wait for it.
-            if name not in self.queue.pending() and self._claimed(name):
-                self._sweep_stale_claims()
-                time.sleep(
-                    faults.backoff_delay(idle, base=self.poll_interval, cap=backoff_cap)
-                )
-                idle += 1
-                continue
-            return None
+                    report.sandbox_executions += runner.sandbox_executions
+                    report.verdict_store_hits += runner.store_hits
+                if failure is not None:
+                    # Released for retry or quarantined — either way the
+                    # loop re-resolves: next iteration sees the re-offered
+                    # task or the dead letter.
+                    self.queue.fail(claim, failure)
+                    idle = 0
+                    continue
+                self.queue.complete(name, shard_payload(shard, results))
+                self.queue.retire(claim)
+                return ShardOutcome(entry, results, "file-queue", time.perf_counter() - start)
+            # Another worker holds the lease: poll for its result with
+            # jittered backoff, reclaiming if the lease goes stale
+            # (missed heartbeats — the worker crashed or wedged).
+            self._sweep_stale_claims()
+            time.sleep(faults.backoff_delay(idle, base=self.poll_interval, cap=backoff_cap))
+            idle += 1
 
     def _sweep_stale_claims(self) -> None:
         """Throttled ``requeue_stale``: at most one directory sweep per

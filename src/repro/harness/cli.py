@@ -117,7 +117,6 @@ def _at_least(kind: type, low, *, exclusive: bool = False):
 
 
 _POSITIVE_INT = _at_least(int, 1)
-_NON_NEGATIVE_INT = _at_least(int, 0)
 _POSITIVE_FLOAT = _at_least(float, 0, exclusive=True)
 
 
@@ -258,14 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes of the process backend, each owning whole languages, or "
         "contiguous runs of one, of the shards (default: one per core, at most 8, at most "
         "one per shard)",
-    )
-    dispatch.add_argument(
-        "--max-shards",
-        type=_NON_NEGATIVE_INT,
-        default=None,
-        metavar="N",
-        help="stop after executing N shards (deterministic crash simulation; "
-        "the run exits with status 3 and resumes from --result-store)",
     )
     dispatch.add_argument(
         "--max-attempts",
@@ -598,7 +589,6 @@ def _cmd_dispatch(args: argparse.Namespace, session) -> int:
         result_store=store,
         queue=args.queue,
         max_workers=args.workers,
-        max_shards=args.max_shards,
         max_attempts=args.max_attempts,
         shard_timeout=args.shard_timeout,
         heartbeat_interval=args.heartbeat,
@@ -614,13 +604,6 @@ def _cmd_dispatch(args: argparse.Namespace, session) -> int:
     for quarantine in report.quarantined:
         print(f"quarantined: {quarantine.describe()}", file=sys.stderr)
     if not report.complete:
-        if report.pending:
-            print(
-                f"{report.pending} shard(s) still pending; "
-                "re-run with the same --result-store to resume",
-                file=sys.stderr,
-            )
-            return 3
         # Every shard settled, but some settled in quarantine: merge the
         # survivors only on an explicit --allow-partial, and even then exit
         # nonzero — degraded output must never look like a clean run.

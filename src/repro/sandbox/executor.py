@@ -207,9 +207,7 @@ def evaluate_python_suggestion(code: str, kernel: str) -> ExecutionResult:
     return _compare_against_oracle(run_python_suggestion(code, kernel, task), task)
 
 
-def evaluate_python_suggestions(
-    items: Sequence[tuple[str, str]], *, cuda_execution: str | None = None
-) -> list[ExecutionResult]:
+def evaluate_python_suggestions(items: Sequence[tuple[str, str]]) -> list[ExecutionResult]:
     """Batched :func:`evaluate_python_suggestion` over ``(code, kernel)`` pairs.
 
     The whole batch executes inside a single :func:`fake_runtime` context
@@ -225,25 +223,15 @@ def evaluate_python_suggestions(
     suggestions (exactly what a standalone evaluation gets), so one
     suggestion mutating its module namespace cannot change another's
     verdict.  Results come back in input order and are identical to
-    evaluating each pair on its own.
-
-    ``cuda_execution`` selects the CUDA interpreter engine for every kernel
-    launch in the batch: ``"auto"`` (the lockstep engine with transparent
-    scalar fallback) or ``"scalar"`` (force the reference thread sweep).
-    The default ``None`` imposes nothing, so an ambient
-    :func:`~repro.sandbox.cuda_c.interpreter.execution_mode` context or the
-    ``$REPRO_CUDA_EXECUTION`` process default stay in effect.  The
-    differential-testing suite and the interpreter benchmark run the same
-    batch under both modes and assert byte-identical outcomes.
+    evaluating each pair on its own.  Kernel launches use the CUDA engine
+    the enclosing :func:`~repro.sandbox.cuda_c.interpreter.execution_mode`
+    context selects, or ``$REPRO_CUDA_EXECUTION`` outside one.
     """
-    from repro.sandbox.cuda_c.interpreter import execution_mode, shared_parse_scope
+    from repro.sandbox.cuda_c.interpreter import shared_parse_scope
 
-    mode_scope = (
-        contextlib.nullcontext() if cuda_execution is None else execution_mode(cuda_execution)
-    )
     results: list[ExecutionResult] = []
     tasks: dict[str, SandboxTask] = {}
-    with fake_runtime(), shared_parse_scope(), mode_scope:
+    with fake_runtime(), shared_parse_scope():
         for index, (code, kernel) in enumerate(items):
             if index:
                 sys.modules.update(_fresh_wrapper_modules())

@@ -286,7 +286,11 @@ class EvaluationServer:
         await self.wait_closed()
 
     def request_stop(self) -> None:
-        """Thread-safe hard stop (the test suite's ``kill -9`` stand-in)."""
+        """Thread-safe hard stop (the test suite's ``kill -9`` stand-in):
+        running experiments stop at their next shard boundary."""
+        for experiment in list(self._experiments.values()):
+            if not experiment.finished:
+                experiment.cancel.set()
         if self.loop is not None and self._stopped is not None:
             # A graceful ``shutdown`` may already have closed the loop.
             with contextlib.suppress(RuntimeError):

@@ -85,7 +85,8 @@ class TestCorpusDifferential:
         assert len(snippets) >= 20  # templates + mutations for 6 kernels
         batch = [(s.code, s.kernel) for s in snippets]
         vectorized = evaluate_python_suggestions(batch)
-        scalar = evaluate_python_suggestions(batch, cuda_execution="scalar")
+        with execution_mode("scalar"):
+            scalar = evaluate_python_suggestions(batch)
         assert _result_signature(vectorized) == _result_signature(scalar)
 
     def test_vectorized_is_the_default_and_actually_runs(self, corpus):
@@ -661,8 +662,8 @@ class TestNarrowBufferStores:
 
 class TestExecutionModeSelection:
     def test_env_var_forces_scalar_through_batched_pipeline(self, monkeypatch):
-        # $REPRO_CUDA_EXECUTION is the CLI-level control: with no explicit
-        # cuda_execution argument the batched executor must honour it.
+        # $REPRO_CUDA_EXECUTION is the CLI-level control: outside any
+        # execution_mode context the batched executor must honour it.
         src = (
             "import numpy as np\n"
             "import pycuda.autoinit\n"

@@ -14,10 +14,16 @@ The tentpole guarantees:
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis.analyzer import clear_verdict_memo
 from repro.api import ExperimentSpec, Session, Shard
 from repro.codex.config import DEFAULT_SEED
@@ -34,6 +40,17 @@ def spec() -> ExperimentSpec:
 def expected_records(spec):
     with Session(seed=DEFAULT_SEED) as session:
         return session.run(spec).to_records()
+
+
+def _killed_after(driver: ShardDriver, settled: int) -> DispatchReport:
+    """Drive ``driver`` until ``settled`` shards have settled, then close its
+    stream: the in-process stand-in for killing the driver there."""
+    report = DispatchReport(spec=driver.spec, shards=driver.shards)
+    stream = driver.settle(report)
+    for _ in itertools.islice(stream, settled):
+        pass
+    stream.close()
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +75,7 @@ class TestInlineDispatch:
 
     def test_killed_run_resumes_without_reexecution(self, spec, expected_records, tmp_path):
         store = tmp_path / "store"
-        partial = ShardDriver(spec, shards=4, result_store=store, max_shards=2).run()
+        partial = _killed_after(ShardDriver(spec, shards=4, result_store=store), 2)
         assert not partial.complete
         assert len(partial.executed) == 2
         with pytest.raises(ValueError, match="incomplete"):
@@ -88,32 +105,6 @@ class TestInlineDispatch:
             uninstall_extended_grid()
         assert report.complete and len(expected) == 80
         assert report.result().to_records() == expected.to_records()
-
-    def test_budget_exhaustion_still_reports_later_store_hits(
-        self, spec, expected_records, tmp_path
-    ):
-        # Pre-populate only the LAST shard, then run with a budget of 1:
-        # the driver executes shard 0, skips shards 1-2 (budget spent), but
-        # must still surface shard 3's store hit in the report and partial
-        # merge — it is already done, whatever the budget says.
-        store = ResultStore(tmp_path / "store")
-        shards = spec.partition(4)
-        with Session(seed=DEFAULT_SEED) as session:
-            store.put(shards[3].entry(), session.run(shards[3]))
-        report = ShardDriver(
-            spec, shards=4, result_store=ResultStore(tmp_path / "store"), max_shards=1
-        ).run()
-        assert not report.complete
-        assert len(report.executed) == 1 and len(report.skipped) == 1
-        assert [o.entry.start for o in report.outcomes] == [
-            shards[0].start, shards[3].start
-        ]
-        partial = report.results[DEFAULT_SEED].to_records()
-        expected = (
-            expected_records[shards[0].start : shards[0].stop]
-            + expected_records[shards[3].start : shards[3].stop]
-        )
-        assert partial == expected
 
     def test_store_writes_happen_before_callbacks(self, spec, tmp_path):
         # The crash window must never lose a finished shard: by the time
@@ -186,8 +177,6 @@ class TestInlineDispatch:
             ShardDriver(spec, shards=0)
         with pytest.raises(ValueError):
             ShardDriver(spec, backend="file-queue")  # queue directory missing
-        with pytest.raises(ValueError):
-            ShardDriver(spec, max_shards=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +191,7 @@ class TestProcessDispatch:
 
     def test_process_resume_skips_completed_shards(self, spec, expected_records, tmp_path):
         store = tmp_path / "store"
-        ShardDriver(spec, shards=4, result_store=store, max_shards=3).run()
+        _killed_after(ShardDriver(spec, shards=4, result_store=store), 3)
         resumed = ShardDriver(
             spec, shards=4, backend="process", max_workers=2, result_store=ResultStore(store)
         ).run()
@@ -403,8 +392,7 @@ class TestFileQueueDispatch:
             assert not queue.publish(shard)  # idempotent
         assert drain_queue(queue) == 3  # "the remote host"
         report = ShardDriver(
-            spec, shards=3, backend="file-queue", queue=queue, max_shards=0,
-            result_store=tmp_path / "store",
+            spec, shards=3, backend="file-queue", queue=queue, result_store=tmp_path / "store",
         ).run()
         assert report.complete
         assert len(report.remote) == 3 and not report.executed
@@ -608,10 +596,20 @@ class TestCliDispatch:
 
         store = str(tmp_path / "store")
         args = ["dispatch", "--shards", "4", "--languages", "julia", "--result-store", store]
-        assert main(args + ["--max-shards", "2"]) == 3  # "killed" mid-run
-        captured = capsys.readouterr()
-        assert "PARTIAL 2/4" in captured.out
-        assert "shard-writes=2" in captured.err
+        # Killed for real: the fault plan's ``die`` ends the driver process
+        # with status 17 as it starts shard 2 (cells 12-17), after shards 0
+        # and 1 were stored.
+        env = {key: value for key, value in os.environ.items() if not key.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        env["REPRO_FAULTS"] = json.dumps(
+            [{"point": "worker.evaluate", "action": "die", "match": "-00012-"}]
+        )
+        killed = subprocess.run(
+            [sys.executable, "-m", "repro.harness.cli", *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert killed.returncode == 17, killed.stderr
+        assert len(ResultStore(store)) == 2
         assert main(args + ["--json", str(tmp_path / "out.json")]) == 0
         captured = capsys.readouterr()
         assert "executed=2 skipped=2" in captured.out
@@ -625,7 +623,6 @@ class TestCliDispatch:
             ("--workers", "0"),
             ("--workers", "-2"),
             ("--max-attempts", "0"),
-            ("--max-shards", "-1"),
             ("--shard-timeout", "-1"),
             ("--shard-timeout", "0"),
             ("--heartbeat", "0"),
@@ -648,9 +645,7 @@ class TestCliDispatch:
             queue.publish(shard)
         assert main(["dispatch-worker", "--queue", str(tmp_path / "q")]) == 0
         assert "evaluated 2 task(s)" in capsys.readouterr().out
-        report = ShardDriver(
-            spec, shards=2, backend="file-queue", queue=queue, max_shards=0
-        ).run()
+        report = ShardDriver(spec, shards=2, backend="file-queue", queue=queue).run()
         assert report.complete and len(report.remote) == 2
 
     def test_cli_dispatch_worker_reports_what_it_evaluated(self, tmp_path, capsys):

@@ -23,6 +23,7 @@ from repro.api import ExperimentSpec, Session
 from repro.atomicio import write_atomic_json
 from repro.codex.config import DEFAULT_SEED
 from repro.dispatch import (
+    DispatchReport,
     FileQueue,
     HeartbeatLease,
     ResultStore,
@@ -409,6 +410,25 @@ class TestProcessFaults:
                 driver.run()
         assert raised.value.__traceback__ is not None
 
+    def test_no_worker_outlives_a_closed_settle_stream(self, spec, expected_records, tmp_path):
+        # Closing the stream is the process backend's only early stop: it
+        # stops both workers while shards are still to settle.
+        store = ResultStore(tmp_path / "store")
+        report = DispatchReport(spec=spec, shards=4)
+        driver = ShardDriver(spec, shards=4, backend="process", max_workers=2, result_store=store)
+        with self._no_worker_outlives():
+            stream = driver.settle(report)
+            next(stream)
+            stream.close()
+        assert report.pending > 0
+        # A shard is stored when its last piece lands, before its turn in
+        # plan order, so the store may hold more shards than settled; a
+        # resume skips each of them.
+        stored = len(store)
+        resumed = ShardDriver(spec, shards=4, result_store=store).run()
+        assert len(resumed.skipped) == stored
+        assert resumed.result().to_records() == expected_records
+
 
 # ---------------------------------------------------------------------------
 # File queue: leases, retries, dead letters
@@ -428,9 +448,7 @@ class TestQueueFaults:
             assert drain_queue(queue) == 4
         assert queue.pending() == [] and queue.failed() == []
         assert list(queue.attempts_dir.iterdir()) == []  # retired on success
-        report = ShardDriver(
-            spec, shards=4, backend="file-queue", queue=queue, max_shards=0
-        ).run()
+        report = ShardDriver(spec, shards=4, backend="file-queue", queue=queue).run()
         assert report.complete
         assert report.result().to_records() == expected_records
 

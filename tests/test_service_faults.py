@@ -10,13 +10,14 @@ re-submit the same spec, and **zero shards re-execute**.
 
 from __future__ import annotations
 
+import itertools
 import time
 
 import pytest
 
 from repro.api import ExperimentSpec, Session
 from repro.codex.config import DEFAULT_SEED
-from repro.dispatch import ResultStore, ShardDriver, faults
+from repro.dispatch import DispatchReport, ResultStore, ShardDriver, faults
 from repro.service.client import connect
 from repro.service.server import ServerThread
 
@@ -157,7 +158,13 @@ class TestHalfWarmStore:
         """Shards 0-1 come from the store, 2-3 are evaluated: one ordered
         progress count, a shard event per shard, records as Session.run."""
         store = ResultStore(tmp_path / "shards")
-        ShardDriver(spec, shards=4, result_store=store, max_shards=2).run()
+        # A dispatch stopped after two shards leaves them in the store.
+        stream = ShardDriver(spec, shards=4, result_store=store).settle(
+            DispatchReport(spec=spec, shards=4)
+        )
+        for _ in itertools.islice(stream, 2):
+            pass
+        stream.close()
         with ServerThread(result_store=store) as handle:
             client = connect(port=handle.port)
             try:
@@ -296,6 +303,27 @@ class TestKillRestartResume:
                 client.close()
         finally:
             second.stop()
+
+    def test_hard_stop_abandons_the_running_experiment(self, tmp_path):
+        """`stop()` mid-run: the running experiment stops at the next shard
+        boundary instead of evaluating every remaining shard first."""
+        store = ResultStore(tmp_path / "shards")
+        # Hold every shard 0.2s, so the 12 shards take ~2.4s to evaluate.
+        faults.install([{"point": "worker.evaluate", "action": "hang", "arg": 0.2}])
+        with ServerThread(result_store=store) as handle:
+            client = connect(port=handle.port)
+            try:
+                client.submit(shards=12, **SPEC)
+                while not any(method == "shard" for method, _ in client.events):
+                    client._dispatch_event(client.read_message())
+                start = time.monotonic()
+                handle.stop()
+                stopped = time.monotonic() - start
+            finally:
+                client.close()
+        assert stopped < 1.0
+        # The shard stored at the stop, and at most the one in flight.
+        assert len(store) <= 2
 
     def test_submit_during_shutdown_is_refused(self):
         from repro.service import protocol
