@@ -1,4 +1,9 @@
-"""Language-agnostic lexical helpers used by the per-language analyzers."""
+"""Language-agnostic lexical helpers used by the per-language analyzers.
+
+Every code a process analyzes passes through them, and a Python loop over
+each character costs several times what ``str`` methods and ``re`` (in C)
+cost, so they avoid one, and skip a pass whose literal anchor is absent.
+"""
 
 from __future__ import annotations
 
@@ -9,8 +14,6 @@ __all__ = [
     "strip_line_comments",
     "strip_string_literals",
     "balanced_delimiters",
-    "extract_call_names",
-    "extract_identifiers",
     "normalize_whitespace",
 ]
 
@@ -20,8 +23,10 @@ def strip_c_comments(code: str) -> str:
 
     ``#pragma`` lines are preserved (they are directives, not comments).
     """
-    code = re.sub(r"/\*.*?\*/", " ", code, flags=re.DOTALL)
-    code = re.sub(r"//[^\n]*", "", code)
+    if "/*" in code:
+        code = re.sub(r"/\*.*?\*/", " ", code, flags=re.DOTALL)
+    if "//" in code:
+        code = re.sub(r"//[^\n]*", "", code)
     return code
 
 
@@ -33,19 +38,19 @@ def strip_line_comments(code: str, prefix: str) -> str:
     """
     out_lines = []
     for line in code.splitlines():
-        stripped = line.lstrip()
-        if stripped.startswith(prefix):
-            if prefix == "!" and stripped.lower().startswith(("!$omp", "!$acc")):
-                out_lines.append(line)
-                continue
-            # Whole-line comment: drop it.
-            continue
-        # In-line trailing comments: cut at the prefix unless it is a
-        # directive sentinel or inside a string literal (handled coarsely by
-        # only cutting when the prefix is preceded by whitespace).
-        idx = line.find(f" {prefix}")
-        if idx >= 0 and not (prefix == "!" and "!$" in line):
-            line = line[:idx]
+        if prefix in line:  # most lines hold no comment
+            stripped = line.lstrip()
+            if stripped.startswith(prefix):
+                # Whole-line comment: drop it, unless a directive sentinel.
+                if not (prefix == "!" and stripped.lower().startswith(("!$omp", "!$acc"))):
+                    continue
+            else:
+                # In-line trailing comments: cut at the prefix unless it is a
+                # directive sentinel or inside a string literal (handled
+                # coarsely by only cutting when whitespace precedes it).
+                idx = line.find(f" {prefix}")
+                if idx >= 0 and not (prefix == "!" and "!$" in line):
+                    line = line[:idx]
         out_lines.append(line)
     return "\n".join(out_lines)
 
@@ -55,57 +60,39 @@ def strip_string_literals(code: str) -> str:
     def _blank(match: re.Match[str]) -> str:
         return '"' + " " * (len(match.group(0)) - 2) + '"'
 
-    code = re.sub(r'"""(?:[^"\\]|\\.|"(?!""))*"""', lambda m: '"' + " " * (len(m.group(0)) - 2) + '"',
-                  code, flags=re.DOTALL)
-    code = re.sub(r'"(?:[^"\\\n]|\\.)*"', _blank, code)
-    code = re.sub(r"'(?:[^'\\\n]|\\.)*'", _blank, code)
+    if '"""' in code:
+        code = re.sub(r'"""(?:[^"\\]|\\.|"(?!""))*"""', _blank, code, flags=re.DOTALL)
+    if '"' in code:
+        code = re.sub(r'"(?:[^"\\\n]|\\.)*"', _blank, code)
+    if "'" in code:
+        code = re.sub(r"'(?:[^'\\\n]|\\.)*'", _blank, code)
     return code
 
 
-_DELIMITER_PAIRS = (("{", "}"), ("(", ")"), ("[", "]"))
+_OPENER_OF = {"}": "{", ")": "(", "]": "["}
 
 
 def balanced_delimiters(code: str) -> bool:
     """Whether every opening brace, parenthesis and bracket has a matching
-    closing one.
+    closing one (each kind counted on its own, so ``([)]`` balances).
 
     Works on comment- and string-stripped code; a truncated completion almost
     always fails this check.
     """
-    counts = {open_: 0 for open_, _ in _DELIMITER_PAIRS}
-    closers = {close: open_ for open_, close in _DELIMITER_PAIRS}
-    openers = {open_ for open_, _ in _DELIMITER_PAIRS}
-    for ch in code:
-        if ch in openers:
-            counts[ch] += 1
-        elif ch in closers:
-            counts[closers[ch]] -= 1
-            if counts[closers[ch]] < 0:
+    for close, open_ in _OPENER_OF.items():
+        if code.count(open_) != code.count(close):
+            return False
+    depth = dict.fromkeys(_OPENER_OF.values(), 0)
+    for ch in re.findall(r"[(){}\[\]]", code):
+        if ch in depth:
+            depth[ch] += 1
+        else:
+            depth[_OPENER_OF[ch]] -= 1
+            if depth[_OPENER_OF[ch]] < 0:
                 return False
-    return all(v == 0 for v in counts.values())
-
-
-_CALL_RE = re.compile(r"([A-Za-z_][\w:.]*)\s*\(")
-
-
-def extract_call_names(code: str) -> set[str]:
-    """Names that appear in call position (``name(...)``).
-
-    Namespaced and attribute calls keep their qualification
-    (``Kokkos::parallel_for``, ``np.dot``), which lets the whitelists match on
-    either the full name or its root.
-    """
-    return set(_CALL_RE.findall(code))
-
-
-_IDENT_RE = re.compile(r"[A-Za-z_]\w*")
-
-
-def extract_identifiers(code: str) -> set[str]:
-    """All bare identifiers appearing in the code."""
-    return set(_IDENT_RE.findall(code))
+    return True
 
 
 def normalize_whitespace(code: str) -> str:
-    """Collapse every whitespace run to a single space (for regex matching)."""
-    return re.sub(r"\s+", " ", code).strip()
+    """Collapse every whitespace run (``str.isspace()``, as ``re``'s ``\\s``) to one space."""
+    return " ".join(code.split())

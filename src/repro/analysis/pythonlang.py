@@ -7,7 +7,7 @@ callable entry point for the kernel, and does not reference obviously
 undefined helper functions at module scope.
 
 Every check reads a :class:`ParsedSuggestion`: one ``ast.parse`` and one
-``ast.walk`` of the code.  Inside a
+breadth-first walk of the code.  Inside a
 :func:`~repro.sandbox.cuda_c.interpreter.shared_parse_scope` (one analysis
 batch) each distinct code is parsed once and the sandbox compiles the same
 AST; outside a scope every call parses afresh.
@@ -63,17 +63,21 @@ class ParsedSuggestion:
         import_issues: list[str] = []
         defined: set[str] = set()
         called: set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                if isinstance(node.func, ast.Name):
+        todo: list[ast.AST] = [tree]
+        for node in todo:  # breadth-first, as ast.walk: import_issues keeps its order
+            kind = type(node)  # ast.parse builds exact classes: ``is`` checks suffice
+            if kind is ast.Name or kind is ast.Constant:
+                continue  # leaves: only an expr_context below
+            if kind is ast.Call:
+                if type(node.func) is ast.Name:
                     called.add(node.func.id)
-            elif isinstance(node, ast.FunctionDef):
+            elif kind is ast.FunctionDef:
                 has_function = True
                 defined.add(node.name)
                 defined.update(arg.arg for arg in node.args.args)
                 defined.update(arg.arg for arg in node.args.kwonlyargs)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                if isinstance(node, ast.Import):
+            elif kind is ast.Import or kind is ast.ImportFrom:
+                if kind is ast.Import:
                     defined.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
                     modules = [alias.name for alias in node.names]
                 else:
@@ -83,11 +87,17 @@ class ParsedSuggestion:
                     root = module.split(".")[0]
                     if root and root not in KNOWN_MODULE_ROOTS:
                         import_issues.append(f"imports unavailable module {root!r}")
-            elif isinstance(node, ast.Assign):
+            elif kind is ast.Assign:
                 for target in node.targets:
                     defined.update(_target_names(target))
-            elif isinstance(node, (ast.For, ast.comprehension)):
+            elif kind is ast.For or kind is ast.comprehension:
                 defined.update(_target_names(node.target))
+            for field in node._fields:
+                child = getattr(node, field)
+                if isinstance(child, list):
+                    todo.extend([item for item in child if isinstance(item, ast.AST)])
+                elif isinstance(child, ast.AST) and not isinstance(child, ast.expr_context):
+                    todo.append(child)
         missing = () if has_function else ("no function definition found",)
         self.structure_issues = (*missing, *import_issues)
         self.undefined_calls = frozenset(

@@ -179,8 +179,6 @@ _OMP_RED = "#pragma omp parallel for reduction(+:REDVAR)"
 # ---------------------------------------------------------------------------
 
 _OMP_TGT = "#pragma omp target teams distribute parallel for"
-_OMP_TGT_2 = "#pragma omp target teams distribute parallel for collapse(2)"
-_OMP_TGT_3 = "#pragma omp target teams distribute parallel for collapse(3)"
 _OMP_TGT_RED = "#pragma omp target teams distribute parallel for reduction(+:REDVAR)"
 
 _OMP_TGT_AXPY = "#pragma omp target teams distribute parallel for map(to: x[0:n]) map(tofrom: y[0:n])"
@@ -205,8 +203,6 @@ _OMP_TGT_JACOBI = (
 # ---------------------------------------------------------------------------
 
 _ACC_LOOP = "#pragma acc parallel loop"
-_ACC_LOOP_2 = "#pragma acc parallel loop collapse(2)"
-_ACC_LOOP_3 = "#pragma acc parallel loop collapse(3)"
 _ACC_RED = "#pragma acc parallel loop reduction(+:REDVAR)"
 
 _ACC_AXPY = "#pragma acc parallel loop copyin(x[0:n]) copy(y[0:n])"

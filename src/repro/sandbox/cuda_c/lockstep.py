@@ -627,7 +627,6 @@ def _vector_pow(a: Any, b: Any, m: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _BUILTIN_DIMS = {"threadIdx", "blockIdx", "blockDim", "gridDim"}
-_DIM_FIELDS = ("x", "y", "z")
 _MEMBER_ATTRS = {
     ("threadIdx", "x"): "tix", ("threadIdx", "y"): "tiy", ("threadIdx", "z"): "tiz",
     ("blockIdx", "x"): "bix", ("blockIdx", "y"): "biy", ("blockIdx", "z"): "biz",

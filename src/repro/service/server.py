@@ -95,10 +95,10 @@ class _Experiment:
 
     ``report`` is filled in by the single worker thread that executes the
     experiment and read by loop-thread handlers through the views below —
-    the GIL makes the reads safe.  ``cells_done`` counts ``progress``
-    events and is re-anchored to the merge size after every settled shard
-    (a crashed-and-retried or quarantined shard may have emitted progress
-    for cells whose attempt was then discarded).
+    the GIL makes the reads safe.  ``cells_done`` counts the merged cells
+    plus each cell the live shard reported, once however often its attempts
+    are retried, so it never exceeds ``cells_total``; after every settled
+    shard it is re-anchored to the merge size (dropping quarantined cells).
     """
 
     __slots__ = (
@@ -640,9 +640,12 @@ class EvaluationServer:
         quarantine — and persists every executed shard before its events
         fire, exactly like a dispatch."""
         report = experiment.report
+        live: set[str] = set()  # the live shard's cells counted in ``done``
 
         def on_cell(result) -> None:
-            experiment.cells_done += 1
+            if result.cell.cell_id not in live:  # a retry re-reports cells
+                live.add(result.cell.cell_id)
+                experiment.cells_done += 1
             self._emit_threadsafe(
                 experiment,
                 "progress",
@@ -670,9 +673,10 @@ class EvaluationServer:
                 if settled is None:
                     break
                 partial = report.results.get(experiment.spec.seeds[0])
-                # Re-anchor to the merge: a retried or quarantined shard may
-                # have emitted progress for cells that were then discarded.
+                # Re-anchor to the merge: a quarantined shard's cells were
+                # counted but never merged.
                 experiment.cells_done = 0 if partial is None else len(partial)
+                live.clear()
                 params = {
                     "experiment_id": experiment.id,
                     "entry": settled.entry.to_payload(),

@@ -7,8 +7,6 @@ import pytest
 from repro.analysis.detection import detect_models, primary_model
 from repro.analysis.lexical import (
     balanced_delimiters,
-    extract_call_names,
-    extract_identifiers,
     normalize_whitespace,
     strip_c_comments,
     strip_line_comments,
@@ -41,16 +39,6 @@ class TestLexicalHelpers:
         assert balanced_delimiters("{ ( [ ] ) }")
         assert not balanced_delimiters("{ ( ) ")
         assert not balanced_delimiters(") (")
-
-    def test_extract_call_names(self):
-        calls = extract_call_names("foo(1); Kokkos::parallel_for(n); bar [i]")
-        assert "foo" in calls
-        assert "Kokkos::parallel_for" in calls
-        assert "bar" not in calls
-
-    def test_extract_identifiers(self):
-        idents = extract_identifiers("alpha = beta_2 * 3;")
-        assert {"alpha", "beta_2"} <= idents
 
     def test_normalize_whitespace(self):
         assert normalize_whitespace("a\n\t b   c ") == "a b c"

@@ -150,6 +150,41 @@ class TestCrashContainment:
         # discarded attempt of the last shard.
         assert sum(method == "progress" for method, _ in client.events) == 18 + 3 * 5
 
+    def test_done_never_exceeds_total_while_a_shard_retries(self, spec, monkeypatch):
+        """The last cell raises on every attempt: each retry re-reports the
+        shard's first five cells, but ``done`` in ``progress`` and in a
+        ``status`` polled throughout counts each cell once."""
+        from repro.core.evaluator import PromptEvaluator
+
+        poison = spec.cells()[-1]
+        evaluate_cell = PromptEvaluator.evaluate_cell
+
+        def evaluate_or_raise(self, cell):
+            if cell == poison:
+                raise RuntimeError("poisoned cell")
+            return evaluate_cell(self, cell)
+
+        monkeypatch.setattr(PromptEvaluator, "evaluate_cell", evaluate_or_raise)
+        polled: list[int] = []
+        with ServerThread(max_attempts=3) as handle:
+            client = connect(port=handle.port)
+            try:
+                experiment = client.submit(shards=4, **SPEC)
+                while True:
+                    status = client.status(experiment)
+                    polled.append(status["done"])
+                    if status["state"] not in ("queued", "running"):
+                        break
+                final = client.wait(experiment)
+            finally:
+                client.close()
+        assert final["state"] == "degraded" and final["done"] == 18
+        progress = [params["done"] for method, params in client.events if method == "progress"]
+        # 18 merged cells, 5 of the last shard, then two retries that
+        # re-report those 5 without counting them again.
+        assert progress == [*range(1, 24), *[23] * 10]
+        assert max(polled) <= N_CELLS
+
 
 class TestHalfWarmStore:
     def test_store_hits_and_executed_shards_share_one_stream(
